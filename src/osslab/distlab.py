@@ -66,12 +66,6 @@ _CENSUS_LIMIT = 20
 SubspaceTuple = tuple[Subspace, ...]
 
 
-def _dual_levels(mat: BitMatrix, ell: int) -> list[Subspace]:
-    """S_1 .. S_{l+1} for the given full-column-rank matrix."""
-    width = mat.cols
-    return [mat.col_range(j, width).left_kernel() for j in range(1, ell + 2)]
-
-
 class ChainSampler:
     """Base for tuple samplers with an enumerable randomness domain.
 
@@ -93,7 +87,7 @@ class ChainSampler:
         self.n = n
         self.r = r
         self.ell = ell
-        self.levels = _dual_levels(mat, ell)
+        self.levels = mat.dual_chain(ell)
 
     def tuple_at(self, index: int) -> SubspaceTuple:
         raise NotImplementedError
@@ -149,7 +143,10 @@ class chain_by_syndrome(ChainSampler):
 
 class chain_by_shear(ChainSampler):
     """Shear the tail columns by a random block and aim at a nonzero tail
-    target: C = A [[I, 0], [B, I]], T_j = {w : w^T C^{(j..)} in {0, 0..0||z}}."""
+    target: C = A [[I, 0], [B, I]], T_j = {w : w^T C^{(j..)} in {0, 0..0||z}}.
+
+    Each level takes its own left_kernel rather than a dual_chain, so this
+    sampler stays an independent reference for the chain routine."""
 
     def __init__(self, mat: BitMatrix, n: int, r: int, ell: int) -> None:
         super().__init__(mat, n, r, ell)
@@ -246,6 +243,7 @@ class chain_by_matrix(ChainSampler):
         self._d = d
         if d * d > 24:
             raise ValueError("matrix-chain enumeration capped at d^2 <= 24")
+        self._head_cols = [mat.column(j).bits for j in range(1, ell + 1)]
         self._tail_cols = [mat.column(ell + 1 + t) for t in range(d)]
         full_rank = []
         for bits in range(1 << (d * d)):
@@ -288,7 +286,7 @@ class chain_by_matrix(ChainSampler):
         for j in range(ell, 0, -1):
             # Column j of the widened matrix: A's column j plus the tail
             # block times column j of M'.
-            normal = self.mat.column(j).bits
+            normal = self._head_cols[j - 1]
             for t in range(d):
                 if (mp_bits >> (ell * (d - 1 - t) + (ell - j))) & 1:
                     normal ^= self._tail_cols[t].bits

@@ -337,8 +337,28 @@ class BitMatrix:
         """The space {v : v^T M = 0} as a canonical subspace of Z2^rows."""
         return self.transpose().null_space()
 
-    def column_space(self) -> "Subspace":
-        return Subspace.from_words(self.rows, [c.bits for c in self.columns()])
+    def dual_chain(self, ell: int) -> tuple["Subspace", ...]:
+        """The nested left kernels S_1 <= ... <= S_{ell+1}, where S_j is
+        {v : v^T M^{(j..cols)} = 0} for columns j..cols of M.
+
+        One left_kernel gives the top level; each lower level cuts the
+        one above by the hyperplane orthogonal to column j, which
+        intersect_hyperplane keeps canonical, so nothing is row-reduced
+        again.  With ell = cols the top level has no columns left and is
+        the full space.
+        """
+        if not 0 <= ell <= self.cols:
+            raise ValueError(f"dual_chain needs 0 <= ell <= {self.cols}, got {ell}")
+        if ell < self.cols:
+            level = self.col_range(ell + 1, self.cols).left_kernel()
+        else:
+            level = Subspace.full(self.rows)
+        chain = [level]
+        for j in range(ell, 0, -1):
+            level = level.intersect_hyperplane(self.column(j))
+            chain.append(level)
+        chain.reverse()
+        return tuple(chain)
 
     # -- serialization --------------------------------------------------
 
@@ -398,8 +418,17 @@ class Subspace:
             raise ValueError("basis is not in canonical form; use from_words")
 
     @classmethod
+    def _trusted(cls, ambient: int, basis: tuple[int, ...]) -> "Subspace":
+        """Wrap a basis already known to be canonical, skipping the
+        validating row reduction of the public constructor."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "ambient", ambient)
+        object.__setattr__(obj, "basis", basis)
+        return obj
+
+    @classmethod
     def from_words(cls, ambient: int, words: Iterable[int]) -> "Subspace":
-        return cls(ambient, tuple(_rref_words(words)))
+        return cls._trusted(ambient, tuple(_rref_words(words)))
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[BitVec]) -> "Subspace":
@@ -412,11 +441,11 @@ class Subspace:
 
     @classmethod
     def trivial(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ())
+        return cls._trusted(ambient, ())
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls.from_words(ambient, [1 << i for i in range(ambient)])
+        return cls._trusted(ambient, tuple(1 << i for i in reversed(range(ambient))))
 
     @property
     def dim(self) -> int:
@@ -459,15 +488,27 @@ class Subspace:
         return mat.null_space()
 
     def intersect_hyperplane(self, normal: BitVec) -> "Subspace":
-        """Intersection with {v : v . normal = 0}."""
+        """Intersection with {v : v . normal = 0}, canonical without a
+        row reduction.
+
+        The odd rows (those with v . normal = 1) are cleared by the odd
+        row of lowest pivot.  That row has no bits above its pivot and
+        none in other pivot columns, so every other row keeps its pivot,
+        stays clear of the remaining pivot columns and keeps its place:
+        the result is again in RREF.
+        """
         if normal.n != self.ambient:
             raise ValueError("ambient mismatch")
-        odd = [b for b in self.basis if _parity(b & normal.bits)]
-        even = [b for b in self.basis if not _parity(b & normal.bits)]
-        if odd:
-            lead = odd[0]
-            even.extend(b ^ lead for b in odd[1:])
-        return Subspace.from_words(self.ambient, even)
+        nb = normal.bits
+        lead = 0
+        for b in reversed(self.basis):
+            if _parity(b & nb):
+                lead = b
+                break
+        if not lead:
+            return self
+        basis = tuple(b ^ lead if _parity(b & nb) else b for b in self.basis if b != lead)
+        return Subspace._trusted(self.ambient, basis)
 
 
 def xor_span_ints(generators: Sequence[int], shift: int = 0) -> list[int]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +42,10 @@ QUERY_KEYS = ("P", "Pinv", "D", "D0", "Dprime")
 _TABLE_MAX_N = 24
 _FEISTEL_MAX_N = 64
 _FEISTEL_ROUNDS = 16
+# Dual chains kept per CosetFamily.  A walk asks for one y l times in a
+# row, so a few entries cover every signer running at once; a chain at
+# (64, 32, 16) is about 17 KB, too much to keep for every y ever signed.
+_CHAIN_CACHE_SIZE = 8
 
 
 class SeededStream:
@@ -250,12 +255,17 @@ class CosetFamily:
     incompressible variant then forces bit l of the shift to 1.  With
     l = 0 the identity block vanishes and the generator is just C, a
     uniform full-column-rank matrix (the unstructured flavor).
+
+    The dual levels S_1..S_{l+1} of a generator are built together, on
+    the first request for that y, and only the most recent few chains
+    are kept.
     """
 
     def __init__(self, params: Params, seed: bytes) -> None:
         self.params = params
         self.seed = seed
         self._cache: dict[int, tuple[BitMatrix, BitVec]] = {}
+        self._chains: OrderedDict[int, tuple[Subspace, ...]] = OrderedDict()
         self._lock = threading.Lock()
 
     def derive(self, y: int) -> tuple[BitMatrix, BitVec]:
@@ -281,6 +291,23 @@ class CosetFamily:
         with self._lock:
             self._cache.setdefault(y, (gen, shift))
         return gen, shift
+
+    def dual_chain(self, y: int) -> tuple[Subspace, ...]:
+        """Dual levels (S_1, ..., S_{l+1}) of the generator for y, where
+        S_j is the left kernel of columns j..n-r."""
+        with self._lock:
+            hit = self._chains.get(y)
+            if hit is not None:
+                self._chains.move_to_end(y)
+                return hit
+        gen, _ = self.derive(y)
+        chain = gen.dual_chain(self.params.ell)
+        with self._lock:
+            chain = self._chains.setdefault(y, chain)
+            self._chains.move_to_end(y)
+            while len(self._chains) > _CHAIN_CACHE_SIZE:
+                self._chains.popitem(last=False)
+        return chain
 
 
 class OracleSet:
@@ -375,7 +402,8 @@ class OracleSet:
 
         This is the superposition form of the dual oracle: callers that
         apply the check across a whole register use it once per logical
-        query, and it counts as one D query.
+        query, and it counts as one D query.  Every level comes from the
+        chain for y, which is built once and shared by all l + 1 levels.
         """
         p = self.params
         if not 1 <= j <= p.ell + 1:
@@ -383,10 +411,7 @@ class OracleSet:
         if y.n != p.r:
             raise ValueError("y must have r bits")
         self._count("D")
-        gen, _ = self.cosets.derive(y.bits)
-        if j > p.n - p.r:
-            return Subspace.full(p.n)
-        return gen.col_range(j, p.n - p.r).left_kernel()
+        return self.cosets.dual_chain(y.bits)[j - 1]
 
     def coset_check(self, y: BitVec, u: BitVec) -> int:
         """Membership oracle: 1 iff u lands in the shifted column span for y."""
@@ -435,7 +460,6 @@ class OracleSet:
             return hit
         p = self.params
         d = p.n - p.r - p.ell
-        gen, _ = self.cosets.derive(y)
         stream = SeededStream(seed, b"bloat", y.to_bytes((p.r + 7) // 8, "big"))
         if mode == "matrix":
             m_prime = stream.matrix(d, p.ell)
@@ -448,22 +472,19 @@ class OracleSet:
                 factor = top.vstack(m_prime.hstack(m_full))
             else:
                 factor = m_full
+            gen, _ = self.cosets.derive(y)
             data = gen @ factor
         else:
-            top_level = gen.col_range(p.ell + 1, p.n - p.r).left_kernel()
+            chain = self.cosets.dual_chain(y)
             extras: list[BitVec] = []
-            grown = top_level
+            grown = chain[-1]
             while len(extras) < p.s:
                 cand = stream.bitvec(p.n)
                 if grown.contains(cand):
                     continue
                 extras.append(cand)
                 grown = grown.extend([cand])
-            levels = []
-            for j in range(1, p.ell + 2):
-                level = gen.col_range(j, p.n - p.r).left_kernel()
-                levels.append(level.extend(extras))
-            data = tuple(levels)
+            data = tuple(level.extend(extras) for level in chain)
         with self._lock:
             self._bloat_cache.setdefault(y, data)
         return data

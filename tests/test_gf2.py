@@ -7,6 +7,7 @@ from osslab.gf2 import (
     BitMatrix,
     BitVec,
     Subspace,
+    _rref_words,
     sample_full_column_rank,
     xor_span_ints,
 )
@@ -202,6 +203,26 @@ def test_intersect_hyperplane_brute_force(a, normal):
     cut = s.intersect_hyperplane(normal)
     expect = {w for w in s.element_ints() if bin(w & normal.bits).count("1") % 2 == 0}
     assert set(cut.element_ints()) == expect
+    # the cut skips row reduction, so its basis must already be canonical
+    assert cut == Subspace.from_words(5, expect)
+
+
+def test_public_constructor_rejects_non_canonical_basis():
+    with pytest.raises(ValueError):
+        Subspace(4, (0b0011, 0b1100))  # pivots ascending: not RREF
+    assert Subspace(4, (0b1100, 0b0011)) == Subspace.from_words(4, [0b0011, 0b1111])
+
+
+@given(matrices(6, 4), st.integers(0, 4))
+def test_dual_chain_matches_per_level_left_kernels(a, ell):
+    chain = a.dual_chain(ell)
+    assert len(chain) == ell + 1
+    for j, level in enumerate(chain, start=1):
+        expect = a.col_range(j, 4).left_kernel() if j <= 4 else Subspace.full(6)
+        assert level == expect
+        assert tuple(_rref_words(level.basis)) == level.basis
+    with pytest.raises(ValueError):
+        a.dual_chain(5)
 
 
 def test_subspace_nesting_and_extension():

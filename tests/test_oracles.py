@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osslab.gf2 import BitVec
+from osslab.gf2 import BitVec, Subspace, _rref_words
 from osslab.oracles import (
     OracleSet,
     Params,
@@ -199,6 +199,31 @@ def test_dual_levels_nest():
     levels = [o.dual_support(j, y) for j in range(1, 4)]
     assert levels[0].is_subspace_of(levels[1])
     assert levels[1].is_subspace_of(levels[2])
+
+
+CHAIN_WORLDS = {
+    "no-tail": build_oracles(Params(n=8, r=4, ell=4), SEED),  # n - r - l = 0
+    "original": build_oracles(Params(n=8, r=3, ell=0, variant="original"), SEED),
+    "incompressible": build_oracles(Params(n=8, r=3, ell=2, variant="incompressible"), SEED),
+    "feistel-wide": build_oracles(Params(n=64, r=32, ell=16, perm_mode="feistel"), SEED),
+}
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(sorted(CHAIN_WORLDS)), st.integers(0, (1 << 32) - 1))
+def test_dual_support_matches_per_level_left_kernel(name, yv):
+    o = CHAIN_WORLDS[name]
+    p = o.params
+    y = BitVec(p.r, yv % (1 << p.r))
+    gen, _ = o.coset_of(y)
+    for j in range(1, p.ell + 2):
+        sup = o.dual_support(j, y)
+        if j > p.n - p.r:
+            assert sup == Subspace.full(p.n)
+        else:
+            assert sup == gen.col_range(j, p.n - p.r).left_kernel()
+        assert tuple(_rref_words(sup.basis)) == sup.basis
+        assert sup.dim == p.r + j - 1
 
 
 def test_coset_check_matches_decode():

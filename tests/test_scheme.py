@@ -1,9 +1,13 @@
 """Scheme layer: consumable keys, verification, collisions, wrappers."""
 
 import json
+import sys
+import threading
 
+import numpy as np
 import pytest
 
+from osslab import oracles
 from osslab.gf2 import BitVec
 from osslab.oracles import Params, build_oracles
 from osslab.scheme import (
@@ -115,6 +119,53 @@ def test_sign_spends_exactly_l_dual_queries(rng):
     sign(o, pk, sk, BitVec.from_str("11"), rng)
     after = o.query_counts()
     assert {k: after[k] - before[k] for k in after if after[k] != before[k]} == {"D": 2}
+
+
+def test_dual_chain_cache_stays_bounded(rng):
+    o = build_oracles(Params(n=24, r=8, ell=6, perm_mode="feistel"), SEED)
+    keys = set()
+    for _ in range(3 * oracles._CHAIN_CACHE_SIZE):
+        pk, sk = generate(o, "symbolic", rng)
+        keys.add(pk.y.bits)
+        sign(o, pk, sk, BitVec(6, 0b101100), rng)
+        assert len(o.cosets._chains) <= oracles._CHAIN_CACHE_SIZE
+    assert len(keys) > oracles._CHAIN_CACHE_SIZE
+
+
+def test_threads_share_one_oracle_set():
+    o = build_oracles(Params(n=24, r=8, ell=6, perm_mode="feistel"), SEED)
+    per_thread = 12
+    results = [[] for _ in range(4)]
+    errors = []
+
+    def worker(slot):
+        local = np.random.default_rng(slot)
+        try:
+            for _ in range(per_thread):
+                pk, sk = generate(o, "symbolic", local)
+                m = BitVec(6, int(local.integers(0, 64)))
+                results[slot].append((pk, m, sign(o, pk, sk, m, local)))
+        except Exception as exc:  # surfaced below, not lost in the thread
+            errors.append(exc)
+
+    before = o.query_counts()["D"]
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often to expose races
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    signed = [item for chunk in results for item in chunk]
+    assert len(signed) == 4 * per_thread
+    assert o.query_counts()["D"] - before == len(signed) * o.params.ell
+    assert all(verify(o, pk, m, sig) for pk, m, sig in signed)
+    assert len(o.cosets._chains) <= oracles._CHAIN_CACHE_SIZE
 
 
 def test_wrong_world_is_rejected(rng):
