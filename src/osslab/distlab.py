@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVec, Subspace, xor_span_ints
+from .gf2 import BitMatrix, BitVec, Subspace, chain_from_top, xor_span_ints
 from .oracles import OracleSet, Params, SeededStream, build_oracles
 from .qsim import StateVector, walsh_hadamard
 
@@ -281,19 +281,16 @@ class chain_by_matrix(ChainSampler):
     def tuple_at(self, index: int) -> SubspaceTuple:
         d, ell = self._d, self.ell
         m_index, mp_bits = divmod(index, self._mp_count)
-        chain = self._top_for(m_index)
-        out = [chain]
-        for j in range(ell, 0, -1):
+        normals = []
+        for j in range(1, ell + 1):
             # Column j of the widened matrix: A's column j plus the tail
             # block times column j of M'.
             normal = self._head_cols[j - 1]
             for t in range(d):
                 if (mp_bits >> (ell * (d - 1 - t) + (ell - j))) & 1:
                     normal ^= self._tail_cols[t].bits
-            chain = chain.intersect_hyperplane(BitVec(self.n, normal))
-            out.append(chain)
-        out.reverse()
-        return tuple(out)
+            normals.append(BitVec(self.n, normal))
+        return chain_from_top(self._top_for(m_index), normals)
 
 
 def validate_chain(tpl: SubspaceTuple, n: int, r: int, extra: int) -> None:

@@ -16,6 +16,7 @@ __all__ = [
     "BitVec",
     "BitMatrix",
     "Subspace",
+    "chain_from_top",
     "sample_full_column_rank",
     "xor_span_ints",
 ]
@@ -350,15 +351,10 @@ class BitMatrix:
         if not 0 <= ell <= self.cols:
             raise ValueError(f"dual_chain needs 0 <= ell <= {self.cols}, got {ell}")
         if ell < self.cols:
-            level = self.col_range(ell + 1, self.cols).left_kernel()
+            top = self.col_range(ell + 1, self.cols).left_kernel()
         else:
-            level = Subspace.full(self.rows)
-        chain = [level]
-        for j in range(ell, 0, -1):
-            level = level.intersect_hyperplane(self.column(j))
-            chain.append(level)
-        chain.reverse()
-        return tuple(chain)
+            top = Subspace.full(self.rows)
+        return chain_from_top(top, [self.column(j) for j in range(1, ell + 1)])
 
     # -- serialization --------------------------------------------------
 
@@ -509,6 +505,22 @@ class Subspace:
             return self
         basis = tuple(b ^ lead if _parity(b & nb) else b for b in self.basis if b != lead)
         return Subspace._trusted(self.ambient, basis)
+
+
+def chain_from_top(top: Subspace, normals: Sequence[BitVec]) -> tuple[Subspace, ...]:
+    """The chain S_1 <= ... <= S_{l+1} with S_{l+1} = top and
+    S_j = S_{j+1} cut by the hyperplane orthogonal to normals[j - 1].
+
+    Cuts run from the top down; intersect_hyperplane keeps each level
+    canonical, so no level is row-reduced.
+    """
+    level = top
+    chain = [level]
+    for normal in reversed(normals):
+        level = level.intersect_hyperplane(normal)
+        chain.append(level)
+    chain.reverse()
+    return tuple(chain)
 
 
 def xor_span_ints(generators: Sequence[int], shift: int = 0) -> list[int]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,10 +41,6 @@ QUERY_KEYS = ("P", "Pinv", "D", "D0", "Dprime")
 _TABLE_MAX_N = 24
 _FEISTEL_MAX_N = 64
 _FEISTEL_ROUNDS = 16
-# Dual chains kept per CosetFamily.  A walk asks for one y l times in a
-# row, so a few entries cover every signer running at once; a chain at
-# (64, 32, 16) is about 17 KB, too much to keep for every y ever signed.
-_CHAIN_CACHE_SIZE = 8
 
 
 class SeededStream:
@@ -257,15 +252,16 @@ class CosetFamily:
     uniform full-column-rank matrix (the unstructured flavor).
 
     The dual levels S_1..S_{l+1} of a generator are built together, on
-    the first request for that y, and only the most recent few chains
-    are kept.
+    the first request for that y.  Only the latest chain is kept: a walk
+    asks for one y l times in a row, and a chain at (64, 32, 16) is about
+    17 KB, too much to keep for every y ever signed.
     """
 
     def __init__(self, params: Params, seed: bytes) -> None:
         self.params = params
         self.seed = seed
         self._cache: dict[int, tuple[BitMatrix, BitVec]] = {}
-        self._chains: OrderedDict[int, tuple[Subspace, ...]] = OrderedDict()
+        self._chain: tuple[int, tuple[Subspace, ...]] = (-1, ())
         self._lock = threading.Lock()
 
     def derive(self, y: int) -> tuple[BitMatrix, BitVec]:
@@ -296,17 +292,13 @@ class CosetFamily:
         """Dual levels (S_1, ..., S_{l+1}) of the generator for y, where
         S_j is the left kernel of columns j..n-r."""
         with self._lock:
-            hit = self._chains.get(y)
-            if hit is not None:
-                self._chains.move_to_end(y)
-                return hit
+            last_y, chain = self._chain
+        if last_y == y:
+            return chain
         gen, _ = self.derive(y)
         chain = gen.dual_chain(self.params.ell)
         with self._lock:
-            chain = self._chains.setdefault(y, chain)
-            self._chains.move_to_end(y)
-            while len(self._chains) > _CHAIN_CACHE_SIZE:
-                self._chains.popitem(last=False)
+            self._chain = (y, chain)
         return chain
 
 

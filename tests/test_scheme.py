@@ -7,7 +7,6 @@ import threading
 import numpy as np
 import pytest
 
-from osslab import oracles
 from osslab.gf2 import BitVec
 from osslab.oracles import Params, build_oracles
 from osslab.scheme import (
@@ -121,15 +120,17 @@ def test_sign_spends_exactly_l_dual_queries(rng):
     assert {k: after[k] - before[k] for k in after if after[k] != before[k]} == {"D": 2}
 
 
-def test_dual_chain_cache_stays_bounded(rng):
+def test_dual_chain_cache_keeps_only_the_latest_y(rng):
     o = build_oracles(Params(n=24, r=8, ell=6, perm_mode="feistel"), SEED)
     keys = set()
-    for _ in range(3 * oracles._CHAIN_CACHE_SIZE):
+    for _ in range(16):
         pk, sk = generate(o, "symbolic", rng)
         keys.add(pk.y.bits)
         sign(o, pk, sk, BitVec(6, 0b101100), rng)
-        assert len(o.cosets._chains) <= oracles._CHAIN_CACHE_SIZE
-    assert len(keys) > oracles._CHAIN_CACHE_SIZE
+        last_y, chain = o.cosets._chain
+        assert last_y == pk.y.bits
+        assert o.cosets.dual_chain(last_y) is chain  # served from the slot
+    assert len(keys) > 1
 
 
 def test_threads_share_one_oracle_set():
@@ -165,7 +166,9 @@ def test_threads_share_one_oracle_set():
     assert len(signed) == 4 * per_thread
     assert o.query_counts()["D"] - before == len(signed) * o.params.ell
     assert all(verify(o, pk, m, sig) for pk, m, sig in signed)
-    assert len(o.cosets._chains) <= oracles._CHAIN_CACHE_SIZE
+    last_y, chain = o.cosets._chain
+    assert last_y in {pk.y.bits for pk, _, _ in signed}
+    assert chain == o.cosets.derive(last_y)[0].dual_chain(o.params.ell)
 
 
 def test_wrong_world_is_rejected(rng):
