@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -66,6 +67,12 @@ _CENSUS_LIMIT = 20
 SubspaceTuple = tuple[Subspace, ...]
 
 
+def _outside_words(span: Subspace) -> list[int]:
+    """The words of Z2^ambient outside ``span``, in ascending order."""
+    inside = set(span.element_ints())
+    return [w for w in range(1 << span.ambient) if w not in inside]
+
+
 class ChainSampler:
     """Base for tuple samplers with an enumerable randomness domain.
 
@@ -101,9 +108,7 @@ class chain_by_vector(ChainSampler):
 
     def __init__(self, mat: BitMatrix, n: int, r: int, ell: int) -> None:
         super().__init__(mat, n, r, ell)
-        top = self.levels[-1]
-        inside = set(top.element_ints())
-        self._outside = [w for w in range(1 << n) if w not in inside]
+        self._outside = _outside_words(self.levels[-1])
         self.domain_size = len(self._outside)
 
     def tuple_at(self, index: int) -> SubspaceTuple:
@@ -122,9 +127,7 @@ class chain_by_syndrome(ChainSampler):
 
     def __init__(self, mat: BitMatrix, n: int, r: int, ell: int) -> None:
         super().__init__(mat, n, r, ell)
-        top = self.levels[-1]
-        inside = set(top.element_ints())
-        self._outside = [w for w in range(1 << n) if w not in inside]
+        self._outside = _outside_words(self.levels[-1])
         self.domain_size = len(self._outside)
 
     def tuple_at(self, index: int) -> SubspaceTuple:
@@ -193,16 +196,15 @@ class chain_by_basis(ChainSampler):
         for c in self._radix:
             size *= c
         self.domain_size = size
+        self._outside: dict[tuple[int, ...], list[int]] = {}
 
     def _pick(self, span: Subspace, position: int) -> BitVec:
-        seen = 0
-        for cand in range(1 << self.n):
-            if span.contains_word(cand):
-                continue
-            if seen == position:
-                return BitVec(self.n, cand)
-            seen += 1
-        raise AssertionError("position out of range")
+        """The position-th word outside span, counting up from zero.  Each
+        span's outside words are listed once and kept."""
+        outside = self._outside.get(span.basis)
+        if outside is None:
+            outside = self._outside[span.basis] = _outside_words(span)
+        return BitVec(self.n, outside[position])
 
     def tuple_at(self, index: int) -> SubspaceTuple:
         digits = []
@@ -232,7 +234,14 @@ class chain_by_basis(ChainSampler):
 
 class chain_by_matrix(ChainSampler):
     """Widened duals of A [[I, 0], [M', M]] with s middle columns dropped:
-    T_j is the dual of the span of columns j..l and l+s+1..n-r."""
+    T_j is the dual of the span of columns j..l and l+s+1..n-r.
+
+    With index = m_index * 2^(d l) + mp_bits, the top level depends on M
+    only through its kept columns s+1..d, and the lower levels on M' only
+    through the l cut normals.  So each distinct top is built once, keyed
+    by the kept columns, the normals once per mp_bits, and each chain once
+    per (top, mp_bits); tuple_at still answers every index on its own.
+    """
 
     def __init__(self, mat: BitMatrix, n: int, r: int, ell: int, s: int) -> None:
         super().__init__(mat, n, r, ell)
@@ -243,54 +252,66 @@ class chain_by_matrix(ChainSampler):
         self._d = d
         if d * d > 24:
             raise ValueError("matrix-chain enumeration capped at d^2 <= 24")
-        self._head_cols = [mat.column(j).bits for j in range(1, ell + 1)]
-        self._tail_cols = [mat.column(ell + 1 + t) for t in range(d)]
-        full_rank = []
-        for bits in range(1 << (d * d)):
-            rows = tuple((bits >> (d * (d - 1 - i))) & ((1 << d) - 1) for i in range(d))
-            cand = BitMatrix(d, d, rows)
-            if cand.rank() == d:
-                full_rank.append(cand)
-        self._square = full_rank
+        cols = mat.columns()
+        self._tail = mat.col_range(ell + 1, n - r)
+        kept_mask = (1 << (d - s)) - 1
+        self._kept = [tuple(row & kept_mask for row in rows) for rows in _invertible_rows(d)]
         self._mp_count = 1 << (d * ell)
-        self.domain_size = len(full_rank) * self._mp_count
-        self._top_cache: dict[int, Subspace] = {}
+        self.domain_size = len(self._kept) * self._mp_count
+        # Column j of the widened matrix: A's column j plus the tail block
+        # times column j of M', whose bit (t, j) sits at l (d-1-t) + l - j.
+        self._normals = []
+        for mp_bits in range(self._mp_count):
+            normals = []
+            for j in range(1, ell + 1):
+                normal = cols[j - 1].bits
+                for t in range(d):
+                    if (mp_bits >> (ell * (d - 1 - t) + (ell - j))) & 1:
+                        normal ^= cols[ell + t].bits
+                normals.append(BitVec(n, normal))
+            self._normals.append(normals)
+        # kept columns -> (top, chains by mp_bits); equal tops share one entry
+        self._by_kept: dict[tuple[int, ...], tuple[Subspace, list]] = {}
+        self._by_top: dict[Subspace, tuple[Subspace, list]] = {}
 
-    def _top_for(self, m_index: int) -> Subspace:
-        hit = self._top_cache.get(m_index)
-        if hit is not None:
-            return hit
-        d, s = self._d, self.s
-        square = self._square[m_index]
-        kept = square.col_range(s + 1, d)
-        if kept.cols == 0:
-            top = Subspace.full(self.n)
-        else:
-            cols = []
-            for t in range(1, kept.cols + 1):
-                sel = kept.column(t)
-                acc = 0
-                for i in range(d):
-                    if sel.bit(i + 1):
-                        acc ^= self._tail_cols[i].bits
-                cols.append(BitVec(self.n, acc))
-            top = BitMatrix.from_cols(cols).left_kernel()
-        self._top_cache[m_index] = top
-        return top
+    def _chains_for(self, kept: tuple[int, ...]) -> tuple[Subspace, list]:
+        entry = self._by_kept.get(kept)
+        if entry is None:
+            # with s = d no column is kept and the left kernel is everything
+            top = (self._tail @ BitMatrix(self._d, self._d - self.s, kept)).left_kernel()
+            entry = self._by_top.setdefault(top, (top, [None] * self._mp_count))
+            self._by_kept[kept] = entry
+        return entry
 
     def tuple_at(self, index: int) -> SubspaceTuple:
-        d, ell = self._d, self.ell
         m_index, mp_bits = divmod(index, self._mp_count)
-        normals = []
-        for j in range(1, ell + 1):
-            # Column j of the widened matrix: A's column j plus the tail
-            # block times column j of M'.
-            normal = self._head_cols[j - 1]
-            for t in range(d):
-                if (mp_bits >> (ell * (d - 1 - t) + (ell - j))) & 1:
-                    normal ^= self._tail_cols[t].bits
-            normals.append(BitVec(self.n, normal))
-        return chain_from_top(self._top_for(m_index), normals)
+        top, chains = self._chains_for(self._kept[m_index])
+        chain = chains[mp_bits]
+        if chain is None:
+            chain = chains[mp_bits] = chain_from_top(top, self._normals[mp_bits])
+        return chain
+
+
+def _invertible_rows(d: int) -> list[tuple[int, ...]]:
+    """Row words of every invertible d x d matrix, in ascending order of
+    the d*d-bit word that packs the rows first to last.
+
+    Rows are chosen first to last, each in ascending order among the
+    words outside the span of the rows above it, so the order matches a
+    scan of all 2^(d*d) words and no rank is ever tested.
+    """
+    out: list[tuple[int, ...]] = []
+
+    def grow(rows: tuple[int, ...], span: set[int]) -> None:
+        if len(rows) == d:
+            out.append(rows)
+            return
+        for w in range(1 << d):
+            if w not in span:
+                grow(rows + (w,), span | {w ^ x for x in span})
+
+    grow((), {0})
+    return out
 
 
 def validate_chain(tpl: SubspaceTuple, n: int, r: int, extra: int) -> None:
@@ -313,10 +334,7 @@ def exact_distribution(sampler: ChainSampler) -> Distribution:
     size = sampler.domain_size
     if size > _EXACT_LIMIT:
         raise ValueError(f"domain of {size} points exceeds exact-mode cap {_EXACT_LIMIT}")
-    counts: dict[SubspaceTuple, int] = {}
-    for idx in range(size):
-        key = sampler.tuple_at(idx)
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(map(sampler.tuple_at, range(size)))
     return {k: Fraction(c, size) for k, c in counts.items()}
 
 

@@ -186,13 +186,7 @@ class BitMatrix:
         n_rows = cols[0].n
         if any(c.n != n_rows for c in cols):
             raise ValueError("ragged columns")
-        words = []
-        for i in range(1, n_rows + 1):
-            w = 0
-            for c in cols:
-                w = (w << 1) | c.bit(i)
-            words.append(w)
-        return cls(n_rows, len(cols), tuple(words))
+        return cls(n_rows, len(cols), tuple(_transpose_words([c.bits for c in cols], n_rows)))
 
     @classmethod
     def random(cls, rng, rows: int, cols: int) -> "BitMatrix":
@@ -215,7 +209,7 @@ class BitMatrix:
         return BitVec(self.rows, value)
 
     def columns(self) -> list[BitVec]:
-        return [self.column(j) for j in range(1, self.cols + 1)]
+        return [BitVec(self.rows, w) for w in _transpose_words(self.row_words, self.cols)]
 
     def entry(self, i: int, j: int) -> int:
         return self.row(i).bit(j)
@@ -266,10 +260,7 @@ class BitMatrix:
         return BitMatrix(self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "BitMatrix":
-        words = []
-        for j in range(1, self.cols + 1):
-            words.append(self.column(j).bits)
-        return BitMatrix(self.cols, self.rows, tuple(words))
+        return BitMatrix(self.cols, self.rows, tuple(_transpose_words(self.row_words, self.cols)))
 
     def hstack(self, other: "BitMatrix") -> "BitMatrix":
         if self.rows != other.rows:
@@ -354,7 +345,7 @@ class BitMatrix:
             top = self.col_range(ell + 1, self.cols).left_kernel()
         else:
             top = Subspace.full(self.rows)
-        return chain_from_top(top, [self.column(j) for j in range(1, ell + 1)])
+        return chain_from_top(top, self.col_range(1, ell).columns())
 
     # -- serialization --------------------------------------------------
 
@@ -367,6 +358,24 @@ class BitMatrix:
 
     def __str__(self) -> str:
         return "\n".join(str(self.row(i)) for i in range(1, self.rows + 1))
+
+
+def _transpose_words(words: Sequence[int], width: int) -> list[int]:
+    """Columns of the matrix with packed rows ``words`` and ``width``
+    columns, as packed ints, column 1 first.
+
+    One pass packs the rows, first to last, into one int behind a
+    leading 1, so its binary text holds every row at full width; column j
+    is then the strided slice of that text from offset j - 1, parsed back
+    in a single call.
+    """
+    if not words or not width:
+        return [0] * width
+    packed = 1
+    for w in words:
+        packed = (packed << width) | w
+    text = bin(packed)[3:]
+    return [int(text[j::width], 2) for j in range(width)]
 
 
 def _reduce_word(w: int, basis: dict[int, int]) -> int:

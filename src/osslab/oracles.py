@@ -59,6 +59,11 @@ class SeededStream:
         self._pos = 0
 
     def read(self, nbytes: int) -> bytes:
+        pos = self._pos
+        end = pos + nbytes
+        if end <= len(self._buf):
+            self._pos = end
+            return self._buf[pos:end]
         out = bytearray()
         while len(out) < nbytes:
             if self._pos >= len(self._buf):
@@ -85,10 +90,52 @@ class SeededStream:
         k = (bound - 1).bit_length()
         if k == 0:
             return 0
+        nbytes = (k + 7) // 8
+        drop = 8 * nbytes - k
         while True:
-            x = self.bits(k)
+            x = int.from_bytes(self.read(nbytes), "big") >> drop
             if x < bound:
                 return x
+
+    def shuffle(self, size: int) -> list[int]:
+        """A permutation of range(size) by Fisher-Yates: for i from
+        size - 1 down to 1, swap entries i and below(i + 1).
+
+        Draws exactly the bytes those below calls would, but reads them
+        straight off the current block, one run of equal draw widths at a
+        time; only a draw that crosses into the next block goes through
+        read.
+        """
+        perm = list(range(size))
+        buf, pos = self._buf, self._pos
+        limit = len(buf)
+        from_bytes = int.from_bytes
+        top = size - 1
+        while top > 0:
+            k = top.bit_length()
+            low = 1 << (k - 1)  # every i in [low, top] draws k bits
+            nbytes = (k + 7) // 8
+            drop = 8 * nbytes - k
+            single = nbytes == 1
+            for i in range(top, low - 1, -1):
+                while True:
+                    if single and pos < limit:
+                        x = buf[pos] >> drop
+                        pos += 1
+                    elif pos + nbytes <= limit:
+                        x = from_bytes(buf[pos : pos + nbytes], "big") >> drop
+                        pos += nbytes
+                    else:
+                        self._pos = pos
+                        x = from_bytes(self.read(nbytes), "big") >> drop
+                        buf, pos = self._buf, self._pos
+                        limit = len(buf)
+                    if x <= i:
+                        break
+                perm[i], perm[x] = perm[x], perm[i]
+            top = low - 1
+        self._pos = pos
+        return perm
 
     def bitvec(self, n: int) -> BitVec:
         return BitVec(n, self.bits(n))
@@ -193,11 +240,7 @@ class PermutationEngine:
         self._size = 1 << n
         if mode == "table":
             stream = SeededStream(seed, b"perm-table", n.to_bytes(1, "big"))
-            fwd = list(range(self._size))
-            for i in range(self._size - 1, 0, -1):
-                j = stream.below(i + 1)
-                fwd[i], fwd[j] = fwd[j], fwd[i]
-            self._fwd = np.array(fwd, dtype=np.int64)
+            self._fwd = np.array(stream.shuffle(self._size), dtype=np.int64)
             self._inv = np.empty_like(self._fwd)
             self._inv[self._fwd] = np.arange(self._size, dtype=np.int64)
         elif mode == "feistel":

@@ -60,19 +60,6 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.n, self.amp.copy())
 
-    def fidelity_phase(self, other: "StateVector") -> complex:
-        """Inner product <other|self>; for equal states up to global
-        phase this is the phase factor."""
-        return complex(np.vdot(other.amp, self.amp))
-
-    def dump(self, eps: float = 1e-12) -> list[tuple[str, float, float]]:
-        """Nonzero amplitudes as (index-hex, re, im), for debugging."""
-        out = []
-        for idx in np.nonzero(np.abs(self.amp) > eps)[0]:
-            a = self.amp[idx]
-            out.append((BitVec(self.n, int(idx)).to_hex(), float(a.real), float(a.imag)))
-        return out
-
 
 def generate_keypair_state(o: OracleSet, rng) -> tuple[BitVec, StateVector]:
     """Run key generation, short-circuiting the measurement.

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from osslab.distlab import (
@@ -50,6 +51,69 @@ def test_widened_samplers_share_one_exact_law():
     dm = exact_distribution(chain_by_matrix(mat, 4, 1, 1, 1))
     assert tv_distance(db, dm) == 0
     assert len(db) == (1 << 3) - (1 << 1)  # 2^(n-r) - 2^l tuples at s = 1
+
+
+def packed_rows(bits, rows, width):
+    return tuple((bits >> (width * (rows - 1 - i))) & ((1 << width) - 1) for i in range(rows))
+
+
+def widened_chain_reference(mat, n, r, ell, s, invertible, index):
+    """chain_by_matrix's tuple at index, computed directly: decode M and
+    M' from the index, widen A to A [[I, 0], [M', M]], drop columns
+    l+1..l+s and take a fresh left kernel at every level."""
+    d = n - r - ell
+    m_index, mp_bits = divmod(index, 1 << (d * ell))
+    m = BitMatrix(d, d, packed_rows(invertible[m_index], d, d))
+    m_prime = BitMatrix(d, ell, packed_rows(mp_bits, d, ell))
+    upper = BitMatrix.identity(ell).hstack(BitMatrix.zeros(ell, d))
+    wide = mat @ upper.vstack(m_prime.hstack(m))
+    tail = wide.col_range(ell + s + 1, n - r)
+    return tuple(
+        wide.col_range(j, ell).hstack(tail).left_kernel() for j in range(1, ell + 2)
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, picks", [((4, 1, 1, 1), None), ((5, 1, 2, 2), None), ((6, 1, 1, 2), 2000)]
+)
+def test_memoized_matrix_chain_matches_direct_widening(shape, picks):
+    n, r, ell, s = shape
+    d = n - r - ell
+    mat = toy_matrix(n, r, b"memo")
+    sampler = chain_by_matrix(mat, n, r, ell, s)
+    invertible = [
+        bits
+        for bits in range(1 << (d * d))
+        if BitMatrix(d, d, packed_rows(bits, d, d)).rank() == d
+    ]
+    assert sampler.domain_size == len(invertible) << (d * ell)
+    if picks is None:
+        indices = range(sampler.domain_size)
+    else:
+        indices = np.random.default_rng(7).integers(0, sampler.domain_size, picks).tolist()
+    for index in indices:
+        expect = widened_chain_reference(mat, n, r, ell, s, invertible, index)
+        assert sampler.tuple_at(index) == expect
+
+
+def test_basis_pick_matches_a_full_scan():
+    n, r, ell, s = 6, 1, 1, 2
+    sampler = chain_by_basis(toy_matrix(n, r, b"pick"), n, r, ell, s)
+
+    def scan(span, k):
+        return [w for w in range(1 << n) if not span.contains_word(w)][k]
+
+    top = sampler.levels[-1]
+    spans = [top] + [top.extend([BitVec(n, scan(top, k))]) for k in (0, 17, 59)]
+    for span in spans:
+        for k in range((1 << n) - (1 << span.dim)):
+            assert sampler._pick(span, k).bits == scan(span, k)
+    # whole tuples: every digit picks by the scan
+    for index in range(0, sampler.domain_size, 37):
+        first, second = divmod(index, sampler._radix[1])
+        v1 = BitVec(n, scan(top, first))
+        v2 = BitVec(n, scan(top.extend([v1]), second))
+        assert sampler.tuple_at(index) == tuple(lv.extend([v1, v2]) for lv in sampler.levels)
 
 
 def test_sampler_chains_have_the_right_shape():

@@ -113,6 +113,26 @@ def test_transpose_involution(a):
     assert a.to_hex_rows() == BitMatrix.from_hex_rows(a.to_hex_rows(), 6).to_hex_rows()
 
 
+@given(
+    st.integers(1, 70).flatmap(
+        lambda cols: st.lists(st.integers(0, (1 << cols) - 1), min_size=1, max_size=70).map(
+            lambda rws: BitMatrix(len(rws), cols, tuple(rws))
+        )
+    )
+)
+def test_one_pass_transpose_matches_entries(a):
+    # transpose, columns and from_cols all come from one pass over the
+    # rows; check each against the per-entry definition
+    t = a.transpose()
+    cols = a.columns()
+    assert (t.rows, t.cols) == (a.cols, a.rows)
+    for i in range(1, a.rows + 1):
+        for j in range(1, a.cols + 1):
+            assert t.entry(j, i) == cols[j - 1].bit(i) == a.entry(i, j)
+    assert BitMatrix.from_cols(cols) == a
+    assert BitMatrix.zeros(0, 3).transpose() == BitMatrix.zeros(3, 0)
+
+
 @given(matrices(5, 5))
 def test_rref_idempotent(a):
     r = a.rref()

@@ -1,5 +1,7 @@
 """World derivation and the five query oracles."""
 
+import hashlib
+import itertools
 import json
 
 import pytest
@@ -39,6 +41,53 @@ def test_stream_below_stays_in_range():
     draws = [s.below(10) for _ in range(500)]
     assert set(draws) <= set(range(10))
     assert len(set(draws)) == 10  # 500 draws hit every residue
+
+
+def replay_bytes(*parts):
+    """The stream's bytes one at a time, straight from its contract:
+    64-byte BLAKE2b blocks of the counter, keyed by the hashed,
+    length-prefixed label."""
+    material = b"".join(len(p).to_bytes(2, "big") + p for p in parts)
+    key = hashlib.blake2b(material, digest_size=32, person=b"osslab.stream").digest()
+    for counter in itertools.count():
+        yield from hashlib.blake2b(counter.to_bytes(8, "big"), key=key, digest_size=64).digest()
+
+
+def replay_below(source, bound):
+    k = (bound - 1).bit_length()
+    width = (k + 7) // 8
+    while True:
+        x = int.from_bytes(bytes(next(source) for _ in range(width)), "big") >> (8 * width - k)
+        if x < bound:
+            return x
+
+
+def test_stream_read_and_below_match_a_byte_at_a_time_replay():
+    # sizes and bounds that fit a block, end on its edge and cross it
+    stream = SeededStream(SEED, b"replay")
+    source = replay_bytes(SEED, b"replay")
+    steps = [3, 1 << 16, 61, 65, 64, 257, 0, 1, 2, 1 << 13, 130, 1 << 9, 7, 1 << 20] * 6
+    for step, arg in enumerate(steps):
+        if step % 2:
+            assert stream.below(arg) == replay_below(source, arg)
+        else:
+            assert stream.read(arg) == bytes(itertools.islice(source, arg))
+
+
+@pytest.mark.parametrize("n", [9, 13, 16])
+def test_shuffle_consumes_the_same_bytes_as_below(n):
+    # draws at these n are two bytes wide and straddle block edges; the
+    # 61-byte lead also makes the very first draw cross one
+    label = (SEED, b"perm-table", n.to_bytes(1, "big"))
+    stream = SeededStream(*label)
+    source = replay_bytes(*label)
+    assert stream.read(61) == bytes(itertools.islice(source, 61))
+    expect = list(range(1 << n))
+    for i in range((1 << n) - 1, 0, -1):
+        j = replay_below(source, i + 1)
+        expect[i], expect[j] = expect[j], expect[i]
+    assert stream.shuffle(1 << n) == expect
+    assert stream.read(16) == bytes(itertools.islice(source, 16))
 
 
 # -- parameters ---------------------------------------------------------
@@ -110,6 +159,17 @@ def test_golden_world_against_replayed_shuffle():
 
 
 # -- permutation backends ----------------------------------------------
+
+
+def test_table_permutation_digest_is_pinned():
+    # SHA-256 of forward(x) for every x as 4-byte big-endian words, frozen
+    # from the per-draw below() shuffle that table worlds were built with
+    perm = PermutationEngine(16, "table", SEED)
+    data = b"".join(perm.forward(x).to_bytes(4, "big") for x in range(1 << 16))
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "434182bdbc5aa5a6cf5826a6c0fa8c68438a11e487f9a3437ffed9688295c68b"
+    )
 
 
 def test_table_permutation_is_a_bijection():
