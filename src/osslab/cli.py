@@ -30,9 +30,9 @@ import numpy as np
 from . import scheme, suites
 from .coset import CosetState
 from .distlab import run_collapse_distinguisher
-from .gf2 import BitVec, xor_span_ints
+from .gf2 import BitVec
 from .oracles import PERM_MODES, VARIANTS, OracleSet, Params, build_oracles
-from .qsim import StateVector
+from .qsim import coset_state
 
 __all__ = ["main", "entry"]
 
@@ -141,12 +141,11 @@ def _build_world(params: Params, seed: bytes) -> OracleSet:
 
 def _rebuild_secret(o: OracleSet, backend: str, y: BitVec) -> scheme.SecretKey:
     """Recreate the post-keygen state for a known y (test tokens only)."""
-    gen, shift = o.coset_of(y)
     if backend == "symbolic":
+        gen, shift = o.coset_of(y)
         state = CosetState(y=y, gen=gen, shift=shift)
     else:
-        cols = [c.bits for c in gen.columns()]
-        state = StateVector.from_support(o.params.n, xor_span_ints(cols, shift.bits))
+        state = coset_state(o, y)
     return scheme.SecretKey(backend, state)
 
 

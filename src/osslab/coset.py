@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, replace
 
-from .gf2 import BitMatrix, BitVec, xor_span_ints
+from .gf2 import BitMatrix, BitVec
 from .oracles import OracleSet
 from .qsim import StateVector
 
@@ -157,16 +157,15 @@ def enumerate_support(st: CosetState) -> list[BitVec]:
     free = st.gen.cols - st.matched
     if free > _ENUM_LIMIT:
         raise ValueError(f"support enumeration capped at 2^{_ENUM_LIMIT} points")
-    cols = [c.bits for c in st.gen.columns()]
     if _has_pinned_rows(st.gen, st.matched):
         base = BitVec(st.gen.cols, 0)
         if st.matched:
             pinned = st.prefix ^ st.shift.prefix(st.matched)
             base = pinned.concat(BitVec.zeros(free))
         start = st.gen.matvec(base).bits ^ st.shift.bits
-        points = xor_span_ints(cols[st.matched :], start)
+        points = st.gen.col_range(st.matched + 1, st.gen.cols).span_ints(start)
     else:
-        everything = xor_span_ints(cols, st.shift.bits)
+        everything = st.gen.span_ints(st.shift.bits)
         cut = st.n - st.matched
         want = st.prefix.bits
         points = [w for w in everything if (w >> cut) == want]

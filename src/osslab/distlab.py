@@ -11,7 +11,8 @@ S_j = {v : v orthogonal to columns j..n-r of A}.  Five recipes exist:
 * by_basis       - extend every level by s independent vectors clear of
                    the top level
 * by_matrix      - widen the dual of a column-multiplied matrix with s
-                   middle columns dropped
+                   middle columns dropped; the Dprime oracle builds its
+                   chains with the same gf2 pieces
 
 The first three induce one distribution, the last two another; checking
 those equalities exactly (by enumerating the finite randomness domains)
@@ -36,9 +37,9 @@ from typing import Optional
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVec, Subspace, chain_from_top, xor_span_ints
+from .gf2 import BitMatrix, BitVec, Subspace, chain_from_top, widened_normals, widened_top
 from .oracles import OracleSet, Params, SeededStream, build_oracles
-from .qsim import StateVector, walsh_hadamard
+from .qsim import StateVector, coset_state, walsh_hadamard
 
 __all__ = [
     "ChainSampler",
@@ -116,7 +117,7 @@ class chain_by_vector(ChainSampler):
         return tuple(level.extend([v]) for level in self.levels)
 
 
-class chain_by_syndrome(ChainSampler):
+class chain_by_syndrome(chain_by_vector):
     """Same v domain, but each level is rebuilt from the image y = v^T A:
     T_j collects the w with w^T A^{(j..)} equal to zero or to y's suffix.
 
@@ -124,11 +125,6 @@ class chain_by_syndrome(ChainSampler):
     solving, so agreement with chain_by_vector is a real check rather
     than shared code.
     """
-
-    def __init__(self, mat: BitMatrix, n: int, r: int, ell: int) -> None:
-        super().__init__(mat, n, r, ell)
-        self._outside = _outside_words(self.levels[-1])
-        self.domain_size = len(self._outside)
 
     def tuple_at(self, index: int) -> SubspaceTuple:
         v = BitVec(self.n, self._outside[index])
@@ -252,24 +248,16 @@ class chain_by_matrix(ChainSampler):
         self._d = d
         if d * d > 24:
             raise ValueError("matrix-chain enumeration capped at d^2 <= 24")
-        cols = mat.columns()
-        self._tail = mat.col_range(ell + 1, n - r)
         kept_mask = (1 << (d - s)) - 1
         self._kept = [tuple(row & kept_mask for row in rows) for rows in _invertible_rows(d)]
         self._mp_count = 1 << (d * ell)
         self.domain_size = len(self._kept) * self._mp_count
-        # Column j of the widened matrix: A's column j plus the tail block
-        # times column j of M', whose bit (t, j) sits at l (d-1-t) + l - j.
+        row_mask = (1 << ell) - 1
         self._normals = []
         for mp_bits in range(self._mp_count):
-            normals = []
-            for j in range(1, ell + 1):
-                normal = cols[j - 1].bits
-                for t in range(d):
-                    if (mp_bits >> (ell * (d - 1 - t) + (ell - j))) & 1:
-                        normal ^= cols[ell + t].bits
-                normals.append(BitVec(n, normal))
-            self._normals.append(normals)
+            # M' packs its rows first to last into mp_bits, ell bits a row
+            rows = tuple((mp_bits >> (ell * (d - 1 - t))) & row_mask for t in range(d))
+            self._normals.append(widened_normals(mat, ell, BitMatrix(d, ell, rows)))
         # kept columns -> (top, chains by mp_bits); equal tops share one entry
         self._by_kept: dict[tuple[int, ...], tuple[Subspace, list]] = {}
         self._by_top: dict[Subspace, tuple[Subspace, list]] = {}
@@ -277,8 +265,7 @@ class chain_by_matrix(ChainSampler):
     def _chains_for(self, kept: tuple[int, ...]) -> tuple[Subspace, list]:
         entry = self._by_kept.get(kept)
         if entry is None:
-            # with s = d no column is kept and the left kernel is everything
-            top = (self._tail @ BitMatrix(self._d, self._d - self.s, kept)).left_kernel()
+            top = widened_top(self.mat, self.ell, BitMatrix(self._d, self._d - self.s, kept))
             entry = self._by_top.setdefault(top, (top, [None] * self._mp_count))
             self._by_kept[kept] = entry
         return entry
@@ -393,7 +380,6 @@ def run_collapse_distinguisher(
     case: str,
     trials: int,
     seed: bytes,
-    batch: int = 4096,
 ) -> "ExperimentReport":
     """Monte Carlo over fresh worlds; acceptance computed per world from
     the support census rather than a dense simulation.
@@ -403,9 +389,10 @@ def run_collapse_distinguisher(
 
     hash-first-bit: measuring the first input bit splits the 2^(n-r)
     preimages of y into classes of sizes k and 2^(n-r) - k, and the
-    acceptance given the split is (k^2 + (K - k)^2) / K^2.  Worlds are
-    drawn as uniform permutations (rank keys per trial), matching the
-    table construction's distribution.
+    acceptance given the split is (k^2 + (K - k)^2) / K^2.  A uniform
+    permutation (the table construction's law) sends a uniform K-subset
+    of inputs onto the fiber of y, so k is one hypergeometric draw: K
+    inputs out of 2^n, of which the 2^(n-1) with first bit 0 count.
     """
     if case not in ("hash-only", "hash-first-bit"):
         raise ValueError(f"unknown case {case!r}")
@@ -432,23 +419,11 @@ def run_collapse_distinguisher(
             )
         )
     else:
-        size = 1 << n
         k_coset = 1 << (n - r)
         half = 1 << (n - 1)
         rng = np.random.default_rng(int.from_bytes(_trial_seed(seed, 0), "big") % (1 << 63))
-        accs = np.empty(trials, dtype=np.float64)
-        done = 0
-        while done < trials:
-            take = min(batch, trials - done)
-            keys = rng.random((take, size))
-            perms = np.argsort(keys, axis=1)  # row t maps x -> perms[t, x]
-            ys = rng.integers(0, 1 << r, size=take)
-            in_fiber = (perms >> (n - r)) == ys[:, None]
-            first_zero = np.zeros((take, size), dtype=bool)
-            first_zero[:, :half] = True
-            k = np.sum(in_fiber & first_zero, axis=1)
-            accs[done : done + take] = (k**2 + (k_coset - k) ** 2) / float(k_coset**2)
-            done += take
+        k = rng.hypergeometric(half, half, k_coset, size=trials)
+        accs = (k**2 + (k_coset - k) ** 2) / float(k_coset**2)
         mean = float(np.mean(accs))
         se = float(np.std(accs, ddof=1) / math.sqrt(trials))
         expected = float(expected_exact)
@@ -508,9 +483,7 @@ def validate_collapse_shortcut(n: int, r: int, seed: bytes, worlds: int = 5) -> 
             w for w in range(1 << n) if o.dual_check(1, y, BitVec(n, w))
         ]
         # intact coset state
-        gen, shift = o.coset_of(y)
-        support = xor_span_ints([c.bits for c in gen.columns()], shift.bits)
-        state = StateVector.from_support(n, support)
+        state = coset_state(o, y)
         walsh_hadamard(state)
         acc = float(np.sum(np.abs(state.amp[accept_idx]) ** 2))
         worst = max(worst, abs(acc - 1.0))
@@ -546,7 +519,7 @@ def coset_points(o: OracleSet, y: BitVec) -> np.ndarray:
     if p.n - p.r > _CENSUS_LIMIT:
         raise ValueError("coset enumeration capped at 2^20 points")
     gen, shift = o.coset_of(y)
-    pts = np.array(xor_span_ints([c.bits for c in gen.columns()], shift.bits), dtype=np.int64)
+    pts = np.array(gen.span_ints(shift.bits), dtype=np.int64)
     pts.sort()
     return pts
 

@@ -18,6 +18,8 @@ __all__ = [
     "Subspace",
     "chain_from_top",
     "sample_full_column_rank",
+    "widened_normals",
+    "widened_top",
     "xor_span_ints",
 ]
 
@@ -213,6 +215,11 @@ class BitMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.row(i).bit(j)
+
+    def span_ints(self, shift: int) -> list[int]:
+        """Every point of shift + ColSpan(M) as packed ints, in the
+        Gray-code order of xor_span_ints over the columns, column 1 first."""
+        return xor_span_ints(_transpose_words(self.row_words, self.cols), shift)
 
     def col_range(self, j: int, k: int) -> "BitMatrix":
         """Columns ``j..k`` inclusive (1-based); ``k = j - 1`` is the empty slice."""
@@ -456,9 +463,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def canonical(self) -> "Subspace":
-        return self
-
     def contains_word(self, w: int) -> bool:
         basis = {b.bit_length() - 1: b for b in self.basis}
         return _reduce_word(w, basis) == 0
@@ -530,6 +534,21 @@ def chain_from_top(top: Subspace, normals: Sequence[BitVec]) -> tuple[Subspace, 
         chain.append(level)
     chain.reverse()
     return tuple(chain)
+
+
+def widened_top(gen: BitMatrix, ell: int, kept: BitMatrix) -> Subspace:
+    """Top level of the widened dual chain of gen [[I_l, 0], [M', M]]:
+    the left kernel of gen's tail columns l+1.. times ``kept``, the
+    columns of M that survive the dropped middle.  With no column kept
+    it is the full space."""
+    return (gen.col_range(ell + 1, gen.cols) @ kept).left_kernel()
+
+
+def widened_normals(gen: BitMatrix, ell: int, m_prime: BitMatrix) -> list[BitVec]:
+    """Cut normals of the widened dual chain: columns 1..l of
+    gen [[I_l], [M']], i.e. gen's column j plus its tail times column j
+    of M'."""
+    return (gen @ BitMatrix.identity(ell).vstack(m_prime)).columns()
 
 
 def xor_span_ints(generators: Sequence[int], shift: int = 0) -> list[int]:

@@ -20,7 +20,15 @@ from typing import Optional
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVec, Subspace, sample_full_column_rank
+from .gf2 import (
+    BitMatrix,
+    BitVec,
+    Subspace,
+    chain_from_top,
+    sample_full_column_rank,
+    widened_normals,
+    widened_top,
+)
 
 __all__ = [
     "Params",
@@ -365,8 +373,7 @@ class OracleSet:
         self._counts = {k: 0 for k in QUERY_KEYS}
         self._lock = threading.Lock()
         self._bloat_seed: Optional[bytes] = None
-        self._bloat_mode: Optional[str] = None
-        self._bloat_cache: dict[int, object] = {}
+        self._bloat_cache: dict[int, tuple[Subspace, ...]] = {}
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -459,70 +466,52 @@ class OracleSet:
 
     # -- bloated dual ---------------------------------------------------
 
-    def sample_bloat(self, rng, mode: str = "matrix") -> None:
+    def sample_bloat(self, rng) -> None:
         """Install the widened dual oracle.
 
         Draws a 32-byte sub-seed from rng once; per-y bloat data then
-        derives lazily and deterministically from it.  "matrix" mode
-        multiplies the generator by [[I_l, 0], [M', M]] with M uniform
-        invertible; "vectors" mode extends each dual level by s extra
-        independent vectors sampled clear of the top level.  The two
-        recipes induce the same distribution on accepted sets.
+        derives lazily and deterministically from it: M' uniform and M
+        uniform invertible, which widen the generator to
+        A [[I_l, 0], [M', M]].  Level j accepts the dual of that matrix's
+        columns j..l and l+s+1..n-r, with the s middle columns dropped.
         """
         p = self.params
         if p.s < 1:
             raise ValueError("bloat needs s >= 1")
         if p.n - p.r - p.ell < p.s:
             raise ValueError("bloat needs n - r - l >= s")
-        if mode not in ("matrix", "vectors"):
-            raise ValueError(f"unknown bloat mode {mode!r}")
         if hasattr(rng, "bytes"):
             sub = rng.bytes(32)
         else:
             sub = rng.read(32)
         with self._lock:
             self._bloat_seed = sub
-            self._bloat_mode = mode
             self._bloat_cache = {}
 
-    def _bloat_for(self, y: int):
+    def _bloat_for(self, y: int) -> tuple[Subspace, ...]:
+        """The widened dual chain for y, built by the same gf2 pieces as
+        distlab.chain_by_matrix."""
         with self._lock:
             if self._bloat_seed is None:
                 raise RuntimeError("bloat not sampled; call sample_bloat first")
             hit = self._bloat_cache.get(y)
-            seed, mode = self._bloat_seed, self._bloat_mode
+            seed = self._bloat_seed
         if hit is not None:
             return hit
         p = self.params
         d = p.n - p.r - p.ell
         stream = SeededStream(seed, b"bloat", y.to_bytes((p.r + 7) // 8, "big"))
-        if mode == "matrix":
-            m_prime = stream.matrix(d, p.ell)
-            while True:
-                m_full = stream.matrix(d, d)
-                if m_full.rank() == d:
-                    break
-            if p.ell:
-                top = BitMatrix.identity(p.ell).hstack(BitMatrix.zeros(p.ell, d))
-                factor = top.vstack(m_prime.hstack(m_full))
-            else:
-                factor = m_full
-            gen, _ = self.cosets.derive(y)
-            data = gen @ factor
-        else:
-            chain = self.cosets.dual_chain(y)
-            extras: list[BitVec] = []
-            grown = chain[-1]
-            while len(extras) < p.s:
-                cand = stream.bitvec(p.n)
-                if grown.contains(cand):
-                    continue
-                extras.append(cand)
-                grown = grown.extend([cand])
-            data = tuple(level.extend(extras) for level in chain)
+        m_prime = stream.matrix(d, p.ell)
+        while True:
+            m_full = stream.matrix(d, d)
+            if m_full.rank() == d:
+                break
+        gen, _ = self.cosets.derive(y)
+        top = widened_top(gen, p.ell, m_full.col_range(p.s + 1, d))
+        chain = chain_from_top(top, widened_normals(gen, p.ell, m_prime))
         with self._lock:
-            self._bloat_cache.setdefault(y, data)
-        return data
+            self._bloat_cache.setdefault(y, chain)
+        return chain
 
     def dual_check_bloated(self, j: int, y: BitVec, v: BitVec) -> int:
         """Widened dual check: like dual_check but with s middle columns
@@ -534,14 +523,7 @@ class OracleSet:
         self._count("Dprime")
         if not 1 <= j <= p.ell + 1:
             return 0
-        data = self._bloat_for(y.bits)
-        if isinstance(data, tuple):
-            return 1 if data[j - 1].contains(v) else 0
-        width = p.n - p.r
-        g = data.rmatvec(v).bits
-        head_mask = _range_mask(width, j, p.ell)
-        tail_mask = _range_mask(width, p.ell + p.s + 1, width)
-        return 1 if g & (head_mask | tail_mask) == 0 else 0
+        return 1 if self._bloat_for(y.bits)[j - 1].contains(v) else 0
 
     def bloated_support(self, j: int, y: BitVec) -> Subspace:
         """Accepted set of dual_check_bloated at level j (one Dprime query)."""
@@ -549,23 +531,7 @@ class OracleSet:
         if not 1 <= j <= p.ell + 1:
             raise ValueError("bloated_support needs 1 <= j <= l + 1")
         self._count("Dprime")
-        data = self._bloat_for(y.bits)
-        if isinstance(data, tuple):
-            return data[j - 1]
-        width = p.n - p.r
-        head = data.col_range(j, p.ell) if j <= p.ell else None
-        tail = data.col_range(p.ell + p.s + 1, width)
-        kept = head.hstack(tail) if head is not None else tail
-        if kept.cols == 0:
-            return Subspace.full(p.n)
-        return kept.left_kernel()
-
-
-def _range_mask(width: int, j: int, k: int) -> int:
-    """Mask of column positions j..k inclusive in a width-bit packed row."""
-    if j > k:
-        return 0
-    return ((1 << (k - j + 1)) - 1) << (width - k)
+        return self._bloat_for(y.bits)[j - 1]
 
 
 def build_oracles(params: Params, seed: bytes) -> OracleSet:

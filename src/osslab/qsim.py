@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf2 import BitVec, xor_span_ints
+from .gf2 import BitVec
 from .oracles import OracleSet
 
 __all__ = [
     "StateVector",
+    "coset_state",
     "generate_keypair_state",
     "phase_prefix",
     "phase_dual",
@@ -61,6 +62,12 @@ class StateVector:
         return StateVector(self.n, self.amp.copy())
 
 
+def coset_state(o: OracleSet, y: BitVec) -> StateVector:
+    """Uniform superposition over the shifted coset b_y + ColSpan(A_y)."""
+    gen, shift = o.coset_of(y)
+    return StateVector.from_support(o.params.n, gen.span_ints(shift.bits))
+
+
 def generate_keypair_state(o: OracleSet, rng) -> tuple[BitVec, StateVector]:
     """Run key generation, short-circuiting the measurement.
 
@@ -74,10 +81,7 @@ def generate_keypair_state(o: OracleSet, rng) -> tuple[BitVec, StateVector]:
     if p.perm_mode != "table" or p.n > _MAX_QUBITS:
         raise ValueError("statevector backend needs a table world with n <= 24")
     y = BitVec(p.r, int(rng.integers(0, 1 << p.r)))
-    gen, shift = o.coset_of(y)
-    cols = [c.bits for c in gen.columns()]
-    support = xor_span_ints(cols, shift.bits)
-    return y, StateVector.from_support(p.n, support)
+    return y, coset_state(o, y)
 
 
 def walsh_hadamard(state: StateVector) -> StateVector:

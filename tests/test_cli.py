@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from osslab import cli
+from osslab import cli, rom_hash
 
 WORLD_SEED = "ab" * 32
 
@@ -65,6 +65,24 @@ def test_sign_verify_round_trip(tmp_path, world):
     )
     assert run("verify", "--pk", str(pk), "--msg", "10", "--sig", str(sig)) == 0
     assert run("verify", "--pk", str(pk), "--msg", "01", "--sig", str(sig)) == 1
+
+
+def test_statevector_round_trip_rebuilds_the_dense_key(tmp_path, world):
+    pk, sk = tmp_path / "pk.json", tmp_path / "sk.json"
+    assert (
+        run("gen", "--world", str(world), "--backend", "statevector", "--rng-seed", "0fe1",
+            "--pk-out", str(pk), "--sk-out", str(sk), "--unsafe-test-io")
+        == 0
+    )
+    assert json.loads(sk.read_text())["backend"] == "statevector"
+    sig = tmp_path / "sig.json"
+    assert (
+        run("sign", "--sk", str(sk), "--msg", "01", "--rng-seed", "aa",
+            "--out", str(sig), "--unsafe-test-io")
+        == 0
+    )
+    assert run("verify", "--pk", str(pk), "--msg", "01", "--sig", str(sig)) == 0
+    assert run("verify", "--pk", str(pk), "--msg", "11", "--sig", str(sig)) == 1
 
 
 def test_second_sign_exits_two(tmp_path, world):
@@ -142,7 +160,11 @@ def test_hash_mode_round_trip(tmp_path):
         "--seed", WORLD_SEED, "--out", str(world))
     pk, sk = keypair(tmp_path, world)
     msg = tmp_path / "msg.bin"
-    msg.write_bytes(os.urandom(300))
+    # a fixed message: the digest is only l = 4 bits, so a random one
+    # would share "something else"'s digest one time in 16
+    msg.write_bytes(bytes(range(256)) + bytes(44))
+    seed = bytes.fromhex(WORLD_SEED)
+    assert rom_hash(seed, msg.read_bytes(), 4) != rom_hash(seed, b"something else", 4)
     sig = tmp_path / "sig.json"
     assert (
         run("sign", "--sk", str(sk), "--msg-file", str(msg), "--hash",

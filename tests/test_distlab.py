@@ -1,5 +1,8 @@
 """Distribution lab: chain samplers, exact laws, the distinguisher."""
 
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -186,6 +189,37 @@ def test_collapse_acceptance_closed_form():
     got = collapse_acceptance_exact(6, 2)
     assert got == Fraction(1, 2) + Fraction(48, 32 * 63)
     assert abs(float(got) - 0.5238095238095238) < 1e-15
+
+
+def first_half_count_pmf(n, r):
+    """Law of k, the fiber points with first bit 0, when the fiber is a
+    uniform 2^(n-r)-subset of the 2^n inputs (hypergeometric)."""
+    size, fiber, half = 1 << n, 1 << (n - r), 1 << (n - 1)
+    total = math.comb(size, fiber)
+    return {
+        k: Fraction(math.comb(half, k) * math.comb(half, fiber - k), total)
+        for k in range(fiber + 1)
+    }
+
+
+@pytest.mark.parametrize("n, r", [(4, 1), (4, 2), (5, 2), (6, 2), (6, 3), (8, 3)])
+def test_hypergeometric_split_gives_the_closed_form(n, r):
+    fiber = 1 << (n - r)
+    pmf = first_half_count_pmf(n, r)
+    assert sum(pmf.values()) == 1
+    mean = sum(p * Fraction(k * k + (fiber - k) ** 2, fiber * fiber) for k, p in pmf.items())
+    assert mean == collapse_acceptance_exact(n, r)
+
+
+def test_hypergeometric_law_matches_every_fiber_of_a_small_world():
+    # every 4-subset of 16 inputs is equally likely to be the fiber of y
+    n, r = 4, 2
+    subsets = list(itertools.combinations(range(16), 4))
+    counts = Counter(sum(x < 8 for x in fiber) for fiber in subsets)
+    pmf = first_half_count_pmf(n, r)
+    assert {k: Fraction(c, len(subsets)) for k, c in counts.items()} == pmf
+    acc = sum(Fraction(k * k + (4 - k) ** 2, 16) * c for k, c in counts.items()) / len(subsets)
+    assert acc == collapse_acceptance_exact(n, r)
 
 
 def test_distinguisher_hash_only_is_exactly_one():

@@ -175,6 +175,22 @@ def test_xor_span_affine():
     assert sorted(span) == sorted({0b1000, 0b1011, 0b1101, 0b1110})
 
 
+@given(st.integers(1, 7), st.integers(0, 5), st.data())
+def test_span_ints_enumerates_the_shifted_column_span(rows, cols, data):
+    # zero columns, dependent and repeated columns all included
+    a = data.draw(matrices(rows, cols))
+    b = data.draw(bitvecs(rows))
+    points = a.span_ints(b.bits)
+    brute = [a.matvec(BitVec(cols, w)).bits ^ b.bits for w in range(1 << cols)]
+    assert sorted(points) == sorted(brute)
+    assert points == xor_span_ints([c.bits for c in a.columns()], b.bits)
+
+
+def test_span_ints_of_no_columns_is_the_shift():
+    assert BitMatrix.zeros(5, 0).span_ints(0b10110) == [0b10110]
+    assert BitMatrix.zeros(3, 0).span_ints(0) == [0]
+
+
 def test_sample_full_column_rank(rng):
     for cols in (1, 3, 5):
         m = sample_full_column_rank(rng, 5, cols)
@@ -188,7 +204,6 @@ def test_subspace_canonical_and_equality():
     s1 = Subspace.from_words(4, [0b1100, 0b0011])
     s2 = Subspace.from_words(4, [0b1111, 0b0011])  # same span, other generators
     assert s1 == s2
-    assert s1.canonical() == s1
     assert s1.contains(BitVec(4, 0b1111))
     assert not s1.contains(BitVec(4, 0b1000))
 

@@ -4,10 +4,11 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osslab.gf2 import BitVec, Subspace, _rref_words
+from osslab.gf2 import BitMatrix, BitVec, Subspace, _rref_words
 from osslab.oracles import (
     OracleSet,
     Params,
@@ -319,10 +320,9 @@ def test_query_counters_are_monotone_and_split_by_oracle():
 # -- bloated dual -------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["matrix", "vectors"])
-def test_bloat_widens_every_level(mode, rng):
+def test_bloat_widens_every_level(rng):
     o = build_oracles(Params(n=9, r=2, ell=2, s=2, variant="bloated"), SEED)
-    o.sample_bloat(rng, mode=mode)
+    o.sample_bloat(rng)
     for yv in (0, 3):
         y = BitVec(2, yv)
         for j in range(1, 4):
@@ -334,7 +334,7 @@ def test_bloat_widens_every_level(mode, rng):
 
 def test_bloat_check_agrees_with_support(rng):
     o = build_oracles(Params(n=9, r=2, ell=2, s=2, variant="bloated"), SEED)
-    o.sample_bloat(rng, mode="matrix")
+    o.sample_bloat(rng)
     y = BitVec(2, 1)
     for j in range(1, 4):
         members = set(o.bloated_support(j, y).element_ints())
@@ -342,6 +342,46 @@ def test_bloat_check_agrees_with_support(rng):
             o.dual_check_bloated(j, y, BitVec(9, vv)) for vv in range(0, 512, 5)
         )
         assert hits == sum(vv in members for vv in range(0, 512, 5))
+
+
+def widened_duals_reference(o, sub_seed, y):
+    """The widened dual levels for y, computed directly from the recipe:
+    replay the bloat stream for y, widen the generator to
+    A [[I, 0], [M', M]], drop columns l+1..l+s and take a fresh left
+    kernel at every level."""
+    p = o.params
+    d = p.n - p.r - p.ell
+    stream = SeededStream(sub_seed, b"bloat", y.bits.to_bytes((p.r + 7) // 8, "big"))
+    m_prime = stream.matrix(d, p.ell)
+    m = stream.matrix(d, d)
+    while m.rank() < d:
+        m = stream.matrix(d, d)
+    gen, _ = o.coset_of(y)
+    upper = BitMatrix.identity(p.ell).hstack(BitMatrix.zeros(p.ell, d))
+    wide = gen @ upper.vstack(m_prime.hstack(m))
+    tail = wide.col_range(p.ell + p.s + 1, p.n - p.r)
+    levels = []
+    for j in range(1, p.ell + 2):
+        kept = wide.col_range(j, p.ell).hstack(tail)
+        levels.append(kept.left_kernel() if kept.cols else Subspace.full(p.n))
+    return levels
+
+
+@pytest.mark.parametrize("shape", [(9, 2, 2, 2), (8, 2, 2, 4)])
+def test_bloat_oracle_matches_the_widened_matrix_recipe(shape):
+    n, r, ell, s = shape
+    o = build_oracles(Params(n=n, r=r, ell=ell, s=s, variant="bloated"), SEED)
+    o.sample_bloat(np.random.default_rng(5))
+    sub_seed = np.random.default_rng(5).bytes(32)
+    for yv in range(1 << r):
+        y = BitVec(r, yv)
+        for j, expect in enumerate(widened_duals_reference(o, sub_seed, y), start=1):
+            assert o.bloated_support(j, y) == expect
+            accepted = [w for w in range(1 << n) if o.dual_check_bloated(j, y, BitVec(n, w))]
+            assert accepted == sorted(expect.element_ints())
+            assert expect.dim == r + s + j - 1
+    levels = (ell + 1) << r
+    assert o.query_counts()["Dprime"] == levels * (1 + (1 << n))
 
 
 def test_bloat_requires_sampling_and_room(rng):
