@@ -20,7 +20,7 @@ Signing a second time with the same ``sk`` raises OneShotViolation.
 """
 
 from .gf2 import BitMatrix, BitVec, Subspace
-from .oracles import OracleSet, Params, SeededStream, build_oracles
+from .oracles import OracleSet, Params, SeededStream, build_oracles, metered
 from .scheme import (
     BACKENDS,
     OneShotViolation,
@@ -50,6 +50,7 @@ __all__ = [
     "SeededStream",
     "OracleSet",
     "build_oracles",
+    "metered",
     "BACKENDS",
     "OneShotViolation",
     "PublicKey",

@@ -31,7 +31,7 @@ from . import scheme, suites
 from .coset import CosetState
 from .distlab import run_collapse_distinguisher
 from .gf2 import BitVec
-from .oracles import PERM_MODES, VARIANTS, OracleSet, Params, build_oracles
+from .oracles import PERM_MODES, QUERY_KEYS, VARIANTS, OracleSet, Params, build_oracles, metered
 from .qsim import coset_state
 
 __all__ = ["main", "entry"]
@@ -434,37 +434,32 @@ def cmd_bench(args) -> int:
     if o.params.variant not in ("standard", "incompressible"):
         raise DomainError("bench needs a world that can generate and sign")
     rng = _make_rng(args.rng_seed)
-    incompressible = o.params.variant == "incompressible"
-    mbits = o.params.ell - 1 if incompressible else o.params.ell
+    if o.params.variant == "incompressible":
+        sign, verify = scheme.sign_incompressible, scheme.verify_incompressible
+        mbits = o.params.ell - 1  # sign_incompressible appends a forced 0 bit
+    else:
+        sign, verify, mbits = scheme.sign, scheme.verify, o.params.ell
     phases = {"gen": 0.0, "sign": 0.0, "verify": 0.0}
-    snapshots = [o.query_counts()]
-    for _ in range(args.ops):
-        t0 = time.perf_counter()
-        pk, sk = scheme.generate(o, args.backend, rng)
-        phases["gen"] += time.perf_counter() - t0
-        m = BitVec(mbits, int(rng.integers(0, 1 << mbits))) if mbits else BitVec(0, 0)
-        t0 = time.perf_counter()
-        if incompressible:
-            sig = scheme.sign_incompressible(o, pk, sk, m, rng)
-        else:
-            sig = scheme.sign(o, pk, sk, m, rng)
-        phases["sign"] += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        if incompressible:
-            ok = scheme.verify_incompressible(o, pk, m, sig)
-        else:
-            ok = scheme.verify(o, pk, m, sig)
-        phases["verify"] += time.perf_counter() - t0
-        if not ok:
-            raise DomainError("benchmark signature failed to verify")
-    snapshots.append(o.query_counts())
-    delta = {k: snapshots[-1][k] - snapshots[0][k] for k in snapshots[0]}
+    with metered() as spent:
+        for _ in range(args.ops):
+            t0 = time.perf_counter()
+            pk, sk = scheme.generate(o, args.backend, rng)
+            phases["gen"] += time.perf_counter() - t0
+            m = BitVec(mbits, int(rng.integers(0, 1 << mbits))) if mbits else BitVec(0, 0)
+            t0 = time.perf_counter()
+            sig = sign(o, pk, sk, m, rng)
+            phases["sign"] += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            ok = verify(o, pk, m, sig)
+            phases["verify"] += time.perf_counter() - t0
+            if not ok:
+                raise DomainError("benchmark signature failed to verify")
     result = {
         "backend": args.backend,
         "ops": args.ops,
         "seconds": {k: round(v, 6) for k, v in phases.items()},
         "per_op_ms": {k: round(1000 * v / args.ops, 4) for k, v in phases.items()},
-        "query_delta": delta,
+        "query_delta": {k: spent.get(k, 0) for k in QUERY_KEYS},
     }
     if args.json:
         print(json.dumps(result, indent=2))
@@ -472,8 +467,7 @@ def cmd_bench(args) -> int:
         print(f"backend {args.backend}, {args.ops} gen/sign/verify cycles")
         for k in ("gen", "sign", "verify"):
             print(f"  {k:7s} {phases[k]:8.4f}s total  {1000 * phases[k] / args.ops:8.3f} ms/op")
-        shown = {k: v for k, v in delta.items() if v}
-        print(f"  oracle queries consumed: {shown}")
+        print(f"  oracle queries consumed: {spent}")
     return EX_OK
 
 

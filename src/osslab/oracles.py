@@ -13,10 +13,13 @@ world from the same seed reproduces it bit for bit on any platform.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -37,6 +40,7 @@ __all__ = [
     "CosetFamily",
     "OracleSet",
     "build_oracles",
+    "metered",
     "VARIANTS",
     "PERM_MODES",
     "QUERY_KEYS",
@@ -45,10 +49,32 @@ __all__ = [
 VARIANTS = ("standard", "incompressible", "bloated", "original")
 PERM_MODES = ("table", "feistel")
 QUERY_KEYS = ("P", "Pinv", "D", "D0", "Dprime")
+# Cosets (and widened chains) kept per world: well above any battery's
+# working set and the 2^8 cosets of r = 8; about 2.6 KB each at (64, 32, 16).
+COSET_CACHE_SIZE = 1024
 
 _TABLE_MAX_N = 24
 _FEISTEL_MAX_N = 64
 _FEISTEL_ROUNDS = 16
+
+# The spent-query dicts of the metered() blocks open in this context.
+_METERS: ContextVar[tuple[dict[str, int], ...]] = ContextVar("osslab_meters", default=())
+
+
+@contextmanager
+def metered() -> Iterator[dict[str, int]]:
+    """Yield a dict of the oracle queries spent inside the block, on any
+    OracleSet.  Meters nest and follow contextvars, so a thread counts only
+    its own queries even when threads share one OracleSet.  On exit the
+    dict lists the spent keys in QUERY_KEYS order; unspent keys are absent.
+    """
+    spent: dict[str, int] = {}
+    token = _METERS.set(_METERS.get() + (spent,))
+    try:
+        yield spent
+    finally:
+        _METERS.reset(token)
+        spent.update({k: spent.pop(k) for k in QUERY_KEYS if k in spent})  # re-insert in order
 
 
 class SeededStream:
@@ -292,6 +318,20 @@ class PermutationEngine:
         return (left << self._right) | right
 
 
+def _derive_coset(p: Params, seed: bytes, y: int) -> tuple[BitMatrix, BitVec]:
+    stream = SeededStream(seed, b"coset", p.variant.encode(), y.to_bytes((p.r + 7) // 8, "big"))
+    d = p.n - p.r - p.ell
+    b_block = stream.matrix(p.n - p.ell, p.ell)
+    c_block = sample_full_column_rank(stream, p.n - p.ell, d)
+    shift = stream.bitvec(p.n)
+    if p.variant == "incompressible":
+        shift = shift.with_bit(p.ell, 1)
+    if p.ell:
+        top = BitMatrix.identity(p.ell).hstack(BitMatrix.zeros(p.ell, d))
+        return top.vstack(b_block.hstack(c_block)), shift
+    return c_block, shift
+
+
 class CosetFamily:
     """Lazy, seed-derived map y -> (generator matrix, shift vector).
 
@@ -302,64 +342,36 @@ class CosetFamily:
     l = 0 the identity block vanishes and the generator is just C, a
     uniform full-column-rank matrix (the unstructured flavor).
 
-    The dual levels S_1..S_{l+1} of a generator are built together, on
-    the first request for that y.  Only the latest chain is kept: a walk
-    asks for one y l times in a row, and a chain at (64, 32, 16) is about
-    17 KB, too much to keep for every y ever signed.
+    ``derive_cache``, a ``functools.lru_cache`` wrapper, keeps the last
+    COSET_CACHE_SIZE cosets; its ``cache_info()`` reports hits and misses.
     """
 
     def __init__(self, params: Params, seed: bytes) -> None:
         self.params = params
         self.seed = seed
-        self._cache: dict[int, tuple[BitMatrix, BitVec]] = {}
-        self._chain: tuple[int, tuple[Subspace, ...]] = (-1, ())
-        self._lock = threading.Lock()
+        self.derive_cache = functools.lru_cache(maxsize=COSET_CACHE_SIZE)(
+            functools.partial(_derive_coset, params, seed)
+        )
 
     def derive(self, y: int) -> tuple[BitMatrix, BitVec]:
-        with self._lock:
-            hit = self._cache.get(y)
-        if hit is not None:
-            return hit
-        p = self.params
-        stream = SeededStream(
-            self.seed, b"coset", p.variant.encode(), y.to_bytes((p.r + 7) // 8, "big")
-        )
-        d = p.n - p.r - p.ell
-        b_block = stream.matrix(p.n - p.ell, p.ell)
-        c_block = sample_full_column_rank(stream, p.n - p.ell, d)
-        shift = stream.bitvec(p.n)
-        if p.variant == "incompressible":
-            shift = shift.with_bit(p.ell, 1)
-        if p.ell:
-            top = BitMatrix.identity(p.ell).hstack(BitMatrix.zeros(p.ell, d))
-            gen = top.vstack(b_block.hstack(c_block))
-        else:
-            gen = c_block
-        with self._lock:
-            self._cache.setdefault(y, (gen, shift))
-        return gen, shift
+        return self.derive_cache(y)
 
-    def dual_chain(self, y: int) -> tuple[Subspace, ...]:
-        """Dual levels (S_1, ..., S_{l+1}) of the generator for y, where
-        S_j is the left kernel of columns j..n-r."""
-        with self._lock:
-            last_y, chain = self._chain
-        if last_y == y:
-            return chain
-        gen, _ = self.derive(y)
-        chain = gen.dual_chain(self.params.ell)
-        with self._lock:
-            self._chain = (y, chain)
-        return chain
+
+def _dual_chain(cosets: CosetFamily, y: int) -> tuple[Subspace, ...]:
+    """Dual levels (S_1, ..., S_{l+1}) of the generator for y, where S_j
+    is the left kernel of columns j..n-r."""
+    gen, _ = cosets.derive(y)
+    return gen.dual_chain(cosets.params.ell)
 
 
 class OracleSet:
     """Query interface over one world, with thread-safe query counters.
 
     decode/encode speak BitVec on the outside; y is r bits, coset points
-    are n bits.  The counters are monotone and shared across all users of
-    the instance; snapshot with query_counts() and diff around an
-    operation to profile it.
+    are n bits.  query_counts() is the monotone total over all users of
+    the instance; wrap an operation in metered() to profile it.  The chain
+    caches build from ``self.cosets`` and never refer back to their owner,
+    so a dropped world is freed at once rather than by the cycle collector.
     """
 
     def __init__(self, params: Params, seed: bytes) -> None:
@@ -372,14 +384,21 @@ class OracleSet:
         self.cosets = CosetFamily(params, seed)
         self._counts = {k: 0 for k in QUERY_KEYS}
         self._lock = threading.Lock()
-        self._bloat_seed: Optional[bytes] = None
-        self._bloat_cache: dict[int, tuple[Subspace, ...]] = {}
+        self._bloat_for = functools.partial(_bloat_chain, self.cosets, None)
 
     # -- bookkeeping ----------------------------------------------------
 
     def _count(self, key: str) -> None:
         with self._lock:
             self._counts[key] += 1
+        for spent in _METERS.get():
+            spent[key] = spent.get(key, 0) + 1
+
+    @functools.cached_property
+    def dual_chain(self) -> Callable[[int], tuple[Subspace, ...]]:
+        """One-slot ``lru_cache`` of y's dual levels (y an int), made on first
+        use as most worlds never sign; a walk asks for one y l times in a row."""
+        return functools.lru_cache(maxsize=1)(functools.partial(_dual_chain, self.cosets))
 
     def query_counts(self) -> dict[str, int]:
         with self._lock:
@@ -453,7 +472,7 @@ class OracleSet:
         if y.n != p.r:
             raise ValueError("y must have r bits")
         self._count("D")
-        return self.cosets.dual_chain(y.bits)[j - 1]
+        return self.dual_chain(y.bits)[j - 1]
 
     def coset_check(self, y: BitVec, u: BitVec) -> int:
         """Membership oracle: 1 iff u lands in the shifted column span for y."""
@@ -480,38 +499,10 @@ class OracleSet:
             raise ValueError("bloat needs s >= 1")
         if p.n - p.r - p.ell < p.s:
             raise ValueError("bloat needs n - r - l >= s")
-        if hasattr(rng, "bytes"):
-            sub = rng.bytes(32)
-        else:
-            sub = rng.read(32)
-        with self._lock:
-            self._bloat_seed = sub
-            self._bloat_cache = {}
-
-    def _bloat_for(self, y: int) -> tuple[Subspace, ...]:
-        """The widened dual chain for y, built by the same gf2 pieces as
-        distlab.chain_by_matrix."""
-        with self._lock:
-            if self._bloat_seed is None:
-                raise RuntimeError("bloat not sampled; call sample_bloat first")
-            hit = self._bloat_cache.get(y)
-            seed = self._bloat_seed
-        if hit is not None:
-            return hit
-        p = self.params
-        d = p.n - p.r - p.ell
-        stream = SeededStream(seed, b"bloat", y.to_bytes((p.r + 7) // 8, "big"))
-        m_prime = stream.matrix(d, p.ell)
-        while True:
-            m_full = stream.matrix(d, d)
-            if m_full.rank() == d:
-                break
-        gen, _ = self.cosets.derive(y)
-        top = widened_top(gen, p.ell, m_full.col_range(p.s + 1, d))
-        chain = chain_from_top(top, widened_normals(gen, p.ell, m_prime))
-        with self._lock:
-            self._bloat_cache.setdefault(y, chain)
-        return chain
+        sub = rng.bytes(32) if hasattr(rng, "bytes") else rng.read(32)
+        self._bloat_for = functools.lru_cache(maxsize=COSET_CACHE_SIZE)(
+            functools.partial(_bloat_chain, self.cosets, sub)
+        )
 
     def dual_check_bloated(self, j: int, y: BitVec, v: BitVec) -> int:
         """Widened dual check: like dual_check but with s middle columns
@@ -530,8 +521,28 @@ class OracleSet:
         p = self.params
         if not 1 <= j <= p.ell + 1:
             raise ValueError("bloated_support needs 1 <= j <= l + 1")
+        if y.n != p.r:
+            raise ValueError("y must have r bits")
         self._count("Dprime")
         return self._bloat_for(y.bits)[j - 1]
+
+
+def _bloat_chain(cosets: CosetFamily, seed: Optional[bytes], y: int) -> tuple[Subspace, ...]:
+    """The widened dual chain for y, built by the same gf2 pieces as
+    distlab.chain_by_matrix."""
+    if seed is None:
+        raise RuntimeError("bloat not sampled; call sample_bloat first")
+    p = cosets.params
+    d = p.n - p.r - p.ell
+    stream = SeededStream(seed, b"bloat", y.to_bytes((p.r + 7) // 8, "big"))
+    m_prime = stream.matrix(d, p.ell)
+    while True:
+        m_full = stream.matrix(d, d)
+        if m_full.rank() == d:
+            break
+    gen, _ = cosets.derive(y)
+    top = widened_top(gen, p.ell, m_full.col_range(p.s + 1, d))
+    return chain_from_top(top, widened_normals(gen, p.ell, m_prime))
 
 
 def build_oracles(params: Params, seed: bytes) -> OracleSet:

@@ -33,7 +33,7 @@ from .distlab import (
     validate_collapse_shortcut,
 )
 from .gf2 import BitVec, sample_full_column_rank
-from .oracles import Params, SeededStream, build_oracles
+from .oracles import Params, SeededStream, build_oracles, metered
 
 __all__ = ["SUITES", "run_suite", "run_many", "default_seed"]
 
@@ -402,12 +402,11 @@ def suite_incompressible(seed: bytes, runs: int = 100) -> ExperimentReport:
         pk, sk = _scheme.generate(o, backend, rng)
         m = BitVec(1, int(rng.integers(0, 2)))
         sig = _scheme.sign_incompressible(o, pk, sk, m, rng)
-        before = o.query_counts()
-        accepted = _scheme.verify_incompressible(o, pk, m, sig)
-        after = o.query_counts()
+        with metered() as spent:
+            accepted = _scheme.verify_incompressible(o, pk, m, sig)
         if accepted:
             ok += 1
-        if after["Pinv"] == before["Pinv"] and after["D0"] == before["D0"] + 1:
+        if "Pinv" not in spent and spent.get("D0") == 1:
             decode_free += 1
         gen, shift = o.coset_of(pk.y)
         diff = sig.sigma ^ shift
@@ -521,10 +520,6 @@ def suite_hashsign(seed: bytes) -> ExperimentReport:
 # -- 10: query profiles -------------------------------------------------
 
 
-def _delta(before: dict, after: dict) -> dict:
-    return {k: after[k] - before[k] for k in after if after[k] != before[k]}
-
-
 def suite_queries(seed: bytes) -> ExperimentReport:
     started = time.perf_counter()
     params = Params(n=8, r=3, ell=2)
@@ -532,17 +527,14 @@ def suite_queries(seed: bytes) -> ExperimentReport:
     for backend in ("statevector", "symbolic"):
         o = build_oracles(params, _world_seed(seed, "queries-" + backend, 0))
         rng = _rng(seed, "queries-" + backend, 0)
-        before = o.query_counts()
-        pk, sk = _scheme.generate(o, backend, rng)
-        gen_delta = _delta(before, o.query_counts())
+        with metered() as gen_spent:
+            pk, sk = _scheme.generate(o, backend, rng)
         m = BitVec(2, int(rng.integers(0, 4)))
-        before = o.query_counts()
-        sig = _scheme.sign(o, pk, sk, m, rng)
-        sign_delta = _delta(before, o.query_counts())
-        before = o.query_counts()
-        _scheme.verify(o, pk, m, sig)
-        verify_delta = _delta(before, o.query_counts())
-        profile_ok = gen_delta == {} and sign_delta == {"D": 2} and verify_delta == {"Pinv": 1}
+        with metered() as sign_spent:
+            sig = _scheme.sign(o, pk, sk, m, rng)
+        with metered() as verify_spent:
+            _scheme.verify(o, pk, m, sig)
+        profile_ok = gen_spent == {} and sign_spent == {"D": 2} and verify_spent == {"Pinv": 1}
         metrics.append(
             Metric(
                 id=f"profile_{backend}",
@@ -550,7 +542,7 @@ def suite_queries(seed: bytes) -> ExperimentReport:
                 expected=1.0,
                 source="theory",
                 passed=profile_ok,
-                detail=f"gen={gen_delta} sign={sign_delta} verify={verify_delta}",
+                detail=f"gen={gen_spent} sign={sign_spent} verify={verify_spent}",
             )
         )
     metrics.append(_time_metric(started, 5.0))

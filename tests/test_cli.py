@@ -215,6 +215,23 @@ def test_experiments_subcommand(tmp_path, capsys):
     assert all(m["pass"] for r in stored["reports"] for m in r["metrics"])
 
 
+def test_experiments_in_worker_processes_match_the_serial_run(capsys, monkeypatch):
+    args = ("experiments", "--suite", "queries", "--suite", "incompressible", "--json")
+
+    def reports():
+        doc = json.loads(capsys.readouterr().out)
+        for rep in doc["reports"]:
+            rep["metrics"] = [m for m in rep["metrics"] if m["id"] != "runtime_seconds"]
+        return doc["reports"]
+
+    assert run(*args) == 0
+    serial = reports()
+    monkeypatch.setenv("OSSLAB_THREADS", "2")
+    assert run(*args) == 0
+    assert reports() == serial
+    assert [r["name"] for r in serial] == ["query-profiles", "incompressible"]
+
+
 def test_distinguisher_subcommand(capsys):
     code = run("distinguisher", "--case", "hash-only", "--trials", "50", "--json")
     assert code == 0
@@ -226,8 +243,8 @@ def test_bench_subcommand(world, capsys):
     assert run("bench", "--world", str(world), "--ops", "5", "--json") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ops"] == 5
-    assert doc["query_delta"]["D"] == 10  # l = 2 dual queries per sign
-    assert doc["query_delta"]["Pinv"] == 5
+    # l = 2 dual queries per sign, one decode per verify, zeros listed
+    assert doc["query_delta"] == {"P": 0, "Pinv": 5, "D": 10, "D0": 0, "Dprime": 0}
 
 
 def test_no_temp_files_left_behind(tmp_path, world):

@@ -14,7 +14,7 @@ from osslab.coset import (
     to_statevector,
 )
 from osslab.gf2 import BitVec
-from osslab.oracles import Params, build_oracles
+from osslab.oracles import Params, build_oracles, metered
 from osslab.qsim import generate_keypair_state, phase_dual, phase_prefix
 
 SEED = bytes(range(32))
@@ -117,10 +117,9 @@ def test_to_statevector_tracks_dense_backend(rng):
 def test_sign_with_coset_spends_l_dual_queries(rng):
     o = world()
     _, st = generate_keypair_symbolic(o, rng)
-    before = o.query_counts()
-    sigma = sign_with_coset(o, st.y, st, BitVec.from_str("01"), rng)
-    delta = {k: v - before[k] for k, v in o.query_counts().items() if v != before[k]}
-    assert delta == {"D": 2}
+    with metered() as spent:
+        sigma = sign_with_coset(o, st.y, st, BitVec.from_str("01"), rng)
+    assert spent == {"D": 2}
     assert sigma.prefix(2) == BitVec.from_str("01")
     assert o.decode(st.y, sigma) is not None
 

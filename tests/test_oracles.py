@@ -10,11 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from osslab.gf2 import BitMatrix, BitVec, Subspace, _rref_words
 from osslab.oracles import (
+    COSET_CACHE_SIZE,
+    QUERY_KEYS,
     OracleSet,
     Params,
     PermutationEngine,
     SeededStream,
     build_oracles,
+    metered,
 )
 
 SEED = bytes(range(32))
@@ -317,6 +320,67 @@ def test_query_counters_are_monotone_and_split_by_oracle():
     assert o.query_counts() == after
 
 
+def test_nested_meters_both_count_the_inner_queries():
+    o = small_world()
+    y, v = BitVec(3, 0), BitVec(8, 0)
+    with metered() as outer:
+        o.encode(BitVec(8, 1))
+        with metered() as inner:
+            o.dual_check(1, y, v)
+            o.decode(y, v)
+        o.coset_check(y, v)
+    assert inner == {"Pinv": 1, "D": 1}
+    assert outer == {"P": 1, "Pinv": 1, "D": 1, "D0": 1}
+
+
+def test_a_meter_left_by_an_exception_stops_counting():
+    o = small_world()
+    with metered() as outer:
+        with pytest.raises(KeyError):
+            with metered() as inner:
+                o.encode(BitVec(8, 1))
+                raise KeyError("leave the block")
+        o.encode(BitVec(8, 2))
+    o.encode(BitVec(8, 3))
+    assert inner == {"P": 1}
+    assert outer == {"P": 2}
+
+
+def test_meter_lists_spent_keys_in_query_key_order():
+    o = build_oracles(Params(n=9, r=2, ell=2, s=2, variant="bloated"), SEED)
+    o.sample_bloat(np.random.default_rng(1))
+    y, v = BitVec(2, 1), BitVec(9, 0)
+    with metered() as spent:
+        o.dual_check_bloated(1, y, v)
+        o.coset_check(y, v)
+        o.dual_support(2, y)
+        o.decode(y, v)
+        o.encode(BitVec(9, 3))
+        o.hash_bits(BitVec(9, 5))  # never counted
+    assert list(spent) == list(QUERY_KEYS)
+    assert set(spent.values()) == {1}
+    with metered() as spent:
+        o.decode(y, v)
+        o.dual_check(1, y, v)
+        o.decode(y, v)
+    assert list(spent.items()) == [("Pinv", 2), ("D", 1)]  # zero keys absent
+
+
+def test_coset_cache_is_bounded_and_re_derives_evicted_cosets():
+    o = build_oracles(Params(n=16, r=11, ell=2, perm_mode="feistel"), SEED)
+    cache = o.cosets.derive_cache
+    first = o.cosets.derive(0)
+    for y in range(1, COSET_CACHE_SIZE + 5):
+        o.cosets.derive(y)
+    info = cache.cache_info()
+    assert info.currsize == COSET_CACHE_SIZE
+    assert (info.hits, info.misses) == (0, COSET_CACHE_SIZE + 5)
+    again = o.cosets.derive(0)  # evicted long ago, so derived afresh
+    assert cache.cache_info().misses == COSET_CACHE_SIZE + 6
+    assert again == first and again is not first
+    assert o.cosets.derive(0) is again
+
+
 # -- bloated dual -------------------------------------------------------
 
 
@@ -388,6 +452,10 @@ def test_bloat_requires_sampling_and_room(rng):
     o = build_oracles(Params(n=9, r=2, ell=2, s=2, variant="bloated"), SEED)
     with pytest.raises(RuntimeError):
         o.bloated_support(1, BitVec(2, 0))
+    o.sample_bloat(rng)
+    for width in (1, 5):  # y must have r = 2 bits
+        with pytest.raises(ValueError):
+            o.bloated_support(1, BitVec(width, 1))
     narrow = build_oracles(Params(n=6, r=2, ell=2, s=3, variant="bloated"), SEED)
     with pytest.raises(ValueError):
         narrow.sample_bloat(rng)  # n - r - l < s

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from osslab.gf2 import BitVec
-from osslab.oracles import Params, build_oracles
+from osslab.oracles import Params, build_oracles, metered
 from osslab.qsim import (
     StateVector,
     generate_keypair_state,
@@ -52,9 +52,9 @@ def test_wht_matches_naive_matrix(rng):
 
 def test_keypair_state_is_uniform_coset(rng):
     o = small_world()
-    before = o.query_counts()
-    y, st = generate_keypair_state(o, rng)
-    assert o.query_counts() == before  # measurement short-circuit: no queries
+    with metered() as spent:
+        y, st = generate_keypair_state(o, rng)
+    assert spent == {}  # measurement short-circuit: no queries
     gen, shift = o.coset_of(y)
     support = {shift.bits ^ gen.matvec(BitVec(4, w)).bits for w in range(16)}
     nz = np.nonzero(st.amp)[0]
@@ -99,10 +99,9 @@ def test_phase_dual_spends_one_dual_query():
     o = small_world()
     rng = np.random.default_rng(7)
     y, st = generate_keypair_state(o, rng)
-    before = o.query_counts()
-    phase_dual(st, 1, y, o)
-    delta = {k: v - before[k] for k, v in o.query_counts().items() if v != before[k]}
-    assert delta == {"D": 1}
+    with metered() as spent:
+        phase_dual(st, 1, y, o)
+    assert spent == {"D": 1}
 
 
 def test_measure_collapses_and_respects_support(rng):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from osslab.gf2 import BitVec
-from osslab.oracles import Params, build_oracles
+from osslab.oracles import Params, build_oracles, metered
 from osslab.scheme import (
     OneShotViolation,
     PublicKey,
@@ -98,61 +98,62 @@ def test_verify_always_costs_one_decode(rng):
     m = BitVec.from_str("10")
     sig = sign(o, pk, sk, m, rng)
     for probe, msg in [(sig, m), (sig, BitVec.from_str("01")), (Signature(BitVec(8, 0)), m)]:
-        before = o.query_counts()["Pinv"]
-        verify(o, pk, msg, probe)
-        assert o.query_counts()["Pinv"] == before + 1
+        with metered() as spent:
+            verify(o, pk, msg, probe)
+        assert spent == {"Pinv": 1}
 
 
 def test_generate_query_free(rng):
     o = world()
     for backend in ("statevector", "symbolic"):
-        before = o.query_counts()
-        generate(o, backend, rng)
-        assert o.query_counts() == before
+        with metered() as spent:
+            generate(o, backend, rng)
+        assert spent == {}
 
 
 def test_sign_spends_exactly_l_dual_queries(rng):
     o = world()
     pk, sk = generate(o, "symbolic", rng)
-    before = o.query_counts()
-    sign(o, pk, sk, BitVec.from_str("11"), rng)
-    after = o.query_counts()
-    assert {k: after[k] - before[k] for k in after if after[k] != before[k]} == {"D": 2}
+    with metered() as spent:
+        sign(o, pk, sk, BitVec.from_str("11"), rng)
+    assert spent == {"D": 2}
 
 
 def test_dual_chain_cache_keeps_only_the_latest_y(rng):
     o = build_oracles(Params(n=24, r=8, ell=6, perm_mode="feistel"), SEED)
-    keys = set()
+    chains = o.dual_chain
+    keys = []
     for _ in range(16):
         pk, sk = generate(o, "symbolic", rng)
-        keys.add(pk.y.bits)
         sign(o, pk, sk, BitVec(6, 0b101100), rng)
-        last_y, chain = o.cosets._chain
-        assert last_y == pk.y.bits
-        assert o.cosets.dual_chain(last_y) is chain  # served from the slot
-    assert len(keys) > 1
+        y = pk.y.bits
+        misses = chains.cache_info().misses
+        chain = chains(y)
+        assert chains(y) is chain  # served from the slot without a rebuild
+        assert chains.cache_info().misses == misses
+        assert chains.cache_info().currsize == 1
+        assert chain == o.cosets.derive(y)[0].dual_chain(6)
+        if keys and keys[-1] != y:
+            chains(keys[-1])  # the previous y was evicted, so it is rebuilt
+            assert chains.cache_info().misses == misses + 1
+        keys.append(y)
+    assert len(set(keys)) > 1
 
 
-def test_threads_share_one_oracle_set():
-    o = build_oracles(Params(n=24, r=8, ell=6, perm_mode="feistel"), SEED)
-    per_thread = 12
-    results = [[] for _ in range(4)]
+def run_threads(worker, count=4):
+    """Run worker(slot) in count threads that switch often, to expose
+    races; re-raise the first error a thread hit."""
     errors = []
 
-    def worker(slot):
-        local = np.random.default_rng(slot)
+    def guarded(slot):
         try:
-            for _ in range(per_thread):
-                pk, sk = generate(o, "symbolic", local)
-                m = BitVec(6, int(local.integers(0, 64)))
-                results[slot].append((pk, m, sign(o, pk, sk, m, local)))
+            worker(slot)
         except Exception as exc:  # surfaced below, not lost in the thread
             errors.append(exc)
 
-    before = o.query_counts()["D"]
-    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+    threads = [threading.Thread(target=guarded, args=(slot,)) for slot in range(count)]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often to expose races
+    sys.setswitchinterval(1e-5)
     try:
         for t in threads:
             t.start()
@@ -161,14 +162,60 @@ def test_threads_share_one_oracle_set():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert not errors
+    if errors:
+        raise errors[0]
+
+
+def test_threads_share_one_oracle_set():
+    o = build_oracles(Params(n=24, r=8, ell=6, perm_mode="feistel"), SEED)
+    per_thread = 12
+    results = [[] for _ in range(4)]
+    served = []  # (y, chain) as each thread read it back, in call order
+    order = threading.Lock()
+
+    def worker(slot):
+        local = np.random.default_rng(slot)
+        for _ in range(per_thread):
+            pk, sk = generate(o, "symbolic", local)
+            m = BitVec(6, int(local.integers(0, 64)))
+            results[slot].append((pk, m, sign(o, pk, sk, m, local)))
+            with order:
+                served.append((pk.y.bits, o.dual_chain(pk.y.bits)))
+
+    run_threads(worker)
     signed = [item for chunk in results for item in chunk]
     assert len(signed) == 4 * per_thread
-    assert o.query_counts()["D"] - before == len(signed) * o.params.ell
+    assert o.query_counts()["D"] == len(signed) * o.params.ell
     assert all(verify(o, pk, m, sig) for pk, m, sig in signed)
-    last_y, chain = o.cosets._chain
-    assert last_y in {pk.y.bits for pk, _, _ in signed}
-    assert chain == o.cosets.derive(last_y)[0].dual_chain(o.params.ell)
+    for y, chain in served:
+        assert chain == o.cosets.derive(y)[0].dual_chain(o.params.ell)
+    # Every thread ends on its locked read, so the last read left the slot.
+    last_y, last_chain = served[-1]
+    misses = o.dual_chain.cache_info().misses
+    assert o.dual_chain(last_y) is last_chain
+    assert o.dual_chain.cache_info().misses == misses
+
+
+def test_each_thread_meters_only_its_own_queries():
+    o = build_oracles(Params(n=24, r=8, ell=6, perm_mode="feistel"), SEED)
+    per_thread = 12
+    seen = [None] * 4
+
+    def worker(slot):
+        local = np.random.default_rng(100 + slot)
+        with metered() as total:
+            for _ in range(per_thread):
+                pk, sk = generate(o, "symbolic", local)
+                m = BitVec(6, int(local.integers(0, 64)))
+                with metered() as spent:
+                    sig = sign(o, pk, sk, m, local)
+                assert spent == {"D": 6}
+                assert verify(o, pk, m, sig)
+        seen[slot] = total
+
+    run_threads(worker)
+    assert seen == [{"Pinv": per_thread, "D": 6 * per_thread}] * 4
+    assert o.query_counts() == {"P": 0, "Pinv": 4 * per_thread, "D": 24 * per_thread, "D0": 0, "Dprime": 0}
 
 
 def test_wrong_world_is_rejected(rng):
@@ -223,10 +270,9 @@ def test_incompressible_round_trip_and_structure(rng):
         pk, sk = generate(o, backend, rng)
         m = BitVec(1, 1)
         sig = sign_incompressible(o, pk, sk, m, rng)
-        before = o.query_counts()
-        assert verify_incompressible(o, pk, m, sig)
-        delta = {k: v - before[k] for k, v in o.query_counts().items() if v != before[k]}
-        assert delta == {"D0": 1}  # membership only, no decode
+        with metered() as spent:
+            assert verify_incompressible(o, pk, m, sig)
+        assert spent == {"D0": 1}  # membership only, no decode
         gen, shift = o.coset_of(pk.y)
         diff = sig.sigma ^ shift
         assert diff.bits != 0 and gen.solve(diff) is not None
