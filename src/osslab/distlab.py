@@ -33,7 +33,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -234,9 +234,10 @@ class chain_by_matrix(ChainSampler):
 
     With index = m_index * 2^(d l) + mp_bits, the top level depends on M
     only through its kept columns s+1..d, and the lower levels on M' only
-    through the l cut normals.  So each distinct top is built once, keyed
-    by the kept columns, the normals once per mp_bits, and each chain once
-    per (top, mp_bits); tuple_at still answers every index on its own.
+    through the l cut normals.  So each distinct top is built once, the
+    normals once per mp_bits, and each chain once per (top, mp_bits);
+    tuple_at still answers every index on its own.  Equal chains are one
+    interned object, so counting them compares by identity.
     """
 
     def __init__(self, mat: BitMatrix, n: int, r: int, ell: int, s: int) -> None:
@@ -245,37 +246,38 @@ class chain_by_matrix(ChainSampler):
             raise ValueError("need 1 <= s <= n - r - l")
         self.s = s
         d = n - r - ell
-        self._d = d
         if d * d > 24:
             raise ValueError("matrix-chain enumeration capped at d^2 <= 24")
-        kept_mask = (1 << (d - s)) - 1
-        self._kept = [tuple(row & kept_mask for row in rows) for rows in _invertible_rows(d)]
         self._mp_count = 1 << (d * ell)
-        self.domain_size = len(self._kept) * self._mp_count
         row_mask = (1 << ell) - 1
         self._normals = []
         for mp_bits in range(self._mp_count):
             # M' packs its rows first to last into mp_bits, ell bits a row
             rows = tuple((mp_bits >> (ell * (d - 1 - t))) & row_mask for t in range(d))
             self._normals.append(widened_normals(mat, ell, BitMatrix(d, ell, rows)))
-        # kept columns -> (top, chains by mp_bits); equal tops share one entry
-        self._by_kept: dict[tuple[int, ...], tuple[Subspace, list]] = {}
-        self._by_top: dict[Subspace, tuple[Subspace, list]] = {}
-
-    def _chains_for(self, kept: tuple[int, ...]) -> tuple[Subspace, list]:
-        entry = self._by_kept.get(kept)
-        if entry is None:
-            top = widened_top(self.mat, self.ell, BitMatrix(self._d, self._d - self.s, kept))
-            entry = self._by_top.setdefault(top, (top, [None] * self._mp_count))
-            self._by_kept[kept] = entry
-        return entry
+        # one (top, chains by mp_bits) entry per m_index; equal kept
+        # columns, and equal tops, share one entry
+        kept_mask = (1 << (d - s)) - 1
+        by_kept: dict[tuple[int, ...], tuple[Subspace, list]] = {}
+        by_top: dict[Subspace, tuple[Subspace, list]] = {}
+        self._entries = []
+        for rows in _invertible_rows(d):
+            kept = tuple(row & kept_mask for row in rows)
+            entry = by_kept.get(kept)
+            if entry is None:
+                top = widened_top(mat, ell, BitMatrix(d, d - s, kept))
+                entry = by_kept[kept] = by_top.setdefault(top, (top, [None] * self._mp_count))
+            self._entries.append(entry)
+        self.domain_size = len(self._entries) * self._mp_count
+        self._interned: dict[SubspaceTuple, SubspaceTuple] = {}
 
     def tuple_at(self, index: int) -> SubspaceTuple:
         m_index, mp_bits = divmod(index, self._mp_count)
-        top, chains = self._chains_for(self._kept[m_index])
+        top, chains = self._entries[m_index]
         chain = chains[mp_bits]
         if chain is None:
-            chain = chains[mp_bits] = chain_from_top(top, self._normals[mp_bits])
+            chain = chain_from_top(top, self._normals[mp_bits])
+            chain = chains[mp_bits] = self._interned.setdefault(chain, chain)
         return chain
 
 
@@ -400,12 +402,15 @@ def run_collapse_distinguisher(
     expected_exact = collapse_acceptance_exact(n, r)
     metrics: list[Metric] = []
     if case == "hash-only":
-        params = Params(n=n, r=r, ell=0, variant="original", perm_mode="table")
+        # The cosets and the dual check never read the permutation, and a
+        # coset's stream label has no perm_mode, so Feistel worlds carry
+        # the table worlds' cosets without shuffling a table each.
+        params = Params(n=n, r=r, ell=0, variant="original", perm_mode="feistel")
         exact_ones = 0
         for t in range(trials):
-            o = build_oracles(params, _trial_seed(seed, t))
-            stream = SeededStream(_trial_seed(seed, t), b"pick-y")
-            y = stream.bitvec(r)
+            world_seed = _trial_seed(seed, t)
+            o = build_oracles(params, world_seed)
+            y = SeededStream(world_seed, b"pick-y").bitvec(r)
             if _hash_only_acceptance(o, y) == 1:
                 exact_ones += 1
         metrics.append(
@@ -524,19 +529,18 @@ def coset_points(o: OracleSet, y: BitVec) -> np.ndarray:
     return pts
 
 
-def signature_set_census(o: OracleSet, y: BitVec, m: BitVec) -> list[int]:
-    """Count coset points agreeing with m on the first j bits, for
-    j = 0..len(m).  Healthy worlds give 2^(n - r - j) at every level."""
+def signature_set_census(o: OracleSet, y: BitVec, messages: Sequence[BitVec]) -> list[list[int]]:
+    """For each message m, count the coset points agreeing with m on the
+    first j bits, for j = 0..len(m).  The coset is enumerated once for
+    all messages.  Healthy worlds give 2^(n - r - j) at every level."""
     p = o.params
-    if m.n > p.n:
+    if any(m.n > p.n for m in messages):
         raise ValueError("prefix longer than signatures")
     points = coset_points(o, y)
-    counts = []
-    for j in range(m.n + 1):
-        cut = p.n - j
-        want = m.prefix(j).bits
-        counts.append(int(np.count_nonzero((points >> cut) == want)))
-    return counts
+    return [
+        [int(np.count_nonzero((points >> (p.n - j)) == m.prefix(j).bits)) for j in range(m.n + 1)]
+        for m in messages
+    ]
 
 
 # -- reporting ----------------------------------------------------------

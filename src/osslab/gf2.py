@@ -218,7 +218,7 @@ class BitMatrix:
 
     def span_ints(self, shift: int) -> list[int]:
         """Every point of shift + ColSpan(M) as packed ints, in the
-        Gray-code order of xor_span_ints over the columns, column 1 first."""
+        doubling order of xor_span_ints over the columns, column 1 first."""
         return xor_span_ints(_transpose_words(self.row_words, self.cols), shift)
 
     def col_range(self, j: int, k: int) -> "BitMatrix":
@@ -291,11 +291,6 @@ class BitMatrix:
                 basis[w.bit_length() - 1] = w
         return len(basis)
 
-    def rref(self) -> "BitMatrix":
-        """Reduced row echelon form with zero rows dropped (canonical)."""
-        reduced = _rref_words(self.row_words)
-        return BitMatrix(len(reduced), self.cols, tuple(reduced))
-
     def solve(self, target: BitVec) -> Optional[BitVec]:
         """A solution x of ``M @ x = target`` with free variables set to zero.
 
@@ -358,10 +353,6 @@ class BitMatrix:
 
     def to_hex_rows(self) -> list[str]:
         return [self.row(i).to_hex() for i in range(1, self.rows + 1)]
-
-    @classmethod
-    def from_hex_rows(cls, rows: Sequence[str], cols: int) -> "BitMatrix":
-        return cls(len(rows), cols, tuple(BitVec.from_hex(s, cols).bits for s in rows))
 
     def __str__(self) -> str:
         return "\n".join(str(self.row(i)) for i in range(1, self.rows + 1))
@@ -443,15 +434,6 @@ class Subspace:
         return cls._trusted(ambient, tuple(_rref_words(words)))
 
     @classmethod
-    def from_vectors(cls, vectors: Sequence[BitVec]) -> "Subspace":
-        if not vectors:
-            raise ValueError("need at least one vector; use trivial() instead")
-        ambient = vectors[0].n
-        if any(v.n != ambient for v in vectors):
-            raise ValueError("ragged vectors")
-        return cls.from_words(ambient, [v.bits for v in vectors])
-
-    @classmethod
     def trivial(cls, ambient: int) -> "Subspace":
         return cls._trusted(ambient, ())
 
@@ -482,7 +464,7 @@ class Subspace:
         return Subspace.from_words(self.ambient, words)
 
     def element_ints(self) -> list[int]:
-        """All 2^dim elements as packed ints (Gray-code order)."""
+        """All 2^dim elements as packed ints (doubling order)."""
         return xor_span_ints(self.basis)
 
     def vectors(self) -> list[BitVec]:
@@ -554,15 +536,14 @@ def widened_normals(gen: BitMatrix, ell: int, m_prime: BitMatrix) -> list[BitVec
 def xor_span_ints(generators: Sequence[int], shift: int = 0) -> list[int]:
     """All XOR combinations of ``generators`` offset by ``shift``.
 
-    Enumerates in Gray-code order, so each step XORs a single generator.
-    With k linearly independent generators the result has 2^k distinct
-    entries; dependent generators produce repeats.
+    Enumerates by doubling: each generator appends the XOR of itself with
+    every point listed so far, so entry i combines the generators at the
+    set bits of i.  With k linearly independent generators the result has
+    2^k distinct entries; dependent generators produce repeats.
     """
     out = [shift]
-    current = shift
-    for i in range(1, 1 << len(generators)):
-        current ^= generators[(i & -i).bit_length() - 1]
-        out.append(current)
+    for g in generators:
+        out += [x ^ g for x in out]
     return out
 
 

@@ -224,9 +224,8 @@ def suite_census(seed: bytes, worlds: int = 10, messages: int = 4) -> Experiment
         o = build_oracles(params, _world_seed(seed, "census", t))
         rng = _rng(seed, "census", t)
         y = BitVec(16, int(rng.integers(0, 1 << 16)))
-        for _ in range(messages):
-            m = BitVec(8, int(rng.integers(0, 256)))
-            counts = signature_set_census(o, y, m)
+        ms = [BitVec(8, int(rng.integers(0, 256))) for _ in range(messages)]
+        for counts in signature_set_census(o, y, ms):
             for j, c in enumerate(counts):
                 checked += 1
                 if c != 1 << (32 - 16 - j):

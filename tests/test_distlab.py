@@ -1,5 +1,6 @@
 """Distribution lab: chain samplers, exact laws, the distinguisher."""
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -11,6 +12,8 @@ import pytest
 from osslab.distlab import (
     ExperimentReport,
     Metric,
+    _hash_only_acceptance,
+    _trial_seed,
     chain_by_basis,
     chain_by_matrix,
     chain_by_shear,
@@ -99,6 +102,38 @@ def test_memoized_matrix_chain_matches_direct_widening(shape, picks):
         assert sampler.tuple_at(index) == expect
 
 
+def test_matrix_chains_are_interned():
+    n, r, ell, s = 6, 1, 1, 2
+    sampler = chain_by_matrix(toy_matrix(n, r, b"intern"), n, r, ell, s)
+    first: dict = {}
+    for index in range(0, sampler.domain_size, 7):
+        chain = sampler.tuple_at(index)
+        assert first.setdefault(chain, chain) is chain
+    assert len(first) < sampler.domain_size // 7
+
+
+def distribution_digest(dist):
+    items = sorted(
+        (tuple((level.ambient, level.basis) for level in chain), p.numerator, p.denominator)
+        for chain, p in dist.items()
+    )
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "shape, digest",
+    [
+        ((4, 1, 1, 1), "043ac23d46836f53c9cbc386ab65887376a7e1ed8bd035e794ce5e667562032e"),
+        ((6, 1, 1, 2), "57877519349c359eb2b65b8f2f831bec7485d95dfbe689fcc30ed82871dc0826"),
+    ],
+)
+def test_widened_exact_distributions_are_pinned(shape, digest):
+    n, r, ell, s = shape
+    mat = toy_matrix(n, r, b"pin")
+    assert distribution_digest(exact_distribution(chain_by_matrix(mat, n, r, ell, s))) == digest
+    assert distribution_digest(exact_distribution(chain_by_basis(mat, n, r, ell, s))) == digest
+
+
 def test_basis_pick_matches_a_full_scan():
     n, r, ell, s = 6, 1, 1, 2
     sampler = chain_by_basis(toy_matrix(n, r, b"pick"), n, r, ell, s)
@@ -172,8 +207,28 @@ def test_coset_points_enumerates_the_whole_coset():
 
 def test_census_counts_halve_per_level():
     o = build_oracles(Params(n=8, r=3, ell=2), SEED)
-    counts = signature_set_census(o, BitVec(3, 1), BitVec.from_str("10"))
-    assert counts == [32, 16, 8]
+    census = signature_set_census(o, BitVec(3, 1), [BitVec.from_str("10"), BitVec(0, 0)])
+    assert census == [[32, 16, 8], [32]]
+
+
+@pytest.mark.parametrize(
+    "params", [Params(n=8, r=3, ell=2), Params(n=32, r=16, ell=8, perm_mode="feistel")]
+)
+def test_census_matches_one_enumeration_per_message(params):
+    o = build_oracles(params, SEED)
+    rng = np.random.default_rng(3)
+    n, r, ell = params.n, params.r, params.ell
+    y = BitVec(r, int(rng.integers(0, 1 << r)))
+    messages = [BitVec(ell, int(rng.integers(0, 1 << ell))) for _ in range(3)]
+    expect = []
+    for m in messages:
+        gen, shift = o.coset_of(y)
+        points = gen.span_ints(shift.bits)
+        wants = [m.prefix(j).bits for j in range(ell + 1)]
+        expect.append(
+            [sum(1 for w in points if w >> (n - j) == want) for j, want in enumerate(wants)]
+        )
+    assert signature_set_census(o, y, messages) == expect
 
 
 def test_census_guard_on_huge_cosets():
@@ -236,6 +291,20 @@ def test_distinguisher_first_bit_matches_closed_form():
     assert abs(mean.estimate - float(collapse_acceptance_exact(6, 2))) < 0.02
     adv = next(m for m in rep.metrics if m.id == "advantage_over_quarter")
     assert adv.estimate > 0.25
+
+
+def test_hash_only_worlds_need_no_table():
+    # the hash-only case builds Feistel worlds: for each trial seed they
+    # must carry the table world's coset and acceptance
+    for t in range(200):
+        world_seed = _trial_seed(SEED, t)
+        table, feistel = (
+            build_oracles(Params(n=6, r=2, ell=0, variant="original", perm_mode=mode), world_seed)
+            for mode in ("table", "feistel")
+        )
+        y = SeededStream(world_seed, b"pick-y").bitvec(2)
+        assert table.coset_of(y) == feistel.coset_of(y)
+        assert _hash_only_acceptance(table, y) == _hash_only_acceptance(feistel, y) == 1
 
 
 def test_distinguisher_rejects_unknown_case():

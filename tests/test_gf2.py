@@ -1,5 +1,7 @@
 """Bit-packed GF(2) linear algebra: worked examples plus properties."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -110,7 +112,7 @@ def test_rank_nullity(a):
 @given(matrices(4, 6))
 def test_transpose_involution(a):
     assert a.transpose().transpose() == a
-    assert a.to_hex_rows() == BitMatrix.from_hex_rows(a.to_hex_rows(), 6).to_hex_rows()
+    assert BitMatrix(4, 6, tuple(int(h, 16) for h in a.to_hex_rows())) == a
 
 
 @given(
@@ -135,14 +137,14 @@ def test_one_pass_transpose_matches_entries(a):
 
 @given(matrices(5, 5))
 def test_rref_idempotent(a):
-    r = a.rref()
-    assert r.rref() == r
-    assert r.rank() == a.rank()
+    r = Subspace.from_words(5, a.row_words)
+    assert Subspace(5, r.basis) == Subspace.from_words(5, r.basis) == r
+    assert r.dim == a.rank()
 
 
 def test_matmul_identity_and_blocks():
     i3 = BitMatrix.identity(3)
-    a = BitMatrix.from_hex_rows(["5", "3", "6"], 3)
+    a = BitMatrix(3, 3, (0b101, 0b011, 0b110))
     assert i3 @ a == a and a @ i3 == a
     stacked = a.vstack(i3)
     assert stacked.rows == 6 and stacked.column(2) == a.column(2).concat(i3.column(2))
@@ -173,6 +175,33 @@ def test_xor_span_affine():
     gens = [0b0011, 0b0101]
     span = xor_span_ints(gens, shift=0b1000)
     assert sorted(span) == sorted({0b1000, 0b1011, 0b1101, 0b1110})
+
+
+def _xor_all(words):
+    out = 0
+    for w in words:
+        out ^= w
+    return out
+
+
+@given(
+    st.lists(st.integers(0, 15), max_size=6),
+    st.booleans(),
+    st.integers(0, 15),
+)
+def test_xor_span_is_the_subset_multiset(gens, dependent, shift):
+    # 16 words make zero and repeated generators common; ``dependent``
+    # also appends the XOR of all the others
+    if dependent and len(gens) < 6:
+        gens = gens + [_xor_all(gens)]
+    by_subset = [
+        shift ^ _xor_all(g for k, g in enumerate(gens) if (mask >> k) & 1)
+        for mask in range(1 << len(gens))
+    ]
+    span = xor_span_ints(gens, shift)
+    assert Counter(span) == Counter(by_subset)
+    # doubling order: entry i combines the generators at the set bits of i
+    assert span == by_subset
 
 
 @given(st.integers(1, 7), st.integers(0, 5), st.data())
@@ -227,14 +256,14 @@ def test_subspace_count_dimension_by_dimension():
 
 @given(matrices(4, 5))
 def test_orthogonal_is_an_involution(a):
-    s = Subspace.from_vectors([a.row(i) for i in range(1, 5)])
+    s = Subspace.from_words(5, a.row_words)
     assert s.orthogonal().orthogonal() == s
     assert s.dim + s.orthogonal().dim == 5
 
 
 @given(matrices(4, 5), bitvecs(5))
 def test_intersect_hyperplane_brute_force(a, normal):
-    s = Subspace.from_vectors([a.row(i) for i in range(1, 5)])
+    s = Subspace.from_words(5, a.row_words)
     cut = s.intersect_hyperplane(normal)
     expect = {w for w in s.element_ints() if bin(w & normal.bits).count("1") % 2 == 0}
     assert set(cut.element_ints()) == expect
