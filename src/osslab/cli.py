@@ -32,7 +32,7 @@ from .coset import CosetState
 from .distlab import run_collapse_distinguisher
 from .gf2 import BitVec
 from .oracles import PERM_MODES, QUERY_KEYS, VARIANTS, OracleSet, Params, build_oracles, metered
-from .qsim import coset_state
+from .qsim import coset_amplitudes
 
 __all__ = ["main", "entry"]
 
@@ -145,7 +145,7 @@ def _rebuild_secret(o: OracleSet, backend: str, y: BitVec) -> scheme.SecretKey:
         gen, shift = o.coset_of(y)
         state = CosetState(y=y, gen=gen, shift=shift)
     else:
-        state = coset_state(o, y)
+        state = coset_amplitudes(o, y)
     return scheme.SecretKey(backend, state)
 
 

@@ -9,7 +9,7 @@ immutable; operations return fresh objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -410,15 +410,22 @@ class Subspace:
 
     Two subspaces are equal as sets iff their dataclass fields compare
     equal, because the constructor always reduces the generating set to
-    the unique RREF basis.
+    the unique RREF basis.  The hash of those fields is computed on first
+    use and kept in ``_hash``, as chains of subspaces key dict lookups.
     """
 
     ambient: int
     basis: tuple[int, ...]
+    _hash: Optional[int] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if tuple(_rref_words(self.basis)) != self.basis:
             raise ValueError("basis is not in canonical form; use from_words")
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.ambient, self.basis)))
+        return self._hash
 
     @classmethod
     def _trusted(cls, ambient: int, basis: tuple[int, ...]) -> "Subspace":
@@ -427,6 +434,7 @@ class Subspace:
         obj = object.__new__(cls)
         object.__setattr__(obj, "ambient", ambient)
         object.__setattr__(obj, "basis", basis)
+        object.__setattr__(obj, "_hash", None)
         return obj
 
     @classmethod

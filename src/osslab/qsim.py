@@ -5,23 +5,36 @@ most significant, which makes every "first j bits match" predicate a
 contiguous index range.  Amplitudes live in a numpy complex128 array of
 length 2^n; operations mutate the array in place and return the state
 for chaining.
+
+The dense signer itself never leaves the key's coset: a CosetAmplitudes
+holds one amplitude per coset point, 2^(n-r) in all, and each walk step
+is a phase and an average on that array.  The full-register functions
+(coset_state, phase_prefix, phase_dual, measure) stay as the reference
+that the acceptance batteries check both signers against.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, replace
+
 import numpy as np
 
-from .gf2 import BitVec
+from .gf2 import BitMatrix, BitVec
 from .oracles import OracleSet
 
 __all__ = [
     "StateVector",
+    "CosetAmplitudes",
     "coset_state",
+    "coset_amplitudes",
     "generate_keypair_state",
+    "generate_keypair_amplitudes",
     "phase_prefix",
     "phase_dual",
     "walsh_hadamard",
-    "sign_with_state",
+    "walk_step",
+    "sign_with_amplitudes",
     "measure",
 ]
 
@@ -62,10 +75,46 @@ class StateVector:
         return StateVector(self.n, self.amp.copy())
 
 
+@dataclass(frozen=True)
+class CosetAmplitudes:
+    """A state supported on the coset b_y + ColSpan(A_y), in coset
+    coordinates: ``amp[w]`` is the amplitude of ``points[w]``.
+
+    ``points`` lists the coset in span_ints' doubling order, so bit c - 1
+    of w is the coefficient of generator column c.  ``amp`` has 2^(n-r)
+    entries and is mutated in place by walk_step.
+    """
+
+    y: BitVec
+    gen: BitMatrix
+    shift: BitVec
+    points: np.ndarray
+    amp: np.ndarray
+
+    def copy(self) -> "CosetAmplitudes":
+        return replace(self, amp=self.amp.copy())
+
+
 def coset_state(o: OracleSet, y: BitVec) -> StateVector:
     """Uniform superposition over the shifted coset b_y + ColSpan(A_y)."""
     gen, shift = o.coset_of(y)
     return StateVector.from_support(o.params.n, gen.span_ints(shift.bits))
+
+
+def coset_amplitudes(o: OracleSet, y: BitVec) -> CosetAmplitudes:
+    """coset_state for y, held in coset coordinates."""
+    gen, shift = o.coset_of(y)
+    points = np.array(gen.span_ints(shift.bits), dtype=np.int64)
+    amp = np.full(points.shape[0], 1.0 / math.sqrt(points.shape[0]), dtype=np.complex128)
+    return CosetAmplitudes(y, gen, shift, points, amp)
+
+
+def _draw_key(o: OracleSet, rng) -> BitVec:
+    """Measure the hash register by the short-circuit: a uniform y."""
+    p = o.params
+    if p.perm_mode != "table" or p.n > _MAX_QUBITS:
+        raise ValueError("statevector backend needs a table world with n <= 24")
+    return BitVec(p.r, int(rng.integers(0, 1 << p.r)))
 
 
 def generate_keypair_state(o: OracleSet, rng) -> tuple[BitVec, StateVector]:
@@ -77,11 +126,15 @@ def generate_keypair_state(o: OracleSet, rng) -> tuple[BitVec, StateVector]:
     that y.  So: draw y directly, then write the coset state down.  No
     oracle queries are consumed.
     """
-    p = o.params
-    if p.perm_mode != "table" or p.n > _MAX_QUBITS:
-        raise ValueError("statevector backend needs a table world with n <= 24")
-    y = BitVec(p.r, int(rng.integers(0, 1 << p.r)))
+    y = _draw_key(o, rng)
     return y, coset_state(o, y)
+
+
+def generate_keypair_amplitudes(o: OracleSet, rng) -> tuple[BitVec, CosetAmplitudes]:
+    """generate_keypair_state with the key held in coset coordinates: the
+    same y for the same rng, and no oracle queries."""
+    y = _draw_key(o, rng)
+    return y, coset_amplitudes(o, y)
 
 
 def walsh_hadamard(state: StateVector) -> StateVector:
@@ -130,19 +183,52 @@ def phase_dual(state: StateVector, step: int, y: BitVec, o: OracleSet) -> StateV
     return state
 
 
-def sign_with_state(o: OracleSet, y: BitVec, state: StateVector, m: BitVec, rng) -> BitVec:
-    """Run all l phase-walk iterations on the key state and measure.
+def walk_step(st: CosetAmplitudes, step: int, m: BitVec, o: OracleSet) -> CosetAmplitudes:
+    """phase_prefix then phase_dual at level ``step``, in coset coordinates.
 
-    The caller's state is consumed: it is mutated through the walk and
-    ends up collapsed onto the measured string.
+    The top l rows of the generator are [I_l | 0], so bit c <= l of a
+    coset point is w_c + shift_c: the prefix phase marks the entries whose
+    first ``step`` columns read m + shift.  Conjugating a phase i on the
+    level-``step`` dual S by transforms gives psi + (i - 1) avg_{S-perp} psi,
+    and S-perp is the span of columns step..n-r: an average over those
+    coefficients of w.  The dual level is still pulled once (one D query)
+    and its dimension checked.
+    """
+    if not 1 <= step <= m.n:
+        raise ValueError("step must satisfy 1 <= step <= len(m)")
+    pinned = (m.bits >> (m.n - step)) ^ (st.shift.bits >> (st.gen.rows - step))
+    low = int(f"{pinned:0{step}b}"[::-1], 2)  # column c is bit c - 1 of w
+    st.amp.reshape(-1, 1 << step)[:, low] *= 1j
+    sup = o.dual_support(step, st.y)
+    if sup.dim != o.params.r + step - 1:
+        raise AssertionError("dual level has unexpected dimension")
+    rows = st.amp.reshape(-1, 1 << (step - 1))
+    rows += rows.sum(axis=0) * ((1j - 1.0) / rows.shape[0])
+    return st
+
+
+def sign_with_amplitudes(o: OracleSet, st: CosetAmplitudes, m: BitVec, rng) -> BitVec:
+    """Run all l walk steps on the key state and measure.
+
+    The measurement draws once from the Born distribution over the coset
+    in ascending point order, which is measure's distribution on the full
+    register with its zero entries dropped: the same signature for the
+    same rng.  The caller's state is consumed.
     """
     ell = o.params.ell
     if m.n != ell:
         raise ValueError(f"message must have {ell} bits")
     for step in range(1, ell + 1):
-        phase_prefix(state, step, m)
-        phase_dual(state, step, y, o)
-    return measure(state, rng)
+        walk_step(st, step, m, o)
+    probs = np.abs(st.amp) ** 2
+    norm = math.sqrt(probs.sum())
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise ValueError(f"state norm {norm} deviates from 1 beyond {_NORM_TOL}")
+    order = np.argsort(st.points)
+    probs = probs[order]
+    probs /= probs.sum()
+    idx = int(rng.choice(probs.shape[0], p=probs))
+    return BitVec(st.gen.rows, int(st.points[order[idx]]))
 
 
 def measure(state: StateVector, rng) -> BitVec:

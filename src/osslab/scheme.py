@@ -90,7 +90,9 @@ class Signature:
 class SecretKey:
     """One-shot handle on a key state for one of the two backends."""
 
-    def __init__(self, backend: str, state: Union[_qsim.StateVector, _coset.CosetState]) -> None:
+    def __init__(
+        self, backend: str, state: Union[_qsim.CosetAmplitudes, _coset.CosetState]
+    ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
@@ -102,7 +104,7 @@ class SecretKey:
     def consumed(self) -> bool:
         return self._consumed
 
-    def _claim(self) -> Union[_qsim.StateVector, _coset.CosetState]:
+    def _claim(self) -> Union[_qsim.CosetAmplitudes, _coset.CosetState]:
         with self._lock:
             if self._consumed:
                 raise OneShotViolation("secret key already consumed")
@@ -144,7 +146,7 @@ def generate(o: OracleSet, backend: str, rng) -> tuple[PublicKey, SecretKey]:
     if o.params.variant == "original":
         raise ValueError("unstructured worlds cannot generate signing keys")
     if backend == "statevector":
-        y, state = _qsim.generate_keypair_state(o, rng)
+        y, state = _qsim.generate_keypair_amplitudes(o, rng)
     elif backend == "symbolic":
         y, state = _coset.generate_keypair_symbolic(o, rng)
     else:
@@ -158,7 +160,7 @@ def _run_sign(o: OracleSet, pk: PublicKey, sk: SecretKey, m: BitVec, rng) -> Sig
         raise ValueError(f"message must have {o.params.ell} bits")
     state = sk._claim()
     if sk.backend == "statevector":
-        sigma = _qsim.sign_with_state(o, pk.y, state, m, rng)
+        sigma = _qsim.sign_with_amplitudes(o, state, m, rng)
     else:
         sigma = _coset.sign_with_coset(o, pk.y, state, m, rng)
     return Signature(sigma=sigma)

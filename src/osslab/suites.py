@@ -115,12 +115,16 @@ def _fresh_level_state(o, y, m, depth) -> _qsim.StateVector:
 
 
 def suite_grover(seed: bytes, worlds: int = 20) -> ExperimentReport:
+    """Reads only coset_points and dual_support, which never touch the
+    permutation, so its worlds are Feistel ones: no table to shuffle, and
+    the same cosets as the table worlds of the same seeds."""
     started = time.perf_counter()
     shapes = [(6, 2, 2), (7, 2, 3), (8, 3, 2), (9, 3, 4), (10, 4, 3)]
     worst = 0.0
     for t in range(worlds):
         n, r, ell = shapes[t % len(shapes)]
-        o = build_oracles(Params(n=n, r=r, ell=ell), _world_seed(seed, "grover", t))
+        params = Params(n=n, r=r, ell=ell, perm_mode="feistel")
+        o = build_oracles(params, _world_seed(seed, "grover", t))
         rng = _rng(seed, "grover", t)
         y = BitVec(r, int(rng.integers(0, 1 << r)))
         m = BitVec(ell, int(rng.integers(0, 1 << ell)))
@@ -141,7 +145,8 @@ def suite_grover(seed: bytes, worlds: int = 20) -> ExperimentReport:
             detail="one walk iteration maps level j-1 to ((i-1)/sqrt2) x level j",
         )
     ]
-    o = build_oracles(Params(n=14, r=4, ell=8), _world_seed(seed, "grover-cycle", 0))
+    params = Params(n=14, r=4, ell=8, perm_mode="feistel")
+    o = build_oracles(params, _world_seed(seed, "grover-cycle", 0))
     rng = _rng(seed, "grover-cycle", 0)
     y = BitVec(4, int(rng.integers(0, 16)))
     m = BitVec(8, int(rng.integers(0, 256)))

@@ -31,6 +31,7 @@ from osslab.distlab import (
 )
 from osslab.gf2 import BitMatrix, BitVec, sample_full_column_rank
 from osslab.oracles import Params, SeededStream, build_oracles
+from osslab.suites import _world_seed, default_seed
 
 SEED = bytes(range(32))
 
@@ -305,6 +306,24 @@ def test_hash_only_worlds_need_no_table():
         y = SeededStream(world_seed, b"pick-y").bitvec(2)
         assert table.coset_of(y) == feistel.coset_of(y)
         assert _hash_only_acceptance(table, y) == _hash_only_acceptance(feistel, y) == 1
+
+
+def test_grover_worlds_need_no_table():
+    # the grover battery builds Feistel worlds: at its shapes and seeds
+    # every y must carry the table world's coset and dual levels
+    shapes = [(6, 2, 2), (7, 2, 3), (8, 3, 2), (9, 3, 4), (10, 4, 3)]
+    worlds = [(shapes[t % 5], _world_seed(default_seed(), "grover", t)) for t in range(20)]
+    worlds.append(((14, 4, 8), _world_seed(default_seed(), "grover-cycle", 0)))
+    for (n, r, ell), world_seed in worlds:
+        table, feistel = (
+            build_oracles(Params(n=n, r=r, ell=ell, perm_mode=mode), world_seed)
+            for mode in ("table", "feistel")
+        )
+        for yv in range(1 << r):
+            y = BitVec(r, yv)
+            assert table.coset_of(y) == feistel.coset_of(y)
+            for j in range(1, ell + 2):
+                assert table.dual_support(j, y) == feistel.dual_support(j, y)
 
 
 def test_distinguisher_rejects_unknown_case():

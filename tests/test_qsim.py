@@ -1,18 +1,26 @@
-"""Dense simulator: transform identities and measurement behavior."""
+"""Dense simulator: transform identities, measurement behavior, and the
+coset-coordinate signer against the full register."""
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from osslab.gf2 import BitVec
 from osslab.oracles import Params, build_oracles, metered
 from osslab.qsim import (
     StateVector,
+    coset_amplitudes,
+    coset_state,
     generate_keypair_state,
     measure,
     phase_dual,
     phase_prefix,
+    walk_step,
     walsh_hadamard,
 )
+from osslab.scheme import generate, sign
 
 SEED = bytes(range(32))
 
@@ -130,3 +138,62 @@ def test_measurement_statistics_are_flat(rng):
     # 16 outcomes, 200 expected each; allow 5 sigma of binomial noise
     bound = 5 * np.sqrt(n_draws * (1 / 16) * (15 / 16))
     assert all(abs(c - 200) < bound for c in counts.values())
+
+
+# -- the signing walk in coset coordinates ------------------------------
+
+
+def scatter(ca) -> np.ndarray:
+    """Coset-coordinate amplitudes placed on the full 2^n register."""
+    amp = np.zeros(1 << ca.gen.rows, dtype=np.complex128)
+    amp[ca.points] = ca.amp
+    return amp
+
+
+@st.composite
+def walk_worlds(draw):
+    """A table world with l anywhere in 1..n-r (often l = n - r), a y and
+    an l-bit message."""
+    n = draw(st.integers(3, 10))
+    r = draw(st.integers(1, n - 1))
+    ell = n - r if draw(st.booleans()) else draw(st.integers(1, n - r))
+    variant = draw(st.sampled_from(["standard", "incompressible"]))
+    seed = draw(st.binary(min_size=32, max_size=32))
+    o = build_oracles(Params(n=n, r=r, ell=ell, variant=variant), seed)
+    y = BitVec(r, draw(st.integers(0, (1 << r) - 1)))
+    m = BitVec(ell, draw(st.integers(0, (1 << ell) - 1)))
+    return o, y, m
+
+
+@settings(max_examples=60)
+@given(walk_worlds())
+def test_coset_walk_matches_the_full_register(case):
+    o, y, m = case
+    sv = coset_state(o, y)
+    ca = coset_amplitudes(o, y)
+    assert np.max(np.abs(scatter(ca) - sv.amp)) < 1e-12
+    for step in range(1, m.n + 1):
+        phase_prefix(sv, step, m)
+        phase_dual(sv, step, y, o)
+        walk_step(ca, step, m, o)
+        assert np.max(np.abs(scatter(ca) - sv.amp)) < 1e-12
+
+
+@pytest.mark.parametrize("shape, keys", [((8, 3, 2), 200), ((12, 4, 6), 20)])
+def test_dense_sign_draws_the_full_register_signature(shape, keys):
+    """Same sigma as phase_prefix/phase_dual/measure on the full register,
+    with the rng left at the same position."""
+    n, r, ell = shape
+    for k in range(keys):
+        o = build_oracles(Params(n=n, r=r, ell=ell), hashlib.sha256(b"walk%d" % k).digest())
+        ours, ref = np.random.default_rng(k), np.random.default_rng(k)
+        pk, sk = generate(o, "statevector", ours)
+        y, sv = generate_keypair_state(o, ref)
+        assert y == pk.y
+        m = BitVec(ell, k % (1 << ell))
+        sigma = sign(o, pk, sk, m, ours).sigma
+        for step in range(1, ell + 1):
+            phase_prefix(sv, step, m)
+            phase_dual(sv, step, y, o)
+        assert sigma == measure(sv, ref)
+        assert ours.random() == ref.random()

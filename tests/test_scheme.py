@@ -67,6 +67,23 @@ def test_clone_is_gated(rng):
     sign(o, pk, dup, BitVec.from_str("00"), rng)
 
 
+def test_dense_clone_copies_the_amplitudes(rng):
+    o = world()
+    pk, sk = generate(o, "statevector", rng)
+    fresh = sk._state.amp.copy()
+    with allow_test_cloning():
+        dup = sk.clone_for_tests()
+    assert dup._state.amp is not sk._state.amp
+    m = BitVec.from_str("10")
+    sign(o, pk, sk, m, rng)
+    assert np.array_equal(dup._state.amp, fresh)  # the walk on sk left the clone alone
+    with pytest.raises(OneShotViolation):
+        sign(o, pk, sk, m, rng)
+    with allow_test_cloning(), pytest.raises(OneShotViolation):
+        sk.clone_for_tests()
+    assert sign(o, pk, dup, m, rng).sigma.prefix(2) == m
+
+
 def test_two_signatures_give_a_hash_collision(rng):
     o = world()
     pk, sk = generate(o, "symbolic", rng)
@@ -113,10 +130,11 @@ def test_generate_query_free(rng):
 
 def test_sign_spends_exactly_l_dual_queries(rng):
     o = world()
-    pk, sk = generate(o, "symbolic", rng)
-    with metered() as spent:
-        sign(o, pk, sk, BitVec.from_str("11"), rng)
-    assert spent == {"D": 2}
+    for backend in ("statevector", "symbolic"):
+        pk, sk = generate(o, backend, rng)
+        with metered() as spent:
+            sign(o, pk, sk, BitVec.from_str("11"), rng)
+        assert spent == {"D": 2}
 
 
 def test_dual_chain_cache_keeps_only_the_latest_y(rng):
