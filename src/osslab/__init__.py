@@ -7,7 +7,7 @@ to oracle queries only, so query counts mean something.
 
 Quick start::
 
-    from osslab import Params, build_oracles, generate, sign, verify
+    from osslab import BitVec, Params, build_oracles, generate, sign, verify
     import numpy as np, os
 
     o = build_oracles(Params(n=8, r=3, ell=2), os.urandom(32))

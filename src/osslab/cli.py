@@ -11,8 +11,9 @@ All files written by the CLI are versioned JSON documents ("v": 1) and
 are written atomically (temp file + rename).  Secret-key tokens exist
 only behind --unsafe-test-io: a real secret key is unclonable state and
 cannot survive serialization, so the token merely records (world, y,
-backend) and re-derives the state on load.  The consumed flag makes the
-token one-shot at the file level.
+backend) and rebuilds the state on load with scheme.key_state, the
+constructor that gen uses.  The consumed flag makes the token one-shot
+at the file level.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ import time
 import numpy as np
 
 from . import scheme, suites
-from .coset import CosetState
 from .distlab import run_collapse_distinguisher
 from .gf2 import BitVec
 from .oracles import PERM_MODES, QUERY_KEYS, VARIANTS, OracleSet, Params, build_oracles, metered
-from .qsim import coset_amplitudes
 
 __all__ = ["main", "entry"]
 
@@ -137,16 +136,6 @@ def _build_world(params: Params, seed: bytes) -> OracleSet:
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
     return build_oracles(params, seed)
-
-
-def _rebuild_secret(o: OracleSet, backend: str, y: BitVec) -> scheme.SecretKey:
-    """Recreate the post-keygen state for a known y (test tokens only)."""
-    if backend == "symbolic":
-        gen, shift = o.coset_of(y)
-        state = CosetState(y=y, gen=gen, shift=shift)
-    else:
-        state = coset_amplitudes(o, y)
-    return scheme.SecretKey(backend, state)
 
 
 # -- message handling ---------------------------------------------------
@@ -310,12 +299,17 @@ def cmd_sign(args) -> int:
     else:
         m = _fixed_message(args, params)
 
+    # Rebuild the key state first, so a token the backend refuses is kept.
+    try:
+        sk = scheme.SecretKey(backend, scheme.key_state(o, backend, y))
+    except ValueError as exc:
+        raise DomainError(str(exc)) from exc
+
     # Burn the token before emitting anything: a crash mid-way loses the
     # key rather than double-spending it.
     token["consumed"] = True
     _atomic_write(args.sk, json.dumps(token, indent=2) + "\n")
 
-    sk = _rebuild_secret(o, backend, y)
     try:
         if args.hash:
             sig = scheme.hs_sign(o, pk, sk, msg, rng)
@@ -429,6 +423,8 @@ def cmd_distinguisher(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.ops < 1:
+        raise UsageError("--ops must be >= 1")
     doc = _load_doc(args.world, "world")
     o = _build_world(*_world_from_doc(doc, args.world))
     if o.params.variant not in ("standard", "incompressible"):

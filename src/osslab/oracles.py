@@ -359,9 +359,13 @@ class CosetFamily:
 
 def _dual_chain(cosets: CosetFamily, y: int) -> tuple[Subspace, ...]:
     """Dual levels (S_1, ..., S_{l+1}) of the generator for y, where S_j
-    is the left kernel of columns j..n-r."""
+    is the left kernel of columns j..n-r and so has dimension r + j - 1."""
     gen, _ = cosets.derive(y)
-    return gen.dual_chain(cosets.params.ell)
+    chain = gen.dual_chain(cosets.params.ell)
+    r = cosets.params.r
+    if any(level.dim != r + j for j, level in enumerate(chain)):
+        raise AssertionError("dual level has unexpected dimension")
+    return chain
 
 
 class OracleSet:

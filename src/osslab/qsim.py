@@ -8,9 +8,12 @@ for chaining.
 
 The dense signer itself never leaves the key's coset: a CosetAmplitudes
 holds one amplitude per coset point, 2^(n-r) in all, and each walk step
-is a phase and an average on that array.  The full-register functions
-(coset_state, phase_prefix, phase_dual, measure) stay as the reference
-that the acceptance batteries check both signers against.
+is a phase and an average on that array.  The key itself is drawn and
+built by scheme (draw_key, key_state, which calls coset_amplitudes); this
+module supplies the walk and the final draw.  The full-register functions
+(generate_keypair_state, coset_state, phase_prefix, phase_dual, measure)
+stay as the reference that the acceptance batteries check both signers
+against.
 """
 
 from __future__ import annotations
@@ -29,16 +32,16 @@ __all__ = [
     "coset_state",
     "coset_amplitudes",
     "generate_keypair_state",
-    "generate_keypair_amplitudes",
     "phase_prefix",
     "phase_dual",
     "walsh_hadamard",
     "walk_step",
     "sign_with_amplitudes",
     "measure",
+    "MAX_QUBITS",
 ]
 
-_MAX_QUBITS = 24
+MAX_QUBITS = 24
 _NORM_TOL = 1e-8
 SQRT2 = float(np.sqrt(2.0))
 
@@ -47,8 +50,8 @@ class StateVector:
     """Mutable register of n qubits as a dense amplitude array."""
 
     def __init__(self, n: int, amp: np.ndarray | None = None) -> None:
-        if not 1 <= n <= _MAX_QUBITS:
-            raise ValueError(f"statevector supports 1 <= n <= {_MAX_QUBITS}, got {n}")
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"statevector supports 1 <= n <= {MAX_QUBITS}, got {n}")
         self.n = n
         if amp is None:
             amp = np.zeros(1 << n, dtype=np.complex128)
@@ -109,32 +112,21 @@ def coset_amplitudes(o: OracleSet, y: BitVec) -> CosetAmplitudes:
     return CosetAmplitudes(y, gen, shift, points, amp)
 
 
-def _draw_key(o: OracleSet, rng) -> BitVec:
-    """Measure the hash register by the short-circuit: a uniform y."""
-    p = o.params
-    if p.perm_mode != "table" or p.n > _MAX_QUBITS:
-        raise ValueError("statevector backend needs a table world with n <= 24")
-    return BitVec(p.r, int(rng.integers(0, 1 << p.r)))
-
-
 def generate_keypair_state(o: OracleSet, rng) -> tuple[BitVec, StateVector]:
-    """Run key generation, short-circuiting the measurement.
+    """Reference key generation on the full register: scheme's key draw
+    and dense key state, scattered onto all 2^n basis states.
 
-    Measuring the hash register of a uniform input register yields a
-    uniform y (every y has exactly 2^(n-r) preimages), and the leftover
-    register is then the uniform superposition over the shifted coset for
-    that y.  So: draw y directly, then write the coset state down.  No
+    The measurement short-circuit draws y directly; the leftover register
+    is the uniform superposition over the shifted coset for that y.  No
     oracle queries are consumed.
     """
-    y = _draw_key(o, rng)
-    return y, coset_state(o, y)
+    from .scheme import draw_key, key_state  # scheme builds on this module
 
-
-def generate_keypair_amplitudes(o: OracleSet, rng) -> tuple[BitVec, CosetAmplitudes]:
-    """generate_keypair_state with the key held in coset coordinates: the
-    same y for the same rng, and no oracle queries."""
-    y = _draw_key(o, rng)
-    return y, coset_amplitudes(o, y)
+    y = draw_key(o, rng)
+    key = key_state(o, "statevector", y)
+    amp = np.zeros(1 << o.params.n, dtype=np.complex128)
+    amp[key.points] = key.amp
+    return y, StateVector(o.params.n, amp)
 
 
 def walsh_hadamard(state: StateVector) -> StateVector:
@@ -191,17 +183,14 @@ def walk_step(st: CosetAmplitudes, step: int, m: BitVec, o: OracleSet) -> CosetA
     first ``step`` columns read m + shift.  Conjugating a phase i on the
     level-``step`` dual S by transforms gives psi + (i - 1) avg_{S-perp} psi,
     and S-perp is the span of columns step..n-r: an average over those
-    coefficients of w.  The dual level is still pulled once (one D query)
-    and its dimension checked.
+    coefficients of w.  The dual level is still pulled once (one D query).
     """
     if not 1 <= step <= m.n:
         raise ValueError("step must satisfy 1 <= step <= len(m)")
     pinned = (m.bits >> (m.n - step)) ^ (st.shift.bits >> (st.gen.rows - step))
     low = int(f"{pinned:0{step}b}"[::-1], 2)  # column c is bit c - 1 of w
     st.amp.reshape(-1, 1 << step)[:, low] *= 1j
-    sup = o.dual_support(step, st.y)
-    if sup.dim != o.params.r + step - 1:
-        raise AssertionError("dual level has unexpected dimension")
+    o.dual_support(step, st.y)
     rows = st.amp.reshape(-1, 1 << (step - 1))
     rows += rows.sum(axis=0) * ((1j - 1.0) / rows.shape[0])
     return st
@@ -215,10 +204,7 @@ def sign_with_amplitudes(o: OracleSet, st: CosetAmplitudes, m: BitVec, rng) -> B
     register with its zero entries dropped: the same signature for the
     same rng.  The caller's state is consumed.
     """
-    ell = o.params.ell
-    if m.n != ell:
-        raise ValueError(f"message must have {ell} bits")
-    for step in range(1, ell + 1):
+    for step in range(1, o.params.ell + 1):
         walk_step(st, step, m, o)
     probs = np.abs(st.amp) ** 2
     norm = math.sqrt(probs.sum())

@@ -1,5 +1,12 @@
 """Signature scheme layer: keys, one-shot signing, verification.
 
+This module owns the key path on both backends.  draw_key measures the
+hash register (a uniform y) and key_state writes down the key state for
+y on the chosen backend; generate, the CLI's test tokens and the
+full-register reference keygen (qsim.generate_keypair_state) all go
+through these two.  The backends supply only the signing walk and its
+final measurement (qsim.sign_with_amplitudes, coset.sign_with_coset).
+
 A secret key is consumable.  Signing atomically claims it before doing
 any work; a second sign attempt on the same key object raises
 OneShotViolation.  There is deliberately no way to copy a live key
@@ -30,6 +37,8 @@ __all__ = [
     "SecretKey",
     "Signature",
     "allow_test_cloning",
+    "draw_key",
+    "key_state",
     "generate",
     "sign",
     "verify",
@@ -42,6 +51,8 @@ __all__ = [
 ]
 
 BACKENDS = ("statevector", "symbolic")
+
+KeyState = Union[_qsim.CosetAmplitudes, _coset.CosetState]
 
 _clone_flag = threading.local()
 
@@ -90,9 +101,7 @@ class Signature:
 class SecretKey:
     """One-shot handle on a key state for one of the two backends."""
 
-    def __init__(
-        self, backend: str, state: Union[_qsim.CosetAmplitudes, _coset.CosetState]
-    ) -> None:
+    def __init__(self, backend: str, state: KeyState) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
@@ -104,7 +113,7 @@ class SecretKey:
     def consumed(self) -> bool:
         return self._consumed
 
-    def _claim(self) -> Union[_qsim.CosetAmplitudes, _coset.CosetState]:
+    def _claim(self) -> KeyState:
         with self._lock:
             if self._consumed:
                 raise OneShotViolation("secret key already consumed")
@@ -122,8 +131,7 @@ class SecretKey:
             if self._consumed:
                 raise OneShotViolation("secret key already consumed")
             state = self._state
-        dup = state.copy() if self.backend == "statevector" else state
-        return SecretKey(self.backend, dup)
+        return SecretKey(self.backend, state.copy())
 
 
 @contextmanager
@@ -140,18 +148,39 @@ def _check_world(o: OracleSet, pk: PublicKey) -> None:
         raise ValueError("public key belongs to a different world")
 
 
+def draw_key(o: OracleSet, rng) -> BitVec:
+    """Measure the hash register by the short-circuit: a uniform r-bit y.
+
+    Measuring the hash register of a uniform input register yields a
+    uniform y, since every y has exactly 2^(n-r) preimages.
+    """
+    r = o.params.r
+    return BitVec(r, int(rng.integers(0, 1 << r)))
+
+
+def key_state(o: OracleSet, backend: str, y: BitVec) -> KeyState:
+    """The register left behind once the hash register reads y: the
+    uniform superposition over y's coset with nothing pinned, on
+    ``backend``.  No oracle queries."""
+    if backend == "statevector":
+        p = o.params
+        if p.perm_mode != "table" or p.n > _qsim.MAX_QUBITS:
+            raise ValueError(f"statevector backend needs a table world with n <= {_qsim.MAX_QUBITS}")
+        return _qsim.coset_amplitudes(o, y)
+    if backend == "symbolic":
+        gen, shift = o.coset_of(y)
+        return _coset.CosetState(y=y, gen=gen, shift=shift)
+    raise ValueError(f"unknown backend {backend!r}")
+
+
 def generate(o: OracleSet, backend: str, rng) -> tuple[PublicKey, SecretKey]:
     """Generate a keypair.  The measurement short-circuit means no oracle
     queries are spent here on either backend."""
     if o.params.variant == "original":
         raise ValueError("unstructured worlds cannot generate signing keys")
-    if backend == "statevector":
-        y, state = _qsim.generate_keypair_amplitudes(o, rng)
-    elif backend == "symbolic":
-        y, state = _coset.generate_keypair_symbolic(o, rng)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return PublicKey(y=y, params=o.params, seed=o.seed), SecretKey(backend, state)
+    y = draw_key(o, rng)
+    sk = SecretKey(backend, key_state(o, backend, y))
+    return PublicKey(y=y, params=o.params, seed=o.seed), sk
 
 
 def _run_sign(o: OracleSet, pk: PublicKey, sk: SecretKey, m: BitVec, rng) -> Signature:

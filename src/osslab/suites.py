@@ -189,7 +189,7 @@ def suite_backends(seed: bytes, pairs: int = 50) -> ExperimentReport:
         o = build_oracles(Params(n=n, r=r, ell=ell), _world_seed(seed, "bridge", t))
         draw = _rng(seed, "bridge", t)
         y, sv = _qsim.generate_keypair_state(o, _rng(seed, "bridge", t))
-        _, cst = _coset.generate_keypair_symbolic(o, _rng(seed, "bridge", t))
+        cst = _scheme.key_state(o, "symbolic", y)
         m = BitVec(ell, int(draw.integers(0, 1 << ell)))
         for step in range(1, ell + 1):
             _qsim.phase_prefix(sv, step, m)

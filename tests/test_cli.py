@@ -85,6 +85,25 @@ def test_statevector_round_trip_rebuilds_the_dense_key(tmp_path, world):
     assert run("verify", "--pk", str(pk), "--msg", "11", "--sig", str(sig)) == 1
 
 
+def test_statevector_token_on_a_feistel_world_is_refused_unburnt(tmp_path, capsys):
+    world = tmp_path / "w.json"
+    assert run("world", "new", "--n", "8", "--r", "3", "--l", "2", "--perm-mode", "feistel",
+               "--seed", WORLD_SEED, "--out", str(world)) == 0
+    _, sk = keypair(tmp_path, world)
+    capsys.readouterr()
+    assert run("gen", "--world", str(world), "--backend", "statevector",
+               "--pk-out", str(tmp_path / "dense.json")) == 1
+    refusal = capsys.readouterr().err
+    assert "statevector backend needs a table world" in refusal
+    # a dense token for the same key: sign refuses it as gen does, and keeps it
+    token = json.loads(sk.read_text())
+    token["backend"] = "statevector"
+    sk.write_text(json.dumps(token))
+    assert run("sign", "--sk", str(sk), "--msg", "10", "--unsafe-test-io") == 1
+    assert capsys.readouterr().err == refusal
+    assert json.loads(sk.read_text())["consumed"] is False
+
+
 def test_second_sign_exits_two(tmp_path, world):
     pk, sk = keypair(tmp_path, world)
     out = tmp_path / "sig.json"
@@ -245,6 +264,11 @@ def test_bench_subcommand(world, capsys):
     assert doc["ops"] == 5
     # l = 2 dual queries per sign, one decode per verify, zeros listed
     assert doc["query_delta"] == {"P": 0, "Pinv": 5, "D": 10, "D0": 0, "Dprime": 0}
+
+
+@pytest.mark.parametrize("ops", ["0", "-3"])
+def test_bench_refuses_fewer_than_one_op(world, ops):
+    assert run("bench", "--world", str(world), "--ops", ops) == 64
 
 
 def test_no_temp_files_left_behind(tmp_path, world):

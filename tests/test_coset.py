@@ -7,21 +7,25 @@ from osslab.coset import (
     STEP_PHASE,
     CosetState,
     enumerate_support,
-    generate_keypair_symbolic,
     grover_step,
-    sample_prefix_member,
     sign_with_coset,
     to_statevector,
 )
 from osslab.gf2 import BitVec
 from osslab.oracles import Params, build_oracles, metered
 from osslab.qsim import generate_keypair_state, phase_dual, phase_prefix
+from osslab.scheme import draw_key, key_state
 
 SEED = bytes(range(32))
 
 
 def world(**kw):
     return build_oracles(Params(n=8, r=3, ell=2, **kw), SEED)
+
+
+def fresh_key(o, rng):
+    """A symbolic key state for a freshly drawn y, as keygen builds it."""
+    return key_state(o, "symbolic", draw_key(o, rng))
 
 
 def test_step_phase_has_order_eight():
@@ -32,14 +36,14 @@ def test_step_phase_has_order_eight():
 
 def test_keypair_support_size(rng):
     o = world()
-    y, st = generate_keypair_symbolic(o, rng)
+    st = fresh_key(o, rng)
     assert st.support_size == 32  # 2^(n-r)
     assert st.matched == 0 and st.phase == 1
 
 
 def test_grover_step_enforces_order_and_consistency(rng):
     o = world()
-    _, st = generate_keypair_symbolic(o, rng)
+    st = fresh_key(o, rng)
     m = BitVec.from_str("10")
     with pytest.raises(ValueError):
         grover_step(st, 2, m)  # steps must be taken in order
@@ -52,7 +56,7 @@ def test_grover_step_enforces_order_and_consistency(rng):
 
 def test_full_walk_accumulates_step_phases(rng):
     o = build_oracles(Params(n=10, r=2, ell=8), SEED)
-    _, st = generate_keypair_symbolic(o, rng)
+    st = fresh_key(o, rng)
     m = BitVec(8, 0b10110100)
     for step in range(1, 9):
         st = grover_step(st, step, m)
@@ -86,20 +90,6 @@ def test_enumerate_support_refuses_huge_states():
         enumerate_support(st)
 
 
-def test_sample_prefix_member_hits_the_right_slice(rng):
-    o = world()
-    y = BitVec(3, 2)
-    gen, shift = o.coset_of(y)
-    prefix = BitVec.from_str("11")
-    seen = set()
-    for _ in range(200):
-        u = sample_prefix_member(gen, shift, prefix, rng)
-        assert u.prefix(2) == prefix
-        assert gen.solve(u ^ shift) is not None
-        seen.add(u.bits)
-    assert len(seen) == 8  # all 2^(n-r-2) slice points show up
-
-
 def test_to_statevector_tracks_dense_backend(rng):
     o = world()
     draw = np.random.default_rng(123)
@@ -116,7 +106,7 @@ def test_to_statevector_tracks_dense_backend(rng):
 
 def test_sign_with_coset_spends_l_dual_queries(rng):
     o = world()
-    _, st = generate_keypair_symbolic(o, rng)
+    st = fresh_key(o, rng)
     with metered() as spent:
         sigma = sign_with_coset(o, st.y, st, BitVec.from_str("01"), rng)
     assert spent == {"D": 2}
@@ -126,7 +116,7 @@ def test_sign_with_coset_spends_l_dual_queries(rng):
 
 def test_sign_with_coset_on_wide_feistel_world(rng):
     o = build_oracles(Params(n=40, r=20, ell=8, perm_mode="feistel"), SEED)
-    _, st = generate_keypair_symbolic(o, rng)
+    st = fresh_key(o, rng)
     m = BitVec(8, 0xA5)
     sigma = sign_with_coset(o, st.y, st, m, rng)
     assert sigma.prefix(8) == m

@@ -481,6 +481,25 @@ def test_original_variant_has_unstructured_generator():
         assert o.decode(*o.encode(x)) == x
 
 
+@settings(max_examples=60)
+@given(
+    st.sampled_from(["standard", "incompressible", "bloated"]),
+    st.sampled_from(["table", "feistel"]),
+    st.data(),
+)
+def test_every_generator_has_the_unit_rows_on_top(variant, perm_mode, data):
+    """Rows 1..l of every generator are [I_l | 0], so message bit j is
+    coordinate j of a coset point: both signers' measurements rely on it."""
+    n = data.draw(st.integers(2, 12 if perm_mode == "table" else 64))
+    r = data.draw(st.integers(1, n - 1))
+    ell = data.draw(st.integers(1, n - r))
+    s = data.draw(st.integers(0, n - r - ell)) if variant == "bloated" else 0
+    params = Params(n=n, r=r, ell=ell, s=s, variant=variant, perm_mode=perm_mode)
+    o = build_oracles(params, data.draw(st.binary(min_size=32, max_size=32)))
+    gen, _ = o.coset_of(BitVec(r, data.draw(st.integers(0, (1 << r) - 1))))
+    assert list(gen.row_words[:ell]) == [1 << (n - r - i) for i in range(1, ell + 1)]
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 7), st.integers(0, 7))
 def test_coset_derivation_is_pure(y1, y2):

@@ -2,11 +2,13 @@
 
 import json
 import sys
+import textwrap
 import threading
 
 import numpy as np
 import pytest
 
+import osslab
 from osslab.gf2 import BitVec
 from osslab.oracles import Params, build_oracles, metered
 from osslab.scheme import (
@@ -30,6 +32,17 @@ SEED = bytes(range(32))
 
 def world(**kw):
     return build_oracles(Params(n=8, r=3, ell=2, **kw), SEED)
+
+
+def test_package_quick_start_runs():
+    """The code block under "Quick start::" in the package docstring."""
+    lines = osslab.__doc__.split("Quick start::\n", 1)[1].splitlines()
+    block = []
+    for line in lines:
+        if line and not line.startswith("    "):
+            break
+        block.append(line)
+    exec(textwrap.dedent("\n".join(block)), {})
 
 
 @pytest.mark.parametrize("backend", ["statevector", "symbolic"])
