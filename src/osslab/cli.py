@@ -299,8 +299,11 @@ def cmd_sign(args) -> int:
     else:
         m = _fixed_message(args, params)
 
-    # Rebuild the key state first, so a token the backend refuses is kept.
+    # Refuse the world and rebuild the key state first, so a token that
+    # the signer or the backend refuses is kept.
     try:
+        if args.hash or params.variant != "incompressible":
+            scheme.check_signable(params)
         sk = scheme.SecretKey(backend, scheme.key_state(o, backend, y))
     except ValueError as exc:
         raise DomainError(str(exc)) from exc

@@ -18,7 +18,7 @@ lowered to a dense statevector (small n) for cross-checking.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .gf2 import BitMatrix, BitVec
 from .oracles import OracleSet
@@ -80,14 +80,10 @@ def grover_step(st: CosetState, step: int, m: BitVec) -> CosetState:
         raise ValueError(f"steps must be taken in order; expected {st.matched + 1}, got {step}")
     if m.n < step:
         raise ValueError("message too short for this step")
-    if m.prefix(st.matched) != st.prefix:
+    if m.bits >> (m.n - st.matched) != st.prefix.bits:
         raise ValueError("message disagrees with already pinned bits")
-    return replace(
-        st,
-        matched=step,
-        prefix=m.prefix(step),
-        phase=st.phase * STEP_PHASE,
-    )
+    prefix = BitVec(step, m.bits >> (m.n - step))
+    return CosetState(st.y, st.gen, st.shift, step, prefix, st.phase * STEP_PHASE)
 
 
 def sign_with_coset(o: OracleSet, y: BitVec, st: CosetState, m: BitVec, rng) -> BitVec:

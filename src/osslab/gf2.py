@@ -313,23 +313,12 @@ class BitMatrix:
 
     def null_space(self) -> "Subspace":
         """Kernel {x : M @ x = 0} as a canonical subspace of Z2^cols."""
-        reduced = _rref_words(self.row_words)
-        pivots = [self.cols - w.bit_length() for w in reduced]  # 0-based column indices
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            vec = 1 << (self.cols - 1 - f)
-            for p, w in zip(pivots, reduced):
-                if (w >> (self.cols - 1 - f)) & 1:
-                    vec |= 1 << (self.cols - 1 - p)
-            basis.append(vec)
-        return Subspace.from_words(self.cols, basis)
+        return Subspace._trusted(self.cols, _kernel_of_words(self.row_words, self.cols))
 
     def left_kernel(self) -> "Subspace":
         """The space {v : v^T M = 0} as a canonical subspace of Z2^rows."""
-        return self.transpose().null_space()
+        columns = _transpose_words(self.row_words, self.cols)
+        return Subspace._trusted(self.rows, _kernel_of_words(columns, self.rows))
 
     def dual_chain(self, ell: int) -> tuple["Subspace", ...]:
         """The nested left kernels S_1 <= ... <= S_{ell+1}, where S_j is
@@ -347,7 +336,8 @@ class BitMatrix:
             top = self.col_range(ell + 1, self.cols).left_kernel()
         else:
             top = Subspace.full(self.rows)
-        return chain_from_top(top, self.col_range(1, ell).columns())
+        normals = _transpose_words(self.row_words, self.cols)[:ell]
+        return chain_from_top(top, [BitVec(self.rows, w) for w in normals])
 
     # -- serialization --------------------------------------------------
 
@@ -374,6 +364,35 @@ def _transpose_words(words: Sequence[int], width: int) -> list[int]:
         packed = (packed << width) | w
     text = bin(packed)[3:]
     return [int(text[j::width], 2) for j in range(width)]
+
+
+def _kernel_of_words(words: Iterable[int], width: int) -> tuple[int, ...]:
+    """Canonical basis of {x in Z2^width : w . x = 0 for every w in words}.
+
+    One Gauss-Jordan elimination pivots each row on its lowest set bit,
+    so every pivot appears in one row only.  The kernel then has one
+    vector per free coordinate f, e_f plus e_pivot(p) for each row p with
+    bit f set; every such pivot lies below f, so f leads its vector and
+    no vector holds another's free bit.  In descending order of f that is
+    the RREF basis _rref_words would give, and it is read straight off
+    the transpose of the rows, each placed at its pivot's index.
+    """
+    rows: dict[int, int] = {}  # lowest set bit -> row
+    for w in words:
+        for p, row in rows.items():
+            if w & p:
+                w ^= row
+        if w:
+            p = w & -w
+            for q, row in rows.items():
+                if row & p:
+                    rows[q] = row ^ w
+            rows[p] = w
+    placed = [0] * width
+    for p, row in rows.items():
+        placed[width - p.bit_length()] = row
+    cols = _transpose_words(placed, width)
+    return tuple([c | (1 << (width - 1 - j)) for j, c in enumerate(cols) if not placed[j]])
 
 
 def _reduce_word(w: int, basis: dict[int, int]) -> int:
@@ -480,18 +499,14 @@ class Subspace:
 
     def orthogonal(self) -> "Subspace":
         """The dual {v : v . b = 0 for every basis vector b}."""
-        if not self.basis:
-            return Subspace.full(self.ambient)
-        mat = BitMatrix(len(self.basis), self.ambient, self.basis)
-        # v is orthogonal to the row space iff (rows as matrix) @ v = 0.
-        return mat.null_space()
+        return Subspace._trusted(self.ambient, _kernel_of_words(self.basis, self.ambient))
 
     def intersect_hyperplane(self, normal: BitVec) -> "Subspace":
         """Intersection with {v : v . normal = 0}, canonical without a
         row reduction.
 
         The odd rows (those with v . normal = 1) are cleared by the odd
-        row of lowest pivot.  That row has no bits above its pivot and
+        row of lowest pivot, the last one in the basis.  That row has no bits above its pivot and
         none in other pivot columns, so every other row keeps its pivot,
         stays clear of the remaining pivot columns and keeps its place:
         the result is again in RREF.
@@ -499,15 +514,17 @@ class Subspace:
         if normal.n != self.ambient:
             raise ValueError("ambient mismatch")
         nb = normal.bits
-        lead = 0
-        for b in reversed(self.basis):
-            if _parity(b & nb):
-                lead = b
+        basis = self.basis
+        k = len(basis)
+        while k:
+            k -= 1
+            if (basis[k] & nb).bit_count() & 1:
                 break
-        if not lead:
+        else:
             return self
-        basis = tuple(b ^ lead if _parity(b & nb) else b for b in self.basis if b != lead)
-        return Subspace._trusted(self.ambient, basis)
+        lead = basis[k]
+        cut = [b ^ lead if (b & nb).bit_count() & 1 else b for b in basis[:k]]
+        return Subspace._trusted(self.ambient, tuple(cut) + basis[k + 1 :])
 
 
 def chain_from_top(top: Subspace, normals: Sequence[BitVec]) -> tuple[Subspace, ...]:

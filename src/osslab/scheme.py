@@ -40,6 +40,7 @@ __all__ = [
     "draw_key",
     "key_state",
     "generate",
+    "check_signable",
     "sign",
     "verify",
     "extract_collision",
@@ -195,12 +196,17 @@ def _run_sign(o: OracleSet, pk: PublicKey, sk: SecretKey, m: BitVec, rng) -> Sig
     return Signature(sigma=sigma)
 
 
+def check_signable(params: Params) -> None:
+    """Refuse a world that sign (and so hs_sign) cannot sign."""
+    if params.variant == "incompressible":
+        raise ValueError("use sign_incompressible on incompressible worlds")
+    if params.variant == "original":
+        raise ValueError("unstructured worlds cannot sign")
+
+
 def sign(o: OracleSet, pk: PublicKey, sk: SecretKey, m: BitVec, rng) -> Signature:
     """Consume sk and sign the l-bit message m.  Exactly l dual queries."""
-    if o.params.variant == "incompressible":
-        raise ValueError("use sign_incompressible on incompressible worlds")
-    if o.params.variant == "original":
-        raise ValueError("unstructured worlds cannot sign")
+    check_signable(o.params)
     return _run_sign(o, pk, sk, m, rng)
 
 

@@ -104,6 +104,37 @@ def test_statevector_token_on_a_feistel_world_is_refused_unburnt(tmp_path, capsy
     assert json.loads(sk.read_text())["consumed"] is False
 
 
+def test_original_world_token_is_refused_unburnt(tmp_path, world, capsys):
+    orig = tmp_path / "orig.json"
+    assert run("world", "new", "--n", "8", "--r", "3", "--l", "0", "--variant", "original",
+               "--seed", WORLD_SEED, "--out", str(orig)) == 0
+    _, sk = keypair(tmp_path, world)
+    # gen refuses original worlds, so only an edited token points at one
+    token = json.loads(sk.read_text())
+    doc = json.loads(orig.read_text())
+    token["world"] = {"params": doc["params"], "seed": doc["seed"]}
+    sk.write_text(json.dumps(token))
+    capsys.readouterr()
+    for how in (["--msg", ""], ["--hash", "--msg", "hello"]):
+        assert run("sign", "--sk", str(sk), *how, "--unsafe-test-io") == 1
+        assert "unstructured worlds cannot sign" in capsys.readouterr().err
+        assert json.loads(sk.read_text())["consumed"] is False
+
+
+def test_hash_sign_on_an_incompressible_world_is_refused_unburnt(tmp_path, capsys):
+    world = tmp_path / "inc.json"
+    assert run("world", "new", "--n", "8", "--r", "3", "--l", "3", "--variant", "incompressible",
+               "--seed", WORLD_SEED, "--out", str(world)) == 0
+    _, sk = keypair(tmp_path, world)
+    capsys.readouterr()
+    assert run("sign", "--sk", str(sk), "--hash", "--msg", "hello", "--unsafe-test-io") == 1
+    assert "use sign_incompressible" in capsys.readouterr().err
+    assert json.loads(sk.read_text())["consumed"] is False
+    # the kept token still signs the (l-1)-bit messages such a world takes
+    assert run("sign", "--sk", str(sk), "--msg", "10", "--unsafe-test-io") == 0
+    assert json.loads(sk.read_text())["consumed"] is True
+
+
 def test_second_sign_exits_two(tmp_path, world):
     pk, sk = keypair(tmp_path, world)
     out = tmp_path / "sig.json"

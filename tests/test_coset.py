@@ -1,5 +1,7 @@
 """Symbolic signing backend: the closed-form walk state."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,37 @@ def test_grover_step_enforces_order_and_consistency(rng):
     assert abs(st1.phase - STEP_PHASE) < 1e-12
     with pytest.raises(ValueError):
         grover_step(st1, 2, BitVec.from_str("00"))  # contradicts pinned bit
+
+
+def test_grover_step_refusals(rng):
+    o = build_oracles(Params(n=12, r=4, ell=4), SEED)
+    m = BitVec(4, 0b1011)
+    st = fresh_key(o, rng)
+    with pytest.raises(ValueError, match="in order"):
+        grover_step(st, 2, m)
+    st = grover_step(grover_step(st, 1, m), 2, m)
+    with pytest.raises(ValueError, match="in order"):
+        grover_step(st, 2, m)  # a repeated step
+    with pytest.raises(ValueError, match="too short"):
+        grover_step(st, 3, BitVec(2, 0b10))
+    for bad in (0b0011, 0b1111, 0b0111):  # flips bit 1, bit 2, both
+        with pytest.raises(ValueError, match="disagrees"):
+            grover_step(st, 3, BitVec(4, bad))
+    # only the pinned bits must agree
+    assert grover_step(st, 3, BitVec(4, 0b1000)).prefix == BitVec(3, 0b100)
+
+
+def test_walk_equals_field_by_field_replaced_states(rng):
+    o = build_oracles(Params(n=64, r=32, ell=16, perm_mode="feistel"), SEED)
+    m = BitVec(16, 0xB3C5)
+    st = ref = fresh_key(o, rng)
+    for step in range(1, 17):
+        st = grover_step(st, step, m)
+        ref = replace(ref, matched=step, prefix=m.prefix(step), phase=ref.phase * STEP_PHASE)
+        assert type(st) is CosetState
+        for f in fields(CosetState):
+            assert getattr(st, f.name) == getattr(ref, f.name), f.name
+    assert st.prefix == m and st.support_size == 1 << 16
 
 
 def test_full_walk_accumulates_step_phases(rng):

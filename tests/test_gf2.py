@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from osslab.gf2 import (
     BitMatrix,
@@ -169,6 +169,34 @@ def test_null_space_members_annihilate(a):
     for w in ns.element_ints():
         assert a.matvec(BitVec(6, w)).bits == 0
     assert len(set(ns.element_ints())) == 1 << ns.dim
+
+
+def _annihilated(width, keep):
+    """Every packed vector of Z2^width that ``keep`` accepts, by enumeration."""
+    return {x for x in range(1 << width) if keep(BitVec(width, x))}
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10).flatmap(lambda rows: st.integers(0, 12).flatmap(lambda cols: matrices(rows, cols))))
+@example(BitMatrix.zeros(6, 9))
+@example(BitMatrix.zeros(10, 0))
+@example(BitMatrix(4, 6, (0b100001, 0b010010, 0b001100, 0b000111)))  # full row rank
+@example(BitMatrix(4, 6, (0b100001, 0b010010, 0b001100, 0b000111)).transpose())  # full column rank
+def test_kernels_equal_brute_force_and_are_canonical(a):
+    # the slow reference: null_space, orthogonal and left_kernel share one
+    # elimination, so each is checked against plain enumeration
+    right = _annihilated(a.cols, lambda x: a.matvec(x).bits == 0)
+    left = _annihilated(a.rows, lambda v: a.rmatvec(v).bits == 0)
+    row_space = Subspace.from_words(a.cols, a.row_words)
+    for sub, ambient, expect in (
+        (a.null_space(), a.cols, right),
+        (row_space.orthogonal(), a.cols, right),
+        (a.left_kernel(), a.rows, left),
+    ):
+        points = sub.element_ints()
+        assert sub.ambient == ambient
+        assert len(points) == len(expect) and set(points) == expect
+        assert tuple(_rref_words(sub.basis)) == sub.basis
 
 
 def test_xor_span_affine():

@@ -290,6 +290,42 @@ def test_dual_support_matches_per_level_left_kernel(name, yv):
         assert sup.dim == p.r + j - 1
 
 
+def _levels_digest(chains) -> str:
+    """BLAKE2b of every level's ambient, dimension and basis words, in order."""
+    h = hashlib.blake2b(digest_size=16)
+    for chain in chains:
+        for level in chain:
+            h.update(level.ambient.to_bytes(2, "big") + level.dim.to_bytes(2, "big"))
+            for b in level.basis:
+                h.update(b.to_bytes((level.ambient + 7) // 8, "big"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n, r, ell, s, digest",
+    [
+        (64, 32, 16, 0, "ccd0a44808b9b7caa3c1db34ab7a9319"),
+        (32, 8, 8, 0, "2f58712df107414f948ca3bc085c12a4"),
+        (32, 8, 8, 4, "d121216d98e6b5e2ea26d1aacdcd4ca9"),
+    ],
+)
+def test_chains_are_bit_identical_to_the_pinned_bases(n, r, ell, s, digest):
+    # Canonical bases are unique, so these digests pin the subspaces and
+    # the word-for-word RREF form of every dual (s = 0) or widened (s > 0)
+    # level for 8 fixed y on a fixed Feistel world, as the earlier
+    # two-pass kernel (pivot scan, then a row reduction) produced them.
+    if s:
+        o = build_oracles(Params(n=n, r=r, ell=ell, s=s, variant="bloated", perm_mode="feistel"), SEED)
+        o.sample_bloat(np.random.default_rng(7))
+        support = o.bloated_support
+    else:
+        o = build_oracles(Params(n=n, r=r, ell=ell, perm_mode="feistel"), SEED)
+        support = o.dual_support
+    ys = [0, (1 << r) - 1] + [(0x9E3779B9 * k) % (1 << r) for k in range(1, 7)]
+    chains = [[support(j, BitVec(r, y)) for j in range(1, ell + 2)] for y in ys]
+    assert _levels_digest(chains) == digest
+
+
 def test_coset_check_matches_decode():
     o = small_world()
     for yv in range(8):
