@@ -19,7 +19,6 @@ at the file level.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -359,20 +358,6 @@ def cmd_verify(args) -> int:
     return EX_OK if ok else EX_FAIL
 
 
-def _trial_overrides(name: str, trials: int | None) -> dict:
-    if trials is None:
-        return {}
-    fn = suites.SUITES[name]
-    for param in list(inspect.signature(fn).parameters.values())[1:]:
-        if isinstance(param.default, int):
-            return {param.name: trials}
-    return {}
-
-
-def _run_one_suite(name: str, seed: bytes, trials: int | None):
-    return suites.run_suite(name, seed, **_trial_overrides(name, trials))
-
-
 def _worker_count() -> int:
     raw = os.environ.get("OSSLAB_THREADS", "1")
     try:
@@ -392,9 +377,9 @@ def cmd_experiments(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_one_suite, names, [seed] * len(names), [args.trials] * len(names)))
+            reports = list(pool.map(suites.run_suite, names, [seed] * len(names)))
     else:
-        reports = [_run_one_suite(name, seed, args.trials) for name in names]
+        reports = [suites.run_suite(name, seed) for name in names]
     payload = {"reports": [rep.to_json() for rep in reports]}
     if args.out:
         _write_doc(args.out, "experiments", payload)
@@ -413,6 +398,8 @@ def cmd_distinguisher(args) -> int:
     trials = args.trials
     if trials is None:
         trials = 10_000 if args.case == "hash-only" else 100_000
+    elif trials < 1:
+        raise UsageError("--trials must be >= 1")
     seed = _parse_seed(args.seed) if args.seed else suites.default_seed()
     try:
         report = run_collapse_distinguisher(args.n, args.r, args.case, trials, seed)
@@ -430,8 +417,6 @@ def cmd_bench(args) -> int:
         raise UsageError("--ops must be >= 1")
     doc = _load_doc(args.world, "world")
     o = _build_world(*_world_from_doc(doc, args.world))
-    if o.params.variant not in ("standard", "incompressible"):
-        raise DomainError("bench needs a world that can generate and sign")
     rng = _make_rng(args.rng_seed)
     if o.params.variant == "incompressible":
         sign, verify = scheme.sign_incompressible, scheme.verify_incompressible
@@ -442,7 +427,10 @@ def cmd_bench(args) -> int:
     with metered() as spent:
         for _ in range(args.ops):
             t0 = time.perf_counter()
-            pk, sk = scheme.generate(o, args.backend, rng)
+            try:
+                pk, sk = scheme.generate(o, args.backend, rng)
+            except ValueError as exc:
+                raise DomainError(str(exc)) from exc
             phases["gen"] += time.perf_counter() - t0
             m = BitVec(mbits, int(rng.integers(0, 1 << mbits))) if mbits else BitVec(0, 0)
             t0 = time.perf_counter()
@@ -531,7 +519,6 @@ def build_parser() -> _Parser:
     exp = sub.add_parser("experiments", help="run acceptance suites")
     exp.add_argument("--suite", action="append", choices=list(suites.SUITES))
     exp.add_argument("--seed", help="32-byte hex master seed")
-    exp.add_argument("--trials", type=int, help="override the main trial count per suite")
     exp.add_argument("--out", help="write a JSON report file")
     exp.add_argument("--json", action="store_true")
     exp.set_defaults(func=cmd_experiments)

@@ -86,18 +86,19 @@ def grover_step(st: CosetState, step: int, m: BitVec) -> CosetState:
     return CosetState(st.y, st.gen, st.shift, step, prefix, st.phase * STEP_PHASE)
 
 
-def sign_with_coset(o: OracleSet, y: BitVec, st: CosetState, m: BitVec, rng) -> BitVec:
+def sign_with_coset(o: OracleSet, st: CosetState, m: BitVec, rng) -> BitVec:
     """Run all l iterations symbolically and sample the final support.
 
-    Each iteration performs one logical dual query, mirroring the dense
-    backend.  The pinned support is every coset point whose coefficients
-    1..l read m + shift, so the measurement draws the rest uniformly.
+    Each iteration performs one logical dual query on the key state's y,
+    mirroring the dense backend.  The pinned support is every coset point
+    whose coefficients 1..l read m + shift, so the measurement draws the
+    rest uniformly.
     """
     if st.matched != 0:
         raise ValueError("signing must start from a fresh key state")
     ell = o.params.ell
     for step in range(1, ell + 1):
-        o.dual_support(step, y)
+        o.dual_support(step, st.y)
         st = grover_step(st, step, m)
     pinned = m ^ st.shift.prefix(ell)
     free = BitVec.random(rng, st.gen.cols - ell)

@@ -50,9 +50,7 @@ __all__ = [
     "chain_by_matrix",
     "validate_chain",
     "exact_distribution",
-    "empirical_distribution",
     "tv_distance",
-    "tv_threshold",
     "collapse_acceptance_exact",
     "run_collapse_distinguisher",
     "validate_collapse_shortcut",
@@ -77,9 +75,8 @@ def _outside_words(span: Subspace) -> list[int]:
 class ChainSampler:
     """Base for tuple samplers with an enumerable randomness domain.
 
-    Subclasses define domain_size and tuple_at(index); sample(rng) draws
-    uniformly by index, so exact enumeration and Monte Carlo share one
-    code path.
+    Subclasses define domain_size and tuple_at(index), the tuple that
+    each point of the domain yields; exact_distribution enumerates them.
     """
 
     domain_size: int
@@ -99,9 +96,6 @@ class ChainSampler:
 
     def tuple_at(self, index: int) -> SubspaceTuple:
         raise NotImplementedError
-
-    def sample(self, rng) -> SubspaceTuple:
-        return self.tuple_at(int(rng.integers(0, self.domain_size)))
 
 
 class chain_by_vector(ChainSampler):
@@ -216,17 +210,6 @@ class chain_by_basis(ChainSampler):
             span = span.extend([v])
         return tuple(level.extend(chosen) for level in self.levels)
 
-    def sample(self, rng) -> SubspaceTuple:
-        span = self.levels[-1]
-        chosen: list[BitVec] = []
-        while len(chosen) < self.s:
-            v = BitVec(self.n, int(rng.integers(0, 1 << self.n)))
-            if span.contains(v):
-                continue
-            chosen.append(v)
-            span = span.extend([v])
-        return tuple(level.extend(chosen) for level in self.levels)
-
 
 class chain_by_matrix(ChainSampler):
     """Widened duals of A [[I, 0], [M', M]] with s middle columns dropped:
@@ -327,30 +310,11 @@ def exact_distribution(sampler: ChainSampler) -> Distribution:
     return {k: Fraction(c, size) for k, c in counts.items()}
 
 
-def empirical_distribution(sampler: ChainSampler, trials: int, rng) -> Distribution:
-    counts: dict[SubspaceTuple, int] = {}
-    for _ in range(trials):
-        key = sampler.sample(rng)
-        counts[key] = counts.get(key, 0) + 1
-    return {k: Fraction(c, trials) for k, c in counts.items()}
-
-
 def tv_distance(p: Distribution, q: Distribution) -> Fraction:
     total = Fraction(0)
     for key in set(p) | set(q):
         total += abs(p.get(key, Fraction(0)) - q.get(key, Fraction(0)))
     return total / 2
-
-
-def tv_threshold(support: int, trials_a: int, trials_b: int, alpha: float = 0.01) -> float:
-    """Concentration bound for comparing two empirical distributions of a
-    common law with the given support size: with probability >= 1 - alpha
-    their tv distance stays below this value."""
-
-    def eps(n: int) -> float:
-        return math.sqrt((support * math.log(2.0) + math.log(2.0 / alpha)) / (2.0 * n))
-
-    return eps(trials_a) + eps(trials_b)
 
 
 # -- collapse distinguisher --------------------------------------------
@@ -467,10 +431,11 @@ def run_collapse_distinguisher(
     )
 
 
-def validate_collapse_shortcut(n: int, r: int, seed: bytes, worlds: int = 5) -> float:
-    """Check the census shortcut against dense simulation on real worlds.
+def validate_collapse_shortcut(n: int, r: int, seed: bytes) -> float:
+    """Check the census shortcut against dense simulation on five real
+    worlds.
 
-    For each world and a few y: simulate transform-then-check acceptance
+    For each world and its y: simulate transform-then-check acceptance
     for the intact coset state (must be 1) and for both first-bit slices
     (must equal the slice weight), and compare the per-world acceptance
     against the census formula.  Returns the max absolute error.
@@ -480,7 +445,7 @@ def validate_collapse_shortcut(n: int, r: int, seed: bytes, worlds: int = 5) -> 
     params = Params(n=n, r=r, ell=0, variant="original", perm_mode="table")
     worst = 0.0
     k_coset = 1 << (n - r)
-    for t in range(worlds):
+    for t in range(5):
         o = build_oracles(params, _trial_seed(seed, 1000 + t))
         stream = SeededStream(_trial_seed(seed, 1000 + t), b"pick-y")
         y = stream.bitvec(r)
@@ -519,12 +484,13 @@ def validate_collapse_shortcut(n: int, r: int, seed: bytes, worlds: int = 5) -> 
 
 
 def coset_points(o: OracleSet, y: BitVec) -> np.ndarray:
-    """All 2^(n-r) points of the shifted coset for y, as a sorted int array."""
+    """All 2^(n-r) points of the shifted coset for y, as a sorted uint64
+    array (unsigned, so 64-bit worlds fit)."""
     p = o.params
     if p.n - p.r > _CENSUS_LIMIT:
         raise ValueError("coset enumeration capped at 2^20 points")
     gen, shift = o.coset_of(y)
-    pts = np.array(gen.span_ints(shift.bits), dtype=np.int64)
+    pts = np.array(gen.span_ints(shift.bits), dtype=np.uint64)
     pts.sort()
     return pts
 

@@ -461,10 +461,6 @@ class Subspace:
         return cls._trusted(ambient, tuple(_rref_words(words)))
 
     @classmethod
-    def trivial(cls, ambient: int) -> "Subspace":
-        return cls._trusted(ambient, ())
-
-    @classmethod
     def full(cls, ambient: int) -> "Subspace":
         return cls._trusted(ambient, tuple(1 << i for i in reversed(range(ambient))))
 

@@ -192,7 +192,7 @@ def _run_sign(o: OracleSet, pk: PublicKey, sk: SecretKey, m: BitVec, rng) -> Sig
     if sk.backend == "statevector":
         sigma = _qsim.sign_with_amplitudes(o, state, m, rng)
     else:
-        sigma = _coset.sign_with_coset(o, pk.y, state, m, rng)
+        sigma = _coset.sign_with_coset(o, state, m, rng)
     return Signature(sigma=sigma)
 
 

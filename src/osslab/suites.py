@@ -1,10 +1,11 @@
 """Acceptance suites: the checks the whole artifact is judged by.
 
-Each suite builds its own worlds from a master seed, measures, and
-returns an ExperimentReport whose metrics carry explicit expectations
-and tolerances.  The CLI runs them via ``osslab experiments`` and the
-test suite asserts on the same reports, so there is exactly one
-definition of "passing".
+Each suite is a fixed experiment: it takes only a master seed, builds
+its own worlds from it at one defined size, measures, and returns an
+ExperimentReport whose metrics carry explicit expectations and
+tolerances.  The CLI runs them via ``osslab experiments`` and the test
+suite asserts on the same reports, so there is exactly one definition
+of "passing".
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .distlab import (
 from .gf2 import BitVec, sample_full_column_rank
 from .oracles import Params, SeededStream, build_oracles, metered
 
-__all__ = ["SUITES", "run_suite", "run_many", "default_seed"]
+__all__ = ["SUITES", "run_suite", "default_seed"]
 
 
 def default_seed() -> bytes:
@@ -67,8 +68,9 @@ def _time_metric(started: float, budget: float) -> Metric:
 # -- 1: perfect correctness --------------------------------------------
 
 
-def suite_correctness(seed: bytes, trials: int = 100) -> ExperimentReport:
+def suite_correctness(seed: bytes) -> ExperimentReport:
     started = time.perf_counter()
+    trials = 100
     params = Params(n=8, r=3, ell=2)
     ok = {"statevector": 0, "symbolic": 0}
     for t in range(trials):
@@ -114,11 +116,12 @@ def _fresh_level_state(o, y, m, depth) -> _qsim.StateVector:
     return _qsim.StateVector.from_support(o.params.n, pts.tolist())
 
 
-def suite_grover(seed: bytes, worlds: int = 20) -> ExperimentReport:
+def suite_grover(seed: bytes) -> ExperimentReport:
     """Reads only coset_points and dual_support, which never touch the
     permutation, so its worlds are Feistel ones: no table to shuffle, and
     the same cosets as the table worlds of the same seeds."""
     started = time.perf_counter()
+    worlds = 20
     shapes = [(6, 2, 2), (7, 2, 3), (8, 3, 2), (9, 3, 4), (10, 4, 3)]
     worst = 0.0
     for t in range(worlds):
@@ -180,8 +183,9 @@ def suite_grover(seed: bytes, worlds: int = 20) -> ExperimentReport:
 # -- 3: backend equivalence ---------------------------------------------
 
 
-def suite_backends(seed: bytes, pairs: int = 50) -> ExperimentReport:
+def suite_backends(seed: bytes) -> ExperimentReport:
     started = time.perf_counter()
+    pairs = 50
     shapes = [(8, 3, 2), (9, 3, 3), (10, 4, 4), (11, 4, 2), (12, 4, 6)]
     worst = 0.0
     for t in range(pairs):
@@ -220,8 +224,9 @@ def suite_backends(seed: bytes, pairs: int = 50) -> ExperimentReport:
 # -- 4: signature-set census --------------------------------------------
 
 
-def suite_census(seed: bytes, worlds: int = 10, messages: int = 4) -> ExperimentReport:
+def suite_census(seed: bytes) -> ExperimentReport:
     started = time.perf_counter()
+    worlds, messages = 10, 4
     params = Params(n=32, r=16, ell=8, perm_mode="feistel")
     deviations = 0
     checked = 0
@@ -321,13 +326,12 @@ def suite_distributions(seed: bytes) -> ExperimentReport:
 # -- 6: collapse distinguisher ------------------------------------------
 
 
-def suite_distinguisher(
-    seed: bytes, trials: int = 100_000, hash_only_trials: int = 10_000
-) -> ExperimentReport:
+def suite_distinguisher(seed: bytes) -> ExperimentReport:
     started = time.perf_counter()
+    trials, hash_only_trials = 100_000, 10_000
     only = run_collapse_distinguisher(6, 2, "hash-only", hash_only_trials, seed)
     first = run_collapse_distinguisher(6, 2, "hash-first-bit", trials, seed)
-    shortcut_err = validate_collapse_shortcut(6, 2, seed, worlds=5)
+    shortcut_err = validate_collapse_shortcut(6, 2, seed)
     metrics = list(only.metrics) + list(first.metrics)
     metrics.append(
         Metric(
@@ -352,8 +356,9 @@ def suite_distinguisher(
 # -- 7: collision extraction --------------------------------------------
 
 
-def suite_collisions(seed: bytes, worlds: int = 5) -> ExperimentReport:
+def suite_collisions(seed: bytes) -> ExperimentReport:
     started = time.perf_counter()
+    worlds = 5
     params = Params(n=8, r=3, ell=2)
     failures = 0
     pairs_checked = 0
@@ -393,8 +398,9 @@ def suite_collisions(seed: bytes, worlds: int = 5) -> ExperimentReport:
 # -- 8: incompressible variant ------------------------------------------
 
 
-def suite_incompressible(seed: bytes, runs: int = 100) -> ExperimentReport:
+def suite_incompressible(seed: bytes) -> ExperimentReport:
     started = time.perf_counter()
+    runs = 100
     params = Params(n=8, r=3, ell=2, variant="incompressible")
     ok = 0
     decode_free = 0
@@ -573,11 +579,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: bytes, **overrides) -> ExperimentReport:
+def run_suite(name: str, seed: bytes) -> ExperimentReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    return SUITES[name](seed, **overrides)
-
-
-def run_many(names, seed: bytes) -> list[ExperimentReport]:
-    return [run_suite(name, seed) for name in names]
+    return SUITES[name](seed)

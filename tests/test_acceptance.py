@@ -3,16 +3,20 @@
 Every test runs one suite from osslab.suites against the fixed master
 seed, prints a single summary line, and fails if any metric inside the
 report (including the runtime budget) fails.  Full report text goes to
-captured stdout so failures are self-explaining.
+captured stdout so failures are self-explaining.  Each battery runs at
+one defined size, and its report's params and trial count are pinned.
 """
+
+import inspect
 
 from osslab.suites import SUITES, default_seed
 
 SEED = default_seed()
 
 
-def check(number, name, **overrides):
-    report = SUITES[name](SEED, **overrides)
+def check(number, name, params, trials):
+    report = SUITES[name](SEED)
+    assert (report.params, report.trials) == (params, trials)
     verdict = "PASS" if report.passed else "FAIL"
     print(f"ACCEPTANCE {number:>2}/10 {report.name}: {verdict}")
     print(report.render())
@@ -20,40 +24,55 @@ def check(number, name, **overrides):
 
 
 def test_c01_correctness():
-    check(1, "correctness")
+    check(1, "correctness", {"n": 8, "r": 3, "l": 2, "backends": 2}, 100)
 
 
 def test_c02_grover_identity():
-    check(2, "grover")
+    check(2, "grover", {"worlds": 20, "cycle_world": {"n": 14, "r": 4, "l": 8}}, 20)
 
 
 def test_c03_backend_equivalence():
-    check(3, "backends")
+    check(3, "backends", {"pairs": 50}, 50)
 
 
 def test_c04_signature_census():
-    check(4, "census")
+    check(4, "census", {"n": 32, "r": 16, "l": 8, "worlds": 10, "messages": 4}, 40)
 
 
 def test_c05_chain_distributions():
-    check(5, "distributions")
+    check(
+        5,
+        "distributions",
+        {"single": [[4, 1, 1], [5, 1, 2]], "widened": [[4, 1, 1, 1], [6, 1, 1, 2]]},
+        0,
+    )
 
 
 def test_c06_collapse_distinguisher():
-    check(6, "distinguisher")
+    check(
+        6,
+        "distinguisher",
+        {"n": 6, "r": 2, "mc_trials": 100_000, "hash_only_trials": 10_000},
+        110_000,
+    )
 
 
 def test_c07_collision_extraction():
-    check(7, "collisions")
+    check(7, "collisions", {"n": 8, "r": 3, "l": 2, "worlds": 5}, 2480)
 
 
 def test_c08_incompressible():
-    check(8, "incompressible")
+    check(8, "incompressible", {"n": 8, "r": 3, "l": 2, "runs": 100}, 100)
 
 
 def test_c09_hash_and_sign():
-    check(9, "hashsign")
+    check(9, "hashsign", {"n": 40, "r": 20, "l": 8, "lengths": [0, 1, 1024, 1 << 20]}, 5)
 
 
 def test_c10_query_profiles():
-    check(10, "queries")
+    check(10, "queries", {"n": 8, "r": 3, "l": 2}, 2)
+
+
+def test_every_battery_takes_only_the_seed():
+    for fn in SUITES.values():
+        assert list(inspect.signature(fn).parameters) == ["seed"], fn.__name__

@@ -282,6 +282,19 @@ def test_experiments_in_worker_processes_match_the_serial_run(capsys, monkeypatc
     assert [r["name"] for r in serial] == ["query-profiles", "incompressible"]
 
 
+def test_experiments_take_no_trial_count():
+    with pytest.raises(SystemExit) as exc:
+        run("experiments", "--suite", "queries", "--trials", "5")
+    assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("case", ["hash-only", "hash-first-bit"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_distinguisher_refuses_fewer_than_one_trial(case, trials, capsys):
+    assert run("distinguisher", "--case", case, "--trials", trials) == 64
+    assert "--trials must be >= 1" in capsys.readouterr().err
+
+
 def test_distinguisher_subcommand(capsys):
     code = run("distinguisher", "--case", "hash-only", "--trials", "50", "--json")
     assert code == 0
@@ -295,6 +308,36 @@ def test_bench_subcommand(world, capsys):
     assert doc["ops"] == 5
     # l = 2 dual queries per sign, one decode per verify, zeros listed
     assert doc["query_delta"] == {"P": 0, "Pinv": 5, "D": 10, "D0": 0, "Dprime": 0}
+
+
+def test_bench_on_a_bloated_world(tmp_path, capsys):
+    world = tmp_path / "bloated.json"
+    assert run("world", "new", "--n", "12", "--r", "4", "--l", "3", "--s", "2",
+               "--variant", "bloated", "--seed", WORLD_SEED, "--out", str(world)) == 0
+    capsys.readouterr()
+    assert run("bench", "--world", str(world), "--ops", "3", "--rng-seed", "01", "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["query_delta"]["D"] == 9 and doc["query_delta"]["Pinv"] == 3
+
+
+@pytest.mark.parametrize(
+    "variant, perm_mode, l, backend, refusal",
+    [
+        ("standard", "feistel", "2", "statevector", "statevector backend needs a table world"),
+        ("original", "table", "0", "symbolic", "unstructured worlds cannot generate signing keys"),
+        ("original", "table", "0", "statevector", "unstructured worlds cannot generate signing keys"),
+    ],
+)
+def test_bench_refuses_what_gen_refuses(tmp_path, capsys, variant, perm_mode, l, backend, refusal):
+    world = tmp_path / "w.json"
+    assert run("world", "new", "--n", "8", "--r", "3", "--l", l, "--variant", variant,
+               "--perm-mode", perm_mode, "--seed", WORLD_SEED, "--out", str(world)) == 0
+    capsys.readouterr()
+    assert run("gen", "--world", str(world), "--backend", backend,
+               "--pk-out", str(tmp_path / "pk.json")) == 1
+    assert refusal in capsys.readouterr().err
+    assert run("bench", "--world", str(world), "--backend", backend, "--ops", "2") == 1
+    assert refusal in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ops", ["0", "-3"])

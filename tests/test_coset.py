@@ -141,7 +141,7 @@ def test_sign_with_coset_spends_l_dual_queries(rng):
     o = world()
     st = fresh_key(o, rng)
     with metered() as spent:
-        sigma = sign_with_coset(o, st.y, st, BitVec.from_str("01"), rng)
+        sigma = sign_with_coset(o, st, BitVec.from_str("01"), rng)
     assert spent == {"D": 2}
     assert sigma.prefix(2) == BitVec.from_str("01")
     assert o.decode(st.y, sigma) is not None
@@ -151,6 +151,6 @@ def test_sign_with_coset_on_wide_feistel_world(rng):
     o = build_oracles(Params(n=40, r=20, ell=8, perm_mode="feistel"), SEED)
     st = fresh_key(o, rng)
     m = BitVec(8, 0xA5)
-    sigma = sign_with_coset(o, st.y, st, m, rng)
+    sigma = sign_with_coset(o, st, m, rng)
     assert sigma.prefix(8) == m
     assert o.decode(st.y, sigma) is not None

@@ -21,12 +21,10 @@ from osslab.distlab import (
     chain_by_vector,
     collapse_acceptance_exact,
     coset_points,
-    empirical_distribution,
     exact_distribution,
     run_collapse_distinguisher,
     signature_set_census,
     tv_distance,
-    tv_threshold,
     validate_chain,
 )
 from osslab.gf2 import BitMatrix, BitVec, sample_full_column_rank
@@ -180,20 +178,6 @@ def test_samplers_demand_full_column_rank():
         chain_by_vector(BitMatrix(4, 3, rows), 4, 1, 1)
 
 
-def test_empirical_tracks_exact_within_concentration_bound(rng):
-    mat = toy_matrix(4, 1)
-    sampler = chain_by_vector(mat, 4, 1, 1)
-    exact = exact_distribution(sampler)
-    trials = 4000
-    emp = empirical_distribution(sampler, trials, rng)
-    bound = tv_threshold(len(exact), trials, 10**12)  # second side "exact"
-    assert float(tv_distance(emp, exact)) < bound
-
-
-def test_tv_threshold_shrinks_with_trials():
-    assert tv_threshold(6, 100, 100) > tv_threshold(6, 10_000, 10_000) > 0
-
-
 # -- census -------------------------------------------------------------
 
 
@@ -204,6 +188,24 @@ def test_coset_points_enumerates_the_whole_coset():
     assert len(pts) == 32 and len(set(pts.tolist())) == 32
     assert all(o.coset_check(y, BitVec(8, int(p))) for p in pts[:5])
     assert list(pts) == sorted(pts)
+
+
+def test_coset_points_and_census_on_a_64_bit_world():
+    o = build_oracles(Params(n=64, r=48, ell=8, perm_mode="feistel"), SEED)
+    y = BitVec(48, 0x123456789ABC)
+    pts = coset_points(o, y)
+    words = pts.tolist()
+    assert len(set(words)) == 1 << 16 and words == sorted(words)
+    assert words[-1] >= 1 << 63  # past what a signed 64-bit array holds
+    # every point is the shift plus a column-span point: it passes each
+    # parity check of the generator's left kernel
+    gen, shift = o.coset_of(y)
+    diff = pts ^ np.uint64(shift.bits)
+    for check in gen.left_kernel().basis:
+        assert not np.any(np.bitwise_count(diff & np.uint64(check)) & 1)
+    assert all(o.coset_check(y, BitVec(64, w)) for w in words[::1024])
+    census = signature_set_census(o, y, [BitVec(8, 0xA5), BitVec(8, 0x3C)])
+    assert census == [[1 << (16 - j) for j in range(9)]] * 2
 
 
 def test_census_counts_halve_per_level():

@@ -56,6 +56,21 @@ def test_sign_verify_round_trip(backend, rng):
 
 
 @pytest.mark.parametrize("backend", ["statevector", "symbolic"])
+def test_sign_queries_the_key_states_y(backend, rng, monkeypatch):
+    """Both walks spend their dual queries on the y of the key state being
+    consumed, whatever y the public key passed alongside it names."""
+    o = world()
+    pk, sk = generate(o, backend, rng)
+    other = PublicKey(y=BitVec(3, pk.y.bits ^ 1), params=o.params, seed=o.seed)
+    seen = []
+    real = o.dual_support
+    monkeypatch.setattr(o, "dual_support", lambda j, y: seen.append(y) or real(j, y))
+    sig = sign(o, other, sk, BitVec.from_str("10"), rng)
+    assert seen == [pk.y, pk.y]
+    assert verify(o, pk, BitVec.from_str("10"), sig)
+
+
+@pytest.mark.parametrize("backend", ["statevector", "symbolic"])
 def test_second_sign_raises(backend, rng):
     o = world()
     pk, sk = generate(o, backend, rng)
