@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from . import scheme, suites
-from .distlab import run_collapse_distinguisher
+from .distlab import DISTINGUISHER_TRIALS, run_collapse_distinguisher
 from .gf2 import BitVec
 from .oracles import PERM_MODES, QUERY_KEYS, VARIANTS, OracleSet, Params, build_oracles, metered
 
@@ -131,10 +131,9 @@ def _world_from_doc(doc: dict, origin: str) -> tuple[Params, bytes]:
 
 def _build_world(params: Params, seed: bytes) -> OracleSet:
     try:
-        params.check_buildable()
+        return build_oracles(params, seed)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
-    return build_oracles(params, seed)
 
 
 # -- message handling ---------------------------------------------------
@@ -332,11 +331,13 @@ def cmd_sign(args) -> int:
 
 def cmd_verify(args) -> int:
     pk_doc = _load_doc(args.pk, "pk")
+    params, seed = _world_from_doc(pk_doc.get("world", {}), args.pk)
     try:
-        pk = scheme.PublicKey.from_json(pk_doc)
+        y = BitVec.from_hex(pk_doc["y"], params.r)
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{args.pk}: bad public key ({exc})") from exc
-    o = _build_world(pk.params, pk.seed)
+        raise UsageError(f"{args.pk}: bad y field ({exc})") from exc
+    pk = scheme.PublicKey(y=y, params=params, seed=seed)
+    o = _build_world(params, seed)
     sig_doc = _load_doc(args.sig, "sig")
     try:
         sig = scheme.Signature.from_json(sig_doc)
@@ -345,10 +346,10 @@ def cmd_verify(args) -> int:
     try:
         if args.hash:
             ok = scheme.hs_verify(o, pk, _message_bytes(args), sig)
-        elif pk.params.variant == "incompressible":
-            ok = scheme.verify_incompressible(o, pk, _fixed_message(args, pk.params), sig)
+        elif params.variant == "incompressible":
+            ok = scheme.verify_incompressible(o, pk, _fixed_message(args, params), sig)
         else:
-            ok = scheme.verify(o, pk, _fixed_message(args, pk.params), sig)
+            ok = scheme.verify(o, pk, _fixed_message(args, params), sig)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
     if args.json:
@@ -397,7 +398,7 @@ def cmd_experiments(args) -> int:
 def cmd_distinguisher(args) -> int:
     trials = args.trials
     if trials is None:
-        trials = 10_000 if args.case == "hash-only" else 100_000
+        trials = DISTINGUISHER_TRIALS[args.case]
     elif trials < 1:
         raise UsageError("--trials must be >= 1")
     seed = _parse_seed(args.seed) if args.seed else suites.default_seed()

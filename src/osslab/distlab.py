@@ -53,6 +53,7 @@ __all__ = [
     "tv_distance",
     "collapse_acceptance_exact",
     "run_collapse_distinguisher",
+    "DISTINGUISHER_TRIALS",
     "validate_collapse_shortcut",
     "coset_points",
     "signature_set_census",
@@ -62,6 +63,9 @@ __all__ = [
 
 _EXACT_LIMIT = 1 << 24
 _CENSUS_LIMIT = 20
+
+# Each case's trial count in the distinguisher battery, and the CLI's default.
+DISTINGUISHER_TRIALS = {"hash-only": 10_000, "hash-first-bit": 100_000}
 
 SubspaceTuple = tuple[Subspace, ...]
 
@@ -360,16 +364,23 @@ def run_collapse_distinguisher(
     of inputs onto the fiber of y, so k is one hypergeometric draw: K
     inputs out of 2^n, of which the 2^(n-1) with first bit 0 count.
     """
-    if case not in ("hash-only", "hash-first-bit"):
+    if case not in DISTINGUISHER_TRIALS:
         raise ValueError(f"unknown case {case!r}")
+    # The cosets and the dual check never read the permutation, and a
+    # coset's stream label has no perm_mode, so Feistel worlds carry the
+    # table worlds' cosets without shuffling a table each.
+    params = Params(n=n, r=r, ell=0, variant="original", perm_mode="feistel")
+    if case == "hash-first-bit" and n > 30:
+        raise ValueError(
+            "hash-first-bit needs n <= 30: numpy's hypergeometric draw takes "
+            "fewer than 10^9 good and bad items (2^(n-1) each)"
+        )
+    if case == "hash-first-bit" and trials < 2:
+        raise ValueError("hash-first-bit needs at least 2 trials for its standard error")
     report_params = {"n": n, "r": r, "case": case}
     expected_exact = collapse_acceptance_exact(n, r)
     metrics: list[Metric] = []
     if case == "hash-only":
-        # The cosets and the dual check never read the permutation, and a
-        # coset's stream label has no perm_mode, so Feistel worlds carry
-        # the table worlds' cosets without shuffling a table each.
-        params = Params(n=n, r=r, ell=0, variant="original", perm_mode="feistel")
         exact_ones = 0
         for t in range(trials):
             world_seed = _trial_seed(seed, t)

@@ -490,9 +490,6 @@ class Subspace:
         """All 2^dim elements as packed ints (doubling order)."""
         return xor_span_ints(self.basis)
 
-    def vectors(self) -> list[BitVec]:
-        return [BitVec(self.ambient, w) for w in self.element_ints()]
-
     def orthogonal(self) -> "Subspace":
         """The dual {v : v . b = 0 for every basis vector b}."""
         return Subspace._trusted(self.ambient, _kernel_of_words(self.basis, self.ambient))

@@ -43,7 +43,6 @@ __all__ = [
 
 MAX_QUBITS = 24
 _NORM_TOL = 1e-8
-SQRT2 = float(np.sqrt(2.0))
 
 
 class StateVector:
@@ -107,7 +106,7 @@ def coset_state(o: OracleSet, y: BitVec) -> StateVector:
 def coset_amplitudes(o: OracleSet, y: BitVec) -> CosetAmplitudes:
     """coset_state for y, held in coset coordinates."""
     gen, shift = o.coset_of(y)
-    points = np.array(gen.span_ints(shift.bits), dtype=np.int64)
+    points = np.array(gen.span_ints(shift.bits), dtype=np.uint64)  # 64-bit worlds fit
     amp = np.full(points.shape[0], 1.0 / math.sqrt(points.shape[0]), dtype=np.complex128)
     return CosetAmplitudes(y, gen, shift, points, amp)
 
@@ -122,11 +121,11 @@ def generate_keypair_state(o: OracleSet, rng) -> tuple[BitVec, StateVector]:
     """
     from .scheme import draw_key, key_state  # scheme builds on this module
 
-    y = draw_key(o, rng)
-    key = key_state(o, "statevector", y)
-    amp = np.zeros(1 << o.params.n, dtype=np.complex128)
-    amp[key.points] = key.amp
-    return y, StateVector(o.params.n, amp)
+    state = StateVector(o.params.n)  # refuses n > MAX_QUBITS before the draw
+    key = key_state(o, "statevector", draw_key(o, rng))
+    state.amp[0] = 0.0
+    state.amp[key.points] = key.amp
+    return key.y, state
 
 
 def walsh_hadamard(state: StateVector) -> StateVector:

@@ -164,9 +164,9 @@ def key_state(o: OracleSet, backend: str, y: BitVec) -> KeyState:
     uniform superposition over y's coset with nothing pinned, on
     ``backend``.  No oracle queries."""
     if backend == "statevector":
-        p = o.params
-        if p.perm_mode != "table" or p.n > _qsim.MAX_QUBITS:
-            raise ValueError(f"statevector backend needs a table world with n <= {_qsim.MAX_QUBITS}")
+        width = o.params.n - o.params.r  # the dense key's one limit: 2^width amplitudes
+        if width > _qsim.MAX_QUBITS:
+            raise ValueError(f"statevector keys allow n - r <= {_qsim.MAX_QUBITS}, got {width}")
         return _qsim.coset_amplitudes(o, y)
     if backend == "symbolic":
         gen, shift = o.coset_of(y)

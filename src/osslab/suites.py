@@ -19,6 +19,7 @@ from . import coset as _coset
 from . import qsim as _qsim
 from . import scheme as _scheme
 from .distlab import (
+    DISTINGUISHER_TRIALS,
     ExperimentReport,
     Metric,
     chain_by_basis,
@@ -184,13 +185,14 @@ def suite_grover(seed: bytes) -> ExperimentReport:
 
 
 def suite_backends(seed: bytes) -> ExperimentReport:
+    """Feistel worlds, as in suite_grover: only cosets and dual levels are read."""
     started = time.perf_counter()
     pairs = 50
     shapes = [(8, 3, 2), (9, 3, 3), (10, 4, 4), (11, 4, 2), (12, 4, 6)]
     worst = 0.0
     for t in range(pairs):
         n, r, ell = shapes[t % len(shapes)]
-        o = build_oracles(Params(n=n, r=r, ell=ell), _world_seed(seed, "bridge", t))
+        o = build_oracles(Params(n=n, r=r, ell=ell, perm_mode="feistel"), _world_seed(seed, "bridge", t))
         draw = _rng(seed, "bridge", t)
         y, sv = _qsim.generate_keypair_state(o, _rng(seed, "bridge", t))
         cst = _scheme.key_state(o, "symbolic", y)
@@ -328,7 +330,8 @@ def suite_distributions(seed: bytes) -> ExperimentReport:
 
 def suite_distinguisher(seed: bytes) -> ExperimentReport:
     started = time.perf_counter()
-    trials, hash_only_trials = 100_000, 10_000
+    trials = DISTINGUISHER_TRIALS["hash-first-bit"]
+    hash_only_trials = DISTINGUISHER_TRIALS["hash-only"]
     only = run_collapse_distinguisher(6, 2, "hash-only", hash_only_trials, seed)
     first = run_collapse_distinguisher(6, 2, "hash-first-bit", trials, seed)
     shortcut_err = validate_collapse_shortcut(6, 2, seed)

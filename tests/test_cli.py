@@ -85,16 +85,31 @@ def test_statevector_round_trip_rebuilds_the_dense_key(tmp_path, world):
     assert run("verify", "--pk", str(pk), "--msg", "11", "--sig", str(sig)) == 1
 
 
-def test_statevector_token_on_a_feistel_world_is_refused_unburnt(tmp_path, capsys):
+@pytest.mark.parametrize("n, r, l, msg", [("8", "3", "2", "01"), ("64", "48", "8", "10100110")])
+def test_statevector_round_trip_on_feistel_worlds(tmp_path, n, r, l, msg):
+    # the dense key never reads the permutation, and 64-bit points fit
     world = tmp_path / "w.json"
-    assert run("world", "new", "--n", "8", "--r", "3", "--l", "2", "--perm-mode", "feistel",
+    assert run("world", "new", "--n", n, "--r", r, "--l", l, "--perm-mode", "feistel",
+               "--seed", WORLD_SEED, "--out", str(world)) == 0
+    pk, sk, sig = tmp_path / "pk.json", tmp_path / "sk.json", tmp_path / "sig.json"
+    assert run("gen", "--world", str(world), "--backend", "statevector", "--rng-seed", "0fe1",
+               "--pk-out", str(pk), "--sk-out", str(sk), "--unsafe-test-io") == 0
+    assert run("sign", "--sk", str(sk), "--msg", msg, "--rng-seed", "aa",
+               "--out", str(sig), "--unsafe-test-io") == 0
+    assert run("verify", "--pk", str(pk), "--msg", msg, "--sig", str(sig)) == 0
+
+
+def test_statevector_token_on_a_feistel_world_is_refused_unburnt(tmp_path, capsys):
+    # a Feistel world whose cosets hold 2^(40 - 8) points: too many for a dense key
+    world = tmp_path / "w.json"
+    assert run("world", "new", "--n", "40", "--r", "8", "--l", "2", "--perm-mode", "feistel",
                "--seed", WORLD_SEED, "--out", str(world)) == 0
     _, sk = keypair(tmp_path, world)
     capsys.readouterr()
     assert run("gen", "--world", str(world), "--backend", "statevector",
                "--pk-out", str(tmp_path / "dense.json")) == 1
     refusal = capsys.readouterr().err
-    assert "statevector backend needs a table world" in refusal
+    assert "allow n - r <= 24, got 32" in refusal
     # a dense token for the same key: sign refuses it as gen does, and keeps it
     token = json.loads(sk.read_text())
     token["backend"] = "statevector"
@@ -163,6 +178,19 @@ def test_bad_message_is_usage_error(tmp_path, world):
     assert run("sign", "--sk", str(sk), "--msg", "2x", "--unsafe-test-io") == 64
     # the failed attempts must not have burned the token
     assert json.loads(sk.read_text())["consumed"] is False
+
+
+def test_verify_refuses_a_public_key_with_a_short_seed(tmp_path, world, capsys):
+    pk, sk = keypair(tmp_path, world)
+    sig = tmp_path / "sig.json"
+    assert run("sign", "--sk", str(sk), "--msg", "10", "--out", str(sig), "--unsafe-test-io") == 0
+    doc = json.loads(pk.read_text())
+    doc["world"]["seed"] = "ab" * 31
+    pk.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--pk", str(pk), "--msg", "10", "--sig", str(sig)) == 64
+    err = capsys.readouterr().err
+    assert err.endswith("world seed must be 32 bytes\n") and err.count("\n") == 1
 
 
 def test_malformed_files_exit_64(tmp_path, world):
@@ -295,6 +323,22 @@ def test_distinguisher_refuses_fewer_than_one_trial(case, trials, capsys):
     assert "--trials must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["--case", "hash-first-bit", "--n", "64", "--trials", "10"], "hash-first-bit needs n <= 30"),
+        (["--case", "hash-first-bit", "--n", "31", "--trials", "10"], "hash-first-bit needs n <= 30"),
+        (["--case", "hash-first-bit", "--n", "6", "--r", "7"], "need r + ell <= n"),
+        (["--case", "hash-only", "--n", "6", "--r", "7"], "need r + ell <= n"),
+        (["--case", "hash-first-bit", "--trials", "1"], "needs at least 2 trials"),
+    ],
+)
+def test_distinguisher_refuses_what_it_cannot_run(argv, refusal, capsys):
+    assert run("distinguisher", *argv) == 1
+    err = capsys.readouterr().err
+    assert refusal in err and err.count("\n") == 1
+
+
 def test_distinguisher_subcommand(capsys):
     code = run("distinguisher", "--case", "hash-only", "--trials", "50", "--json")
     assert code == 0
@@ -323,7 +367,6 @@ def test_bench_on_a_bloated_world(tmp_path, capsys):
 @pytest.mark.parametrize(
     "variant, perm_mode, l, backend, refusal",
     [
-        ("standard", "feistel", "2", "statevector", "statevector backend needs a table world"),
         ("original", "table", "0", "symbolic", "unstructured worlds cannot generate signing keys"),
         ("original", "table", "0", "statevector", "unstructured worlds cannot generate signing keys"),
     ],
@@ -338,6 +381,23 @@ def test_bench_refuses_what_gen_refuses(tmp_path, capsys, variant, perm_mode, l,
     assert refusal in capsys.readouterr().err
     assert run("bench", "--world", str(world), "--backend", backend, "--ops", "2") == 1
     assert refusal in capsys.readouterr().err
+
+
+def test_bench_refuses_a_dense_key_wider_than_the_cap(tmp_path, capsys):
+    world = tmp_path / "w.json"
+    assert run("world", "new", "--n", "40", "--r", "15", "--l", "2", "--perm-mode", "feistel",
+               "--seed", WORLD_SEED, "--out", str(world)) == 0
+    capsys.readouterr()
+    assert run("gen", "--world", str(world), "--backend", "statevector",
+               "--pk-out", str(tmp_path / "pk.json")) == 1
+    refusal = capsys.readouterr().err
+    assert "allow n - r <= 24, got 25" in refusal
+    assert run("bench", "--world", str(world), "--backend", "statevector", "--ops", "2") == 1
+    assert capsys.readouterr().err == refusal
+    # with 2^16-point cosets the same n runs dense
+    assert run("world", "new", "--n", "40", "--r", "24", "--l", "2", "--perm-mode", "feistel",
+               "--seed", WORLD_SEED, "--out", str(world)) == 0
+    assert run("bench", "--world", str(world), "--backend", "statevector", "--ops", "2") == 0
 
 
 @pytest.mark.parametrize("ops", ["0", "-3"])

@@ -311,11 +311,13 @@ def test_hash_only_worlds_need_no_table():
 
 
 def test_grover_worlds_need_no_table():
-    # the grover battery builds Feistel worlds: at its shapes and seeds
-    # every y must carry the table world's coset and dual levels
+    # the grover and backends batteries build Feistel worlds: at their
+    # shapes and seeds every y must carry the table world's coset and dual levels
     shapes = [(6, 2, 2), (7, 2, 3), (8, 3, 2), (9, 3, 4), (10, 4, 3)]
     worlds = [(shapes[t % 5], _world_seed(default_seed(), "grover", t)) for t in range(20)]
     worlds.append(((14, 4, 8), _world_seed(default_seed(), "grover-cycle", 0)))
+    shapes = [(8, 3, 2), (9, 3, 3), (10, 4, 4), (11, 4, 2), (12, 4, 6)]
+    worlds += [(shapes[t % 5], _world_seed(default_seed(), "bridge", t)) for t in range(50)]
     for (n, r, ell), world_seed in worlds:
         table, feistel = (
             build_oracles(Params(n=n, r=r, ell=ell, perm_mode=mode), world_seed)

@@ -20,7 +20,7 @@ from osslab.qsim import (
     walk_step,
     walsh_hadamard,
 )
-from osslab.scheme import generate, sign
+from osslab.scheme import draw_key, generate, key_state, sign
 
 SEED = bytes(range(32))
 
@@ -71,9 +71,14 @@ def test_keypair_state_is_uniform_coset(rng):
 
 
 def test_keypair_state_rejects_wide_or_feistel(rng):
-    o = build_oracles(Params(n=8, r=3, ell=2, perm_mode="feistel"), SEED)
-    with pytest.raises(ValueError):
+    # the full register needs n <= 24; the key alone needs only n - r <= 24
+    o = build_oracles(Params(n=40, r=24, ell=8, perm_mode="feistel"), SEED)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="1 <= n <= 24"):
         generate_keypair_state(o, rng)
+    assert rng.bit_generator.state == before  # refused before the key draw
+    key = key_state(o, "statevector", draw_key(o, rng))
+    assert key.points.dtype == np.uint64 and key.amp.shape == (1 << 16,)
 
 
 def test_wht_of_coset_state_lives_on_the_dual(rng):

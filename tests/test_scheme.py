@@ -284,12 +284,18 @@ def test_variant_dispatch_guards(rng):
         generate(orig, "symbolic", rng)
 
 
-def test_statevector_needs_table_worlds(rng):
-    o = build_oracles(Params(n=8, r=3, ell=2, perm_mode="feistel"), SEED)
-    with pytest.raises(ValueError):
+def test_statevector_key_is_bounded_by_its_width(rng):
+    # the dense key never reads the permutation, and 64-bit points fit
+    m = BitVec(8, 0b10100110)
+    o = build_oracles(Params(n=64, r=48, ell=8, perm_mode="feistel"), SEED)
+    pk, sk = generate(o, "statevector", rng)
+    assert verify(o, pk, m, sign(o, pk, sk, m, rng))
+    # n - r = 25: refused before any of its 2^25 coset points is listed
+    o = build_oracles(Params(n=64, r=39, ell=8, perm_mode="feistel"), SEED)
+    with pytest.raises(ValueError, match="allow n - r <= 24, got 25"):
         generate(o, "statevector", rng)
-    pk, sk = generate(o, "symbolic", rng)  # symbolic is fine
-    assert verify(o, pk, BitVec.from_str("10"), sign(o, pk, sk, BitVec.from_str("10"), rng))
+    pk, sk = generate(o, "symbolic", rng)  # the symbolic key has no such bound
+    assert verify(o, pk, m, sign(o, pk, sk, m, rng))
 
 
 # -- serialization ------------------------------------------------------
