@@ -129,6 +129,17 @@ def _world_from_doc(doc: dict, origin: str) -> tuple[Params, bytes]:
     return params, seed
 
 
+def _public_key_from_doc(doc: dict, origin: str) -> scheme.PublicKey:
+    """The public key that a pk document or a key token names: its world
+    and its y."""
+    params, seed = _world_from_doc(doc.get("world", {}), origin)
+    try:
+        y = BitVec.from_hex(doc["y"], params.r)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{origin}: bad y field ({exc})") from exc
+    return scheme.PublicKey(y=y, params=params, seed=seed)
+
+
 def _build_world(params: Params, seed: bytes) -> OracleSet:
     try:
         return build_oracles(params, seed)
@@ -283,13 +294,9 @@ def cmd_sign(args) -> int:
     backend = token.get("backend")
     if backend not in scheme.BACKENDS:
         raise UsageError(f"{args.sk}: unknown backend {backend!r}")
-    params, seed = _world_from_doc(token.get("world", {}), args.sk)
-    o = _build_world(params, seed)
-    try:
-        y = BitVec.from_hex(token["y"], params.r)
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"{args.sk}: bad y field ({exc})") from exc
-    pk = scheme.PublicKey(y=y, params=params, seed=seed)
+    pk = _public_key_from_doc(token, args.sk)
+    params = pk.params
+    o = _build_world(params, pk.seed)
     rng = _make_rng(args.rng_seed)
 
     if args.hash:
@@ -302,7 +309,7 @@ def cmd_sign(args) -> int:
     try:
         if args.hash or params.variant != "incompressible":
             scheme.check_signable(params)
-        sk = scheme.SecretKey(backend, scheme.key_state(o, backend, y))
+        sk = scheme.SecretKey(backend, scheme.key_state(o, backend, pk.y))
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
 
@@ -330,14 +337,9 @@ def cmd_sign(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    pk_doc = _load_doc(args.pk, "pk")
-    params, seed = _world_from_doc(pk_doc.get("world", {}), args.pk)
-    try:
-        y = BitVec.from_hex(pk_doc["y"], params.r)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{args.pk}: bad y field ({exc})") from exc
-    pk = scheme.PublicKey(y=y, params=params, seed=seed)
-    o = _build_world(params, seed)
+    pk = _public_key_from_doc(_load_doc(args.pk, "pk"), args.pk)
+    params = pk.params
+    o = _build_world(params, pk.seed)
     sig_doc = _load_doc(args.sig, "sig")
     try:
         sig = scheme.Signature.from_json(sig_doc)

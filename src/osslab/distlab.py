@@ -375,6 +375,9 @@ def run_collapse_distinguisher(
             "hash-first-bit needs n <= 30: numpy's hypergeometric draw takes "
             "fewer than 10^9 good and bad items (2^(n-1) each)"
         )
+    if case == "hash-only" and r > 16:
+        # At r = 16 one trial already takes about a quarter second.
+        raise ValueError("hash-only needs r <= 16: each trial lists all 2^r dual points")
     if case == "hash-first-bit" and trials < 2:
         raise ValueError("hash-first-bit needs at least 2 trials for its standard error")
     report_params = {"n": n, "r": r, "case": case}

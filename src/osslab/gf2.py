@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 __all__ = [
     "BitVec",
     "BitMatrix",
+    "ColumnDecoder",
     "Subspace",
     "chain_from_top",
     "sample_full_column_rank",
@@ -563,6 +564,44 @@ def xor_span_ints(generators: Sequence[int], shift: int = 0) -> list[int]:
     for g in generators:
         out += [x ^ g for x in out]
     return out
+
+
+class ColumnDecoder:
+    """Solver for ``M @ x = target`` over a full-column-rank M, built once.
+
+    The basis is an echelon form of M's columns keyed by leading bit.
+    Each entry packs a column combination and its tag, the set of M's
+    columns it sums, into one int ``(column << k) | tag`` with k = cols
+    and column j tagged by bit k - j, its place in x.  Solving shifts the
+    target left by k and clears its leading bits with the basis; once no
+    bit at or above k is left, the tag bits are the unique x.  A lead
+    with no basis entry means the target is outside the column span.
+    """
+
+    __slots__ = ("_basis", "_width")
+
+    def __init__(self, m: BitMatrix) -> None:
+        k = m.cols
+        basis: dict[int, int] = {}
+        for j, col in enumerate(_transpose_words(m.row_words, k)):
+            w = _reduce_word((col << k) | (1 << (k - 1 - j)), basis)
+            if not w >> k:
+                raise ValueError(f"column {j + 1} depends on earlier columns: not full column rank")
+            basis[w.bit_length() - 1] = w
+        self._basis = basis
+        self._width = k
+
+    def solve_word(self, target: int) -> Optional[int]:
+        """The x with ``M @ x = target`` as a packed int, or None if none exists."""
+        k = self._width
+        basis = self._basis
+        x = target << k
+        while x >> k:
+            b = basis.get(x.bit_length() - 1)
+            if b is None:
+                return None
+            x ^= b
+        return x
 
 
 def sample_full_column_rank(rng, rows: int, cols: int) -> BitMatrix:

@@ -26,6 +26,7 @@ import numpy as np
 from .gf2 import (
     BitMatrix,
     BitVec,
+    ColumnDecoder,
     Subspace,
     chain_from_top,
     sample_full_column_rank,
@@ -374,8 +375,9 @@ class OracleSet:
     decode/encode speak BitVec on the outside; y is r bits, coset points
     are n bits.  query_counts() is the monotone total over all users of
     the instance; wrap an operation in metered() to profile it.  The chain
-    caches build from ``self.cosets`` and never refer back to their owner,
-    so a dropped world is freed at once rather than by the cycle collector.
+    and decoder caches build from ``self.cosets`` and never refer back to
+    their owner, so a dropped world is freed at once rather than by the
+    cycle collector.
     """
 
     def __init__(self, params: Params, seed: bytes) -> None:
@@ -404,6 +406,14 @@ class OracleSet:
         use as most worlds never sign; a walk asks for one y l times in a row."""
         return functools.lru_cache(maxsize=1)(functools.partial(_dual_chain, self.cosets))
 
+    @functools.cached_property
+    def column_decoder(self) -> Callable[[int], ColumnDecoder]:
+        """``lru_cache`` of y's ColumnDecoder (y an int), keeping as many
+        as the coset cache; made on first use, as most worlds never decode."""
+        return functools.lru_cache(maxsize=COSET_CACHE_SIZE)(
+            functools.partial(_column_decoder, self.cosets)
+        )
+
     def query_counts(self) -> dict[str, int]:
         with self._lock:
             return dict(self._counts)
@@ -414,6 +424,11 @@ class OracleSet:
         if y.n != self.params.r:
             raise ValueError("y must have r bits")
         return self.cosets.derive(y.bits)
+
+    def _coset_coordinates(self, y: int, u: int) -> Optional[int]:
+        """The w with A_y w + b_y = u, or None when u is off y's coset."""
+        _, shift = self.cosets.derive(y)
+        return self.column_decoder(y).solve_word(u ^ shift.bits)
 
     # -- primary oracles ------------------------------------------------
 
@@ -435,11 +450,10 @@ class OracleSet:
         if y.n != p.r or u.n != p.n:
             raise ValueError("decode expects r-bit y and n-bit u")
         self._count("Pinv")
-        gen, shift = self.cosets.derive(y.bits)
-        w = gen.solve(u ^ shift)
+        w = self._coset_coordinates(y.bits, u.bits)
         if w is None:
             return None
-        return BitVec(p.n, self.perm.inverse((y.bits << (p.n - p.r)) | w.bits))
+        return BitVec(p.n, self.perm.inverse((y.bits << (p.n - p.r)) | w))
 
     def hash_bits(self, x: BitVec) -> BitVec:
         """First r bits of the permuted input.  Derived view of encode;
@@ -484,8 +498,7 @@ class OracleSet:
         if y.n != p.r or u.n != p.n:
             raise ValueError("coset_check expects r-bit y and n-bit u")
         self._count("D0")
-        gen, shift = self.cosets.derive(y.bits)
-        return 1 if gen.solve(u ^ shift) is not None else 0
+        return 1 if self._coset_coordinates(y.bits, u.bits) is not None else 0
 
     # -- bloated dual ---------------------------------------------------
 
@@ -529,6 +542,11 @@ class OracleSet:
             raise ValueError("y must have r bits")
         self._count("Dprime")
         return self._bloat_for(y.bits)[j - 1]
+
+
+def _column_decoder(cosets: CosetFamily, y: int) -> ColumnDecoder:
+    """The decoder of y's generator, built from the cached coset."""
+    return ColumnDecoder(cosets.derive(y)[0])
 
 
 def _bloat_chain(cosets: CosetFamily, seed: Optional[bytes], y: int) -> tuple[Subspace, ...]:

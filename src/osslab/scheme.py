@@ -74,15 +74,6 @@ class PublicKey:
             "world": {"params": self.params.to_json(), "seed": self.seed.hex()},
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PublicKey":
-        params = Params.from_json(obj["world"]["params"])
-        return cls(
-            y=BitVec.from_hex(obj["y"], params.r),
-            params=params,
-            seed=bytes.fromhex(obj["world"]["seed"]),
-        )
-
     def matches(self, o: OracleSet) -> bool:
         return self.params == o.params and self.seed == o.seed
 

@@ -3,9 +3,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from osslab import cli, rom_hash
+from osslab import Params, build_oracles, cli, rom_hash, scheme
 
 WORLD_SEED = "ab" * 32
 
@@ -193,6 +194,17 @@ def test_verify_refuses_a_public_key_with_a_short_seed(tmp_path, world, capsys):
     assert err.endswith("world seed must be 32 bytes\n") and err.count("\n") == 1
 
 
+def test_public_key_round_trips_through_the_cli_parse_path(tmp_path):
+    """A pk written as `osslab gen` writes it reads back, through the
+    parser `osslab verify` and `osslab sign` use, as the same key."""
+    o = build_oracles(Params(n=8, r=3, ell=2), bytes.fromhex(WORLD_SEED))
+    pk, _ = scheme.generate(o, "symbolic", np.random.default_rng(1))
+    path = str(tmp_path / "pk.json")
+    cli._write_doc(path, "pk", pk.to_json())
+    clone = cli._public_key_from_doc(cli._load_doc(path, "pk"), path)
+    assert clone == pk and clone.matches(o)
+
+
 def test_malformed_files_exit_64(tmp_path, world):
     pk, sk = keypair(tmp_path, world)
     # wrong kind
@@ -209,6 +221,12 @@ def test_malformed_files_exit_64(tmp_path, world):
     assert run("world", "show", "--world", str(junk)) == 64
     # missing file
     assert run("world", "show", "--world", str(tmp_path / "absent.json")) == 64
+    # a key token whose y is not a hex string, refused before the burn
+    token = json.loads(sk.read_text())
+    token["y"] = 5
+    sk.write_text(json.dumps(token))
+    assert run("sign", "--sk", str(sk), "--msg", "10", "--unsafe-test-io") == 64
+    assert json.loads(sk.read_text())["consumed"] is False
 
 
 def test_unknown_subcommand_exits_64():
@@ -331,6 +349,8 @@ def test_distinguisher_refuses_fewer_than_one_trial(case, trials, capsys):
         (["--case", "hash-first-bit", "--n", "6", "--r", "7"], "need r + ell <= n"),
         (["--case", "hash-only", "--n", "6", "--r", "7"], "need r + ell <= n"),
         (["--case", "hash-first-bit", "--trials", "1"], "needs at least 2 trials"),
+        (["--case", "hash-only", "--n", "24", "--r", "17"], "hash-only needs r <= 16"),
+        (["--case", "hash-only", "--n", "64", "--r", "30"], "hash-only needs r <= 16"),
     ],
 )
 def test_distinguisher_refuses_what_it_cannot_run(argv, refusal, capsys):

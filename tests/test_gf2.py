@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from osslab.gf2 import (
     BitMatrix,
     BitVec,
+    ColumnDecoder,
     Subspace,
     _rref_words,
     sample_full_column_rank,
@@ -88,6 +89,17 @@ def test_solve_worked_examples():
     b = BitMatrix.from_rows([BitVec.from_str("10"), BitVec.from_str("10")])
     assert b.solve(BitVec.from_str("10")) is None
     assert b.solve(BitVec.from_str("11")) == BitVec.from_str("10")
+
+
+def test_column_decoder_refuses_dependent_columns():
+    # columns 1 and 3 are both (1, 0, 1, 1): the rank is 2, not 3
+    a = BitMatrix.from_cols([BitVec.from_str(c) for c in ("1011", "0110", "1011")])
+    with pytest.raises(ValueError, match="column 3 depends on earlier columns"):
+        ColumnDecoder(a)
+    with pytest.raises(ValueError, match="column 2"):
+        ColumnDecoder(BitMatrix.from_cols([BitVec.from_str("0110")] * 2))
+    with pytest.raises(ValueError, match="column 1"):
+        ColumnDecoder(BitMatrix.zeros(4, 1))
 
 
 @given(matrices(5, 4), bitvecs(4), bitvecs(4))

@@ -335,6 +335,63 @@ def test_coset_check_matches_decode():
             assert o.coset_check(y, u) == (o.decode(y, u) is not None)
 
 
+@settings(max_examples=80)
+@given(
+    st.sampled_from(["standard", "incompressible", "bloated", "original"]),
+    st.sampled_from(["table", "feistel"]),
+    st.data(),
+)
+def test_column_decoder_agrees_with_solve_on_and_off_the_coset(variant, perm_mode, data):
+    """The cached decoder gives solve's answer, value or None, and decode
+    and coset_check follow it, for points on y's coset and off it."""
+    n = data.draw(st.integers(2, 12 if perm_mode == "table" else 64))
+    if variant == "original":
+        r, ell = data.draw(st.integers(1, n)), 0
+    else:
+        r = data.draw(st.integers(1, n - 1))
+        ell = data.draw(st.integers(1, n - r))
+    s = data.draw(st.integers(0, n - r - ell)) if variant == "bloated" else 0
+    params = Params(n=n, r=r, ell=ell, s=s, variant=variant, perm_mode=perm_mode)
+    o = build_oracles(params, data.draw(st.binary(min_size=32, max_size=32)))
+    y = BitVec(r, data.draw(st.integers(0, (1 << r) - 1)))
+    gen, shift = o.coset_of(y)
+    on = gen.matvec(BitVec(n - r, data.draw(st.integers(0, (1 << (n - r)) - 1)))) ^ shift
+    # A point of y's coset moved along a coordinate that some nonzero
+    # vector of the left kernel reads leaves the coset (r >= 1 makes one).
+    witness = gen.left_kernel().basis[0]
+    bit = data.draw(st.sampled_from([i for i in range(n) if witness >> i & 1]))
+    off = BitVec(n, on.bits ^ (1 << bit))
+    assert gen.solve(off ^ shift) is None
+    for u in (on, off, BitVec(n, data.draw(st.integers(0, (1 << n) - 1)))):
+        ref = gen.solve(u ^ shift)
+        w = None if ref is None else ref.bits
+        assert o.column_decoder(y.bits).solve_word((u ^ shift).bits) == w
+        x = None if w is None else BitVec(n, o.perm.inverse((y.bits << (n - r)) | w))
+        assert o.decode(y, u) == x
+        assert o.coset_check(y, u) == (w is not None)
+
+
+def test_decode_and_coset_check_spend_one_query_through_the_decoder_cache():
+    o = small_world()
+    y = BitVec(3, 5)
+    gen, shift = o.coset_of(y)
+    u = gen.matvec(BitVec(5, 0b10110)) ^ shift
+    cache = o.column_decoder
+    assert cache.cache_info().maxsize == COSET_CACHE_SIZE
+    with metered() as spent:
+        x = o.decode(y, u)
+    assert spent == {"Pinv": 1} and x is not None and o.encode(x) == (y, u)
+    assert (cache.cache_info().hits, cache.cache_info().misses) == (0, 1)
+    with metered() as spent:
+        assert o.decode(y, u) == x
+    assert spent == {"Pinv": 1}
+    assert (cache.cache_info().hits, cache.cache_info().misses) == (1, 1)
+    with metered() as spent:
+        assert o.coset_check(y, u) == 1
+    assert spent == {"D0": 1}
+    assert (cache.cache_info().hits, cache.cache_info().misses) == (2, 1)
+
+
 def test_query_counters_are_monotone_and_split_by_oracle():
     o = small_world()
     base = o.query_counts()

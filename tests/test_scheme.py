@@ -301,13 +301,6 @@ def test_statevector_key_is_bounded_by_its_width(rng):
 # -- serialization ------------------------------------------------------
 
 
-def test_public_key_json_round_trip(rng):
-    o = world()
-    pk, _ = generate(o, "symbolic", rng)
-    clone = PublicKey.from_json(json.loads(json.dumps(pk.to_json())))
-    assert clone == pk and clone.matches(o)
-
-
 def test_signature_json_round_trip():
     sig = Signature(sigma=BitVec.from_str("10110011"))
     assert Signature.from_json(json.loads(json.dumps(sig.to_json()))) == sig
