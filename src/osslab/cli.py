@@ -266,8 +266,7 @@ def cmd_gen(args) -> int:
             "sk-token",
             {
                 "backend": sk.backend,
-                "y": pk.y.to_hex(),
-                "world": {"params": o.params.to_json(), "seed": o.seed.hex()},
+                **pk.to_json(),
                 "consumed": False,
                 "note": "test-only token; the live key state is re-derived on load",
             },

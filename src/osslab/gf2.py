@@ -191,10 +191,6 @@ class BitMatrix:
             raise ValueError("ragged columns")
         return cls(n_rows, len(cols), tuple(_transpose_words([c.bits for c in cols], n_rows)))
 
-    @classmethod
-    def random(cls, rng, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, tuple(_rand_bits(rng, cols) for _ in range(rows)))
-
     # -- access ---------------------------------------------------------
 
     def row(self, i: int) -> BitVec:

@@ -292,31 +292,28 @@ class PermutationEngine:
         digest = hashlib.blake2b(data, key=self._key, digest_size=8).digest()
         return int.from_bytes(digest, "big") >> (64 - width) if width else 0
 
-    def forward(self, x: int) -> int:
-        if not 0 <= x < self._size:
-            raise ValueError("input outside domain")
-        if self.mode == "table":
-            return int(self._fwd[x])
-        left, right = x >> self._right, x & ((1 << self._right) - 1)
-        for i in range(_FEISTEL_ROUNDS):
+    def _feistel(self, value: int, rounds) -> int:
+        left, right = value >> self._right, value & ((1 << self._right) - 1)
+        for i in rounds:
             if i % 2 == 0:
                 right ^= self._round(i, left, self._right)
             else:
                 left ^= self._round(i, right, self._left)
         return (left << self._right) | right
 
+    def forward(self, x: int) -> int:
+        if not 0 <= x < self._size:
+            raise ValueError("input outside domain")
+        if self.mode == "table":
+            return int(self._fwd[x])
+        return self._feistel(x, range(_FEISTEL_ROUNDS))
+
     def inverse(self, u: int) -> int:
         if not 0 <= u < self._size:
             raise ValueError("input outside domain")
         if self.mode == "table":
             return int(self._inv[u])
-        left, right = u >> self._right, u & ((1 << self._right) - 1)
-        for i in reversed(range(_FEISTEL_ROUNDS)):
-            if i % 2 == 0:
-                right ^= self._round(i, left, self._right)
-            else:
-                left ^= self._round(i, right, self._left)
-        return (left << self._right) | right
+        return self._feistel(u, reversed(range(_FEISTEL_ROUNDS)))
 
 
 def _derive_coset(p: Params, seed: bytes, y: int) -> tuple[BitMatrix, BitVec]:

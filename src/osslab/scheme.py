@@ -188,9 +188,10 @@ def _run_sign(o: OracleSet, pk: PublicKey, sk: SecretKey, m: BitVec, rng) -> Sig
 
 
 def check_signable(params: Params) -> None:
-    """Refuse a world that sign (and so hs_sign) cannot sign."""
+    """Refuse a world that sign and verify (and so hs_sign and hs_verify)
+    cannot serve."""
     if params.variant == "incompressible":
-        raise ValueError("use sign_incompressible on incompressible worlds")
+        raise ValueError("use sign_incompressible and verify_incompressible on incompressible worlds")
     if params.variant == "original":
         raise ValueError("unstructured worlds cannot sign")
 
@@ -205,8 +206,10 @@ def verify(o: OracleSet, pk: PublicKey, m: BitVec, sig: Signature) -> bool:
     """Accept iff the signature starts with m and decodes to a preimage.
 
     Both clauses are always evaluated, so every call costs exactly one
-    decode query regardless of the outcome.
+    decode query regardless of the outcome.  Refuses the worlds that
+    sign refuses.
     """
+    check_signable(o.params)
     _check_world(o, pk)
     if m.n != o.params.ell:
         raise ValueError(f"message must have {o.params.ell} bits")

@@ -1,17 +1,21 @@
 """Acceptance suites: the checks the whole artifact is judged by.
 
 Each suite is a fixed experiment: it takes only a master seed, builds
-its own worlds from it at one defined size, measures, and returns an
-ExperimentReport whose metrics carry explicit expectations and
-tolerances.  The CLI runs them via ``osslab experiments`` and the test
+its own worlds from it at one defined size, measures, and returns its
+params, metrics and trial count.  The ``_battery`` harness does the
+rest in one place: it times the body, closes the metrics with the
+runtime budget, builds the ExperimentReport and registers the suite in
+SUITES.  The CLI runs them via ``osslab experiments`` and the test
 suite asserts on the same reports, so there is exactly one definition
 of "passing".
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
+from collections.abc import Callable
 
 import numpy as np
 
@@ -54,23 +58,49 @@ def _rng(seed: bytes, label: str, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(raw[:8], "big"))
 
 
-def _time_metric(started: float, budget: float) -> Metric:
-    elapsed = time.perf_counter() - started
-    return Metric(
-        id="runtime_seconds",
-        estimate=elapsed,
-        expected=budget,
-        source="oracle",
-        passed=elapsed < budget,
-        detail=f"budget {budget:.0f}s",
-    )
+_Outcome = tuple[dict, list[Metric], int]  # a battery body's (params, metrics, trials)
+
+SUITES: dict[str, Callable[[bytes], ExperimentReport]] = {}
+
+
+def _battery(key: str, name: str, budget: float):
+    """Register a battery body under ``key``, in definition order.
+
+    The body takes only the master seed and returns ``(params, metrics,
+    trials)``.  The harness times it, appends the ``runtime_seconds``
+    metric against ``budget`` last, and wraps the lot in the battery's
+    ExperimentReport.
+    """
+
+    def register(body: Callable[[bytes], _Outcome]):
+        @functools.wraps(body)
+        def suite(seed: bytes) -> ExperimentReport:
+            started = time.perf_counter()
+            params, metrics, trials = body(seed)
+            elapsed = time.perf_counter() - started
+            runtime = Metric(
+                id="runtime_seconds",
+                estimate=elapsed,
+                expected=budget,
+                source="oracle",
+                passed=elapsed < budget,
+                detail=f"budget {budget:.0f}s",
+            )
+            return ExperimentReport(
+                name=name, params=params, metrics=[*metrics, runtime], seed=seed.hex(), trials=trials
+            )
+
+        SUITES[key] = suite
+        return suite
+
+    return register
 
 
 # -- 1: perfect correctness --------------------------------------------
 
 
-def suite_correctness(seed: bytes) -> ExperimentReport:
-    started = time.perf_counter()
+@_battery("correctness", "correctness", 5.0)
+def suite_correctness(seed: bytes) -> _Outcome:
     trials = 100
     params = Params(n=8, r=3, ell=2)
     ok = {"statevector": 0, "symbolic": 0}
@@ -94,14 +124,7 @@ def suite_correctness(seed: bytes) -> ExperimentReport:
         )
         for backend in ("statevector", "symbolic")
     ]
-    metrics.append(_time_metric(started, 5.0))
-    return ExperimentReport(
-        name="correctness",
-        params={"n": 8, "r": 3, "l": 2, "backends": 2},
-        metrics=metrics,
-        seed=seed.hex(),
-        trials=trials,
-    )
+    return {"n": 8, "r": 3, "l": 2, "backends": 2}, metrics, trials
 
 
 # -- 2: one-iteration identity and the 8-step phase cycle ---------------
@@ -117,11 +140,11 @@ def _fresh_level_state(o, y, m, depth) -> _qsim.StateVector:
     return _qsim.StateVector.from_support(o.params.n, pts.tolist())
 
 
-def suite_grover(seed: bytes) -> ExperimentReport:
+@_battery("grover", "grover-identity", 30.0)
+def suite_grover(seed: bytes) -> _Outcome:
     """Reads only coset_points and dual_support, which never touch the
     permutation, so its worlds are Feistel ones: no table to shuffle, and
     the same cosets as the table worlds of the same seeds."""
-    started = time.perf_counter()
     worlds = 20
     shapes = [(6, 2, 2), (7, 2, 3), (8, 3, 2), (9, 3, 4), (10, 4, 3)]
     worst = 0.0
@@ -171,22 +194,15 @@ def suite_grover(seed: bytes) -> ExperimentReport:
             detail="((i-1)/sqrt2)^8 = 1: full 8-step walk at l=8 carries phase 1",
         )
     )
-    metrics.append(_time_metric(started, 30.0))
-    return ExperimentReport(
-        name="grover-identity",
-        params={"worlds": worlds, "cycle_world": {"n": 14, "r": 4, "l": 8}},
-        metrics=metrics,
-        seed=seed.hex(),
-        trials=worlds,
-    )
+    return {"worlds": worlds, "cycle_world": {"n": 14, "r": 4, "l": 8}}, metrics, worlds
 
 
 # -- 3: backend equivalence ---------------------------------------------
 
 
-def suite_backends(seed: bytes) -> ExperimentReport:
+@_battery("backends", "backend-equivalence", 30.0)
+def suite_backends(seed: bytes) -> _Outcome:
     """Feistel worlds, as in suite_grover: only cosets and dual levels are read."""
-    started = time.perf_counter()
     pairs = 50
     shapes = [(8, 3, 2), (9, 3, 3), (10, 4, 4), (11, 4, 2), (12, 4, 6)]
     worst = 0.0
@@ -212,22 +228,15 @@ def suite_backends(seed: bytes) -> ExperimentReport:
             passed=worst < 1e-10,
             detail="symbolic lowering equals dense evolution at every iteration",
         ),
-        _time_metric(started, 30.0),
     ]
-    return ExperimentReport(
-        name="backend-equivalence",
-        params={"pairs": pairs},
-        metrics=metrics,
-        seed=seed.hex(),
-        trials=pairs,
-    )
+    return {"pairs": pairs}, metrics, pairs
 
 
 # -- 4: signature-set census --------------------------------------------
 
 
-def suite_census(seed: bytes) -> ExperimentReport:
-    started = time.perf_counter()
+@_battery("census", "signature-census", 5.0)
+def suite_census(seed: bytes) -> _Outcome:
     worlds, messages = 10, 4
     params = Params(n=32, r=16, ell=8, perm_mode="feistel")
     deviations = 0
@@ -251,22 +260,15 @@ def suite_census(seed: bytes) -> ExperimentReport:
             passed=deviations == 0,
             detail=f"levels checked: {checked}; each must hold exactly 2^(n-r-j) points",
         ),
-        _time_metric(started, 5.0),
     ]
-    return ExperimentReport(
-        name="signature-census",
-        params={"n": 32, "r": 16, "l": 8, "worlds": worlds, "messages": messages},
-        metrics=metrics,
-        seed=seed.hex(),
-        trials=worlds * messages,
-    )
+    return {"n": 32, "r": 16, "l": 8, "worlds": worlds, "messages": messages}, metrics, worlds * messages
 
 
 # -- 5: chain distribution equalities -----------------------------------
 
 
-def suite_distributions(seed: bytes) -> ExperimentReport:
-    started = time.perf_counter()
+@_battery("distributions", "chain-distributions", 60.0)
+def suite_distributions(seed: bytes) -> _Outcome:
     metrics: list[Metric] = []
 
     def toy(n, r, tag):
@@ -315,21 +317,14 @@ def suite_distributions(seed: bytes) -> ExperimentReport:
                     detail="2^(n-r) - 2^l distinct tuples at s = 1",
                 )
             )
-    metrics.append(_time_metric(started, 60.0))
-    return ExperimentReport(
-        name="chain-distributions",
-        params={"single": [[4, 1, 1], [5, 1, 2]], "widened": [[4, 1, 1, 1], [6, 1, 1, 2]]},
-        metrics=metrics,
-        seed=seed.hex(),
-        trials=0,
-    )
+    return {"single": [[4, 1, 1], [5, 1, 2]], "widened": [[4, 1, 1, 1], [6, 1, 1, 2]]}, metrics, 0
 
 
 # -- 6: collapse distinguisher ------------------------------------------
 
 
-def suite_distinguisher(seed: bytes) -> ExperimentReport:
-    started = time.perf_counter()
+@_battery("distinguisher", "collapse-distinguisher", 120.0)
+def suite_distinguisher(seed: bytes) -> _Outcome:
     trials = DISTINGUISHER_TRIALS["hash-first-bit"]
     hash_only_trials = DISTINGUISHER_TRIALS["hash-only"]
     only = run_collapse_distinguisher(6, 2, "hash-only", hash_only_trials, seed)
@@ -346,21 +341,15 @@ def suite_distinguisher(seed: bytes) -> ExperimentReport:
             detail="per-world census acceptance equals dense simulation",
         )
     )
-    metrics.append(_time_metric(started, 120.0))
-    return ExperimentReport(
-        name="collapse-distinguisher",
-        params={"n": 6, "r": 2, "mc_trials": trials, "hash_only_trials": hash_only_trials},
-        metrics=metrics,
-        seed=seed.hex(),
-        trials=trials + hash_only_trials,
-    )
+    params = {"n": 6, "r": 2, "mc_trials": trials, "hash_only_trials": hash_only_trials}
+    return params, metrics, trials + hash_only_trials
 
 
 # -- 7: collision extraction --------------------------------------------
 
 
-def suite_collisions(seed: bytes) -> ExperimentReport:
-    started = time.perf_counter()
+@_battery("collisions", "collision-extraction", 10.0)
+def suite_collisions(seed: bytes) -> _Outcome:
     worlds = 5
     params = Params(n=8, r=3, ell=2)
     failures = 0
@@ -387,22 +376,15 @@ def suite_collisions(seed: bytes) -> ExperimentReport:
             passed=failures == 0,
             detail=f"all {pairs_checked} distinct valid pairs yield x0 != x1 with equal hash",
         ),
-        _time_metric(started, 10.0),
     ]
-    return ExperimentReport(
-        name="collision-extraction",
-        params={"n": 8, "r": 3, "l": 2, "worlds": worlds},
-        metrics=metrics,
-        seed=seed.hex(),
-        trials=pairs_checked,
-    )
+    return {"n": 8, "r": 3, "l": 2, "worlds": worlds}, metrics, pairs_checked
 
 
 # -- 8: incompressible variant ------------------------------------------
 
 
-def suite_incompressible(seed: bytes) -> ExperimentReport:
-    started = time.perf_counter()
+@_battery("incompressible", "incompressible", 5.0)
+def suite_incompressible(seed: bytes) -> _Outcome:
     runs = 100
     params = Params(n=8, r=3, ell=2, variant="incompressible")
     ok = 0
@@ -450,22 +432,15 @@ def suite_incompressible(seed: bytes) -> ExperimentReport:
             passed=structural == runs,
             detail="sigma - shift is a nonzero column-span point; forced shift bit holds",
         ),
-        _time_metric(started, 5.0),
     ]
-    return ExperimentReport(
-        name="incompressible",
-        params={"n": 8, "r": 3, "l": 2, "runs": runs},
-        metrics=metrics,
-        seed=seed.hex(),
-        trials=runs,
-    )
+    return {"n": 8, "r": 3, "l": 2, "runs": runs}, metrics, runs
 
 
 # -- 9: hash-and-sign ---------------------------------------------------
 
 
-def suite_hashsign(seed: bytes) -> ExperimentReport:
-    started = time.perf_counter()
+@_battery("hashsign", "hash-and-sign", 30.0)
+def suite_hashsign(seed: bytes) -> _Outcome:
     params = Params(n=40, r=20, ell=8, perm_mode="feistel")
     o = build_oracles(params, _world_seed(seed, "hashsign", 0))
     stream = SeededStream(seed, b"hashsign-msgs")
@@ -519,22 +494,15 @@ def suite_hashsign(seed: bytes) -> ExperimentReport:
             passed=transferred,
             detail="8-bit digests collide by birthday; the signature follows the digest",
         ),
-        _time_metric(started, 30.0),
     ]
-    return ExperimentReport(
-        name="hash-and-sign",
-        params={"n": 40, "r": 20, "l": 8, "lengths": lengths},
-        metrics=metrics,
-        seed=seed.hex(),
-        trials=len(lengths) + 1,
-    )
+    return {"n": 40, "r": 20, "l": 8, "lengths": lengths}, metrics, len(lengths) + 1
 
 
 # -- 10: query profiles -------------------------------------------------
 
 
-def suite_queries(seed: bytes) -> ExperimentReport:
-    started = time.perf_counter()
+@_battery("queries", "query-profiles", 5.0)
+def suite_queries(seed: bytes) -> _Outcome:
     params = Params(n=8, r=3, ell=2)
     metrics: list[Metric] = []
     for backend in ("statevector", "symbolic"):
@@ -558,28 +526,7 @@ def suite_queries(seed: bytes) -> ExperimentReport:
                 detail=f"gen={gen_spent} sign={sign_spent} verify={verify_spent}",
             )
         )
-    metrics.append(_time_metric(started, 5.0))
-    return ExperimentReport(
-        name="query-profiles",
-        params={"n": 8, "r": 3, "l": 2},
-        metrics=metrics,
-        seed=seed.hex(),
-        trials=2,
-    )
-
-
-SUITES = {
-    "correctness": suite_correctness,
-    "grover": suite_grover,
-    "backends": suite_backends,
-    "census": suite_census,
-    "distributions": suite_distributions,
-    "distinguisher": suite_distinguisher,
-    "collisions": suite_collisions,
-    "incompressible": suite_incompressible,
-    "hashsign": suite_hashsign,
-    "queries": suite_queries,
-}
+    return {"n": 8, "r": 3, "l": 2}, metrics, 2
 
 
 def run_suite(name: str, seed: bytes) -> ExperimentReport:

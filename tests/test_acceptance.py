@@ -4,7 +4,8 @@ Every test runs one suite from osslab.suites against the fixed master
 seed, prints a single summary line, and fails if any metric inside the
 report (including the runtime budget) fails.  Full report text goes to
 captured stdout so failures are self-explaining.  Each battery runs at
-one defined size, and its report's params and trial count are pinned.
+one defined size, and its report's name, params, trial count and
+runtime budget are pinned.
 """
 
 import inspect
@@ -14,9 +15,11 @@ from osslab.suites import SUITES, default_seed
 SEED = default_seed()
 
 
-def check(number, name, params, trials):
-    report = SUITES[name](SEED)
-    assert (report.params, report.trials) == (params, trials)
+def check(number, key, name, budget, params, trials):
+    report = SUITES[key](SEED)
+    assert (report.name, report.params, report.trials) == (name, params, trials)
+    last = report.metrics[-1]
+    assert (last.id, last.expected) == ("runtime_seconds", budget)
     verdict = "PASS" if report.passed else "FAIL"
     print(f"ACCEPTANCE {number:>2}/10 {report.name}: {verdict}")
     print(report.render())
@@ -24,25 +27,29 @@ def check(number, name, params, trials):
 
 
 def test_c01_correctness():
-    check(1, "correctness", {"n": 8, "r": 3, "l": 2, "backends": 2}, 100)
+    check(1, "correctness", "correctness", 5.0, {"n": 8, "r": 3, "l": 2, "backends": 2}, 100)
 
 
 def test_c02_grover_identity():
-    check(2, "grover", {"worlds": 20, "cycle_world": {"n": 14, "r": 4, "l": 8}}, 20)
+    params = {"worlds": 20, "cycle_world": {"n": 14, "r": 4, "l": 8}}
+    check(2, "grover", "grover-identity", 30.0, params, 20)
 
 
 def test_c03_backend_equivalence():
-    check(3, "backends", {"pairs": 50}, 50)
+    check(3, "backends", "backend-equivalence", 30.0, {"pairs": 50}, 50)
 
 
 def test_c04_signature_census():
-    check(4, "census", {"n": 32, "r": 16, "l": 8, "worlds": 10, "messages": 4}, 40)
+    params = {"n": 32, "r": 16, "l": 8, "worlds": 10, "messages": 4}
+    check(4, "census", "signature-census", 5.0, params, 40)
 
 
 def test_c05_chain_distributions():
     check(
         5,
         "distributions",
+        "chain-distributions",
+        60.0,
         {"single": [[4, 1, 1], [5, 1, 2]], "widened": [[4, 1, 1, 1], [6, 1, 1, 2]]},
         0,
     )
@@ -52,27 +59,43 @@ def test_c06_collapse_distinguisher():
     check(
         6,
         "distinguisher",
+        "collapse-distinguisher",
+        120.0,
         {"n": 6, "r": 2, "mc_trials": 100_000, "hash_only_trials": 10_000},
         110_000,
     )
 
 
 def test_c07_collision_extraction():
-    check(7, "collisions", {"n": 8, "r": 3, "l": 2, "worlds": 5}, 2480)
+    check(7, "collisions", "collision-extraction", 10.0, {"n": 8, "r": 3, "l": 2, "worlds": 5}, 2480)
 
 
 def test_c08_incompressible():
-    check(8, "incompressible", {"n": 8, "r": 3, "l": 2, "runs": 100}, 100)
+    check(8, "incompressible", "incompressible", 5.0, {"n": 8, "r": 3, "l": 2, "runs": 100}, 100)
 
 
 def test_c09_hash_and_sign():
-    check(9, "hashsign", {"n": 40, "r": 20, "l": 8, "lengths": [0, 1, 1024, 1 << 20]}, 5)
+    params = {"n": 40, "r": 20, "l": 8, "lengths": [0, 1, 1024, 1 << 20]}
+    check(9, "hashsign", "hash-and-sign", 30.0, params, 5)
 
 
 def test_c10_query_profiles():
-    check(10, "queries", {"n": 8, "r": 3, "l": 2}, 2)
+    check(10, "queries", "query-profiles", 5.0, {"n": 8, "r": 3, "l": 2}, 2)
 
 
 def test_every_battery_takes_only_the_seed():
+    # SUITES is built in definition order, which is the order the CLI prints.
+    assert list(SUITES) == [
+        "correctness",
+        "grover",
+        "backends",
+        "census",
+        "distributions",
+        "distinguisher",
+        "collisions",
+        "incompressible",
+        "hashsign",
+        "queries",
+    ]
     for fn in SUITES.values():
         assert list(inspect.signature(fn).parameters) == ["seed"], fn.__name__

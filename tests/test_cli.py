@@ -58,6 +58,9 @@ def test_world_show(world, capsys):
 
 def test_sign_verify_round_trip(tmp_path, world):
     pk, sk = keypair(tmp_path, world)
+    token = json.loads(sk.read_text())
+    assert list(token) == ["v", "kind", "backend", "y", "world", "consumed", "note"]
+    assert {k: token[k] for k in ("y", "world")} == {k: json.loads(pk.read_text())[k] for k in ("y", "world")}
     sig = tmp_path / "sig.json"
     assert (
         run("sign", "--sk", str(sk), "--msg", "10", "--rng-seed", "aa",
@@ -149,6 +152,25 @@ def test_hash_sign_on_an_incompressible_world_is_refused_unburnt(tmp_path, capsy
     # the kept token still signs the (l-1)-bit messages such a world takes
     assert run("sign", "--sk", str(sk), "--msg", "10", "--unsafe-test-io") == 0
     assert json.loads(sk.read_text())["consumed"] is True
+
+
+def test_hash_verify_on_an_incompressible_world_is_refused(tmp_path, capsys):
+    seed = bytes(range(32)).hex()
+    world = tmp_path / "inc.json"
+    assert run("world", "new", "--n", "8", "--r", "3", "--l", "2", "--variant", "incompressible",
+               "--perm-mode", "table", "--seed", seed, "--out", str(world)) == 0
+    pk, sk, sig = tmp_path / "pk.json", tmp_path / "sk.json", tmp_path / "sig.json"
+    assert run("gen", "--world", str(world), "--rng-seed", "01", "--pk-out", str(pk),
+               "--sk-out", str(sk), "--unsafe-test-io") == 0
+    assert run("sign", "--sk", str(sk), "--msg", "1", "--rng-seed", "02", "--out", str(sig),
+               "--unsafe-test-io") == 0
+    # b"m3" hashes to the 2 bits 10 here, so the signature's prefix matches the digest
+    msg = tmp_path / "m3.bin"
+    msg.write_bytes(b"m3")
+    capsys.readouterr()
+    assert run("verify", "--pk", str(pk), "--sig", str(sig), "--msg-file", str(msg), "--hash") == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "verify_incompressible" in err
 
 
 def test_second_sign_exits_two(tmp_path, world):

@@ -199,6 +199,24 @@ def test_feistel_permutation_wide_round_trip():
         perm.forward(1 << 40)
 
 
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (9, "273b0d2562551aab2972c3abc9d994c8557805ac8342d5bad8c3254f96ba54ac"),
+        (40, "877816199d2461c7a7811fed257dcc51e7532d47b9dd8277cbb9e42b7cba0b2a"),
+        (64, "ea7806b14d7ece6703f73bf1d417e634377061d96de5ab804cc16395e11af75d"),
+    ],
+)
+def test_feistel_permutation_digest_is_pinned(n, digest):
+    # SHA-256 of forward(x) as 8-byte big-endian words over 512 fixed
+    # inputs (all of them at n = 9): existing Feistel worlds keep their bits
+    perm = PermutationEngine(n, "feistel", SEED)
+    xs = [(k * 0x9E3779B97F4A7C15) % (1 << n) for k in range(512)]
+    images = [perm.forward(x) for x in xs]
+    assert hashlib.sha256(b"".join(u.to_bytes(8, "big") for u in images)).hexdigest() == digest
+    assert [perm.inverse(u) for u in images] == xs
+
+
 # -- encode / decode ----------------------------------------------------
 
 

@@ -279,6 +279,8 @@ def test_variant_dispatch_guards(rng):
     pk, sk = generate(inc, "symbolic", rng)
     with pytest.raises(ValueError):
         sign(inc, pk, sk, BitVec.from_str("11"), rng)  # must use the variant entry
+    with pytest.raises(ValueError, match="verify_incompressible"):
+        verify(inc, pk, BitVec.from_str("11"), Signature(BitVec(8, 0)))
     orig = build_oracles(Params(n=8, r=3, ell=0, variant="original"), SEED)
     with pytest.raises(ValueError):
         generate(orig, "symbolic", rng)
