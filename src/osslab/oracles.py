@@ -54,8 +54,10 @@ QUERY_KEYS = ("P", "Pinv", "D", "D0", "Dprime")
 # working set and the 2^8 cosets of r = 8; about 2.6 KB each at (64, 32, 16).
 COSET_CACHE_SIZE = 1024
 
-_TABLE_MAX_N = 24
-_FEISTEL_MAX_N = 64
+# Widest n each permutation backend builds: a table holds 2^n entries, and
+# Feistel worlds stop at 64 bits (a half is hashed as 8 bytes, so the round
+# itself would take up to 128).
+_PERM_MAX_N = {"table": 24, "feistel": 64}
 _FEISTEL_ROUNDS = 16
 
 # The spent-query dicts of the metered() blocks open in this context.
@@ -229,11 +231,7 @@ class Params:
         return cls(n=n, r=r, ell=ell, s=s, variant=variant, perm_mode=perm_mode, lam=lam)
 
     def check_buildable(self) -> None:
-        limit = _TABLE_MAX_N if self.perm_mode == "table" else _FEISTEL_MAX_N
-        if self.n > limit:
-            raise ValueError(
-                f"n = {self.n} exceeds the {self.perm_mode!r} permutation limit of {limit}"
-            )
+        _check_perm_width(self.n, self.perm_mode)
 
     def to_json(self) -> dict:
         out = {
@@ -261,15 +259,30 @@ class Params:
         )
 
 
+def _check_perm_width(n: int, mode: str) -> None:
+    """Refuse a width the permutation backend ``mode`` cannot build."""
+    limit = _PERM_MAX_N.get(mode)
+    if limit is None:
+        raise ValueError(f"unknown permutation mode {mode!r}")
+    if n > limit:
+        raise ValueError(f"n = {n} exceeds the {mode!r} permutation limit of {limit}")
+
+
 class PermutationEngine:
     """Bijection on {0,1}^n, either a stored table or a keyed Feistel network.
 
     Table mode runs a Fisher-Yates shuffle off the seeded stream (n <= 24).
-    Feistel mode uses an alternating unbalanced network with BLAKE2b round
-    functions (n <= 64), which inverts by replaying rounds backwards.
+    Feistel mode (n <= 64) splits x into a left half of n // 2 bits and a
+    right half of the rest, and runs 16 alternating rounds: even rounds i
+    XOR F_i(left) into right, odd rounds XOR F_i(right) into left.  With
+    K = BLAKE2b-256(seed || b"perm-feistel" || n as 1 byte), F_i(h) is the
+    top w bits of BLAKE2b(i as 2 bytes || h as 8 bytes, key=K,
+    digest_size=8) read big-endian, w the width of the half it is XORed
+    into (0 when w = 0).  Inverse replays the rounds backwards.
     """
 
     def __init__(self, n: int, mode: str, seed: bytes) -> None:
+        _check_perm_width(n, mode)
         self.n = n
         self.mode = mode
         self._size = 1 << n
@@ -278,28 +291,46 @@ class PermutationEngine:
             self._fwd = np.array(stream.shuffle(self._size), dtype=np.int64)
             self._inv = np.empty_like(self._fwd)
             self._inv[self._fwd] = np.arange(self._size, dtype=np.int64)
-        elif mode == "feistel":
-            self._key = hashlib.blake2b(
-                seed + b"perm-feistel" + n.to_bytes(1, "big"), digest_size=32
-            ).digest()
+        else:
+            self._seed = seed
             self._left = n // 2
             self._right = n - self._left
-        else:
-            raise ValueError(f"unknown permutation mode {mode!r}")
 
-    def _round(self, idx: int, value: int, width: int) -> int:
-        data = idx.to_bytes(2, "big") + value.to_bytes(8, "big")
-        digest = hashlib.blake2b(data, key=self._key, digest_size=8).digest()
-        return int.from_bytes(digest, "big") >> (64 - width) if width else 0
+    @functools.cached_property
+    def _hashers(self) -> list:
+        """Round i's BLAKE2b state, keyed with K and fed i, for every i.
+
+        A round copies its state and never updates it, so threads may share
+        them; threads racing on the first query build equal lists, and
+        either may be kept.  Built on the first query because most Feistel
+        worlds the batteries build never read their permutation.
+        """
+        key = hashlib.blake2b(
+            self._seed + b"perm-feistel" + self.n.to_bytes(1, "big"), digest_size=32
+        ).digest()
+        keyed = hashlib.blake2b(key=key, digest_size=8)
+        hashers = []
+        for i in range(_FEISTEL_ROUNDS):
+            hasher = keyed.copy()
+            hasher.update(i.to_bytes(2, "big"))
+            hashers.append(hasher)
+        return hashers
 
     def _feistel(self, value: int, rounds) -> int:
-        left, right = value >> self._right, value & ((1 << self._right) - 1)
+        right_bits = self._right
+        left, right = value >> right_bits, value & ((1 << right_bits) - 1)
+        hashers = self._hashers
+        from_bytes = int.from_bytes
+        left_shift, right_shift = 64 - self._left, 64 - right_bits
         for i in rounds:
-            if i % 2 == 0:
-                right ^= self._round(i, left, self._right)
+            hasher = hashers[i].copy()
+            if i & 1:
+                hasher.update(right.to_bytes(8, "big"))
+                left ^= from_bytes(hasher.digest(), "big") >> left_shift
             else:
-                left ^= self._round(i, right, self._left)
-        return (left << self._right) | right
+                hasher.update(left.to_bytes(8, "big"))
+                right ^= from_bytes(hasher.digest(), "big") >> right_shift
+        return (left << right_bits) | right
 
     def forward(self, x: int) -> int:
         if not 0 <= x < self._size:
@@ -380,10 +411,9 @@ class OracleSet:
     def __init__(self, params: Params, seed: bytes) -> None:
         if len(seed) != 32:
             raise ValueError("seed must be exactly 32 bytes")
-        params.check_buildable()
         self.params = params
         self.seed = seed
-        self.perm = PermutationEngine(params.n, params.perm_mode, seed)
+        self.perm = PermutationEngine(params.n, params.perm_mode, seed)  # refuses a width first
         self.cosets = CosetFamily(params, seed)
         self._counts = {k: 0 for k in QUERY_KEYS}
         self._lock = threading.Lock()

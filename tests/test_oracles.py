@@ -3,10 +3,12 @@
 import hashlib
 import itertools
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from osslab.gf2 import BitMatrix, BitVec, Subspace, _rref_words
 from osslab.oracles import (
@@ -215,6 +217,90 @@ def test_feistel_permutation_digest_is_pinned(n, digest):
     images = [perm.forward(x) for x in xs]
     assert hashlib.sha256(b"".join(u.to_bytes(8, "big") for u in images)).hexdigest() == digest
     assert [perm.inverse(u) for u in images] == xs
+
+
+def _reference_feistel(n, seed, x, rounds):
+    # The round function written out in one shot, as the world format states
+    # it: F_i(h) = top w bits of BLAKE2b(i || h, key=K, digest_size=8)
+    key = hashlib.blake2b(seed + b"perm-feistel" + n.to_bytes(1, "big"), digest_size=32).digest()
+    left_bits = n // 2
+    right_bits = n - left_bits
+
+    def round_fn(i, half, width):
+        data = i.to_bytes(2, "big") + half.to_bytes(8, "big")
+        digest = hashlib.blake2b(data, key=key, digest_size=8).digest()
+        return int.from_bytes(digest, "big") >> (64 - width) if width else 0
+
+    left, right = x >> right_bits, x & ((1 << right_bits) - 1)
+    for i in rounds:
+        if i % 2 == 0:
+            right ^= round_fn(i, left, right_bits)
+        else:
+            left ^= round_fn(i, right, left_bits)
+    return (left << right_bits) | right
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.binary(min_size=32, max_size=32), st.integers(0, (1 << 64) - 1))
+@example(1, SEED, 1)  # the left half has no bits
+@example(9, SEED, 0x1FF)
+def test_feistel_matches_the_one_shot_reference_round(n, seed, x):
+    perm = PermutationEngine(n, "feistel", seed)
+    x %= 1 << n
+    u = perm.forward(x)
+    assert u == _reference_feistel(n, seed, x, range(16))
+    assert perm.inverse(x) == _reference_feistel(n, seed, x, reversed(range(16)))
+    assert perm.inverse(u) == x
+
+
+def test_threads_sharing_an_engine_get_the_single_thread_answers():
+    alone = PermutationEngine(33, "feistel", SEED)
+    xs = [(k * 0x9E3779B97F4A7C15) % (1 << 33) for k in range(400)]
+    expected = ([alone.forward(x) for x in xs], [alone.inverse(x) for x in xs])
+    shared = PermutationEngine(33, "feistel", SEED)  # its round states are built under the race
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def run(slot):
+        start.wait()
+        results[slot] = ([shared.forward(x) for x in xs], [shared.inverse(x) for x in xs])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads between bytecodes
+    try:
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
+
+
+@pytest.mark.parametrize("mode, limit", [("table", 24), ("feistel", 64)])
+def test_permutation_refuses_a_width_past_its_limit(mode, limit, monkeypatch):
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("a refused width started building its permutation")
+
+    monkeypatch.setattr(SeededStream, "shuffle", nothing_built)
+    monkeypatch.setattr(hashlib, "blake2b", nothing_built)
+    message = f"n = {limit + 1} exceeds the {mode!r} permutation limit of {limit}"
+    with pytest.raises(ValueError) as refused:
+        PermutationEngine(limit + 1, mode, SEED)
+    assert str(refused.value) == message
+    params = Params(n=limit + 1, r=1, ell=1, perm_mode=mode)
+    with pytest.raises(ValueError) as refused:
+        params.check_buildable()
+    assert str(refused.value) == message
+    with pytest.raises(ValueError) as refused:
+        build_oracles(params, SEED)
+    assert str(refused.value) == message
+    with pytest.raises(ValueError, match="permutation limit"):
+        PermutationEngine(130, mode, SEED)  # a half wider than the 8-byte encoding
+    with pytest.raises(ValueError, match="unknown permutation mode"):
+        PermutationEngine(8, mode + "s", SEED)
 
 
 # -- encode / decode ----------------------------------------------------
