@@ -19,6 +19,7 @@ __all__ = [
     "Subspace",
     "chain_from_top",
     "sample_full_column_rank",
+    "split_draws",
     "widened_normals",
     "widened_top",
     "xor_span_ints",
@@ -41,6 +42,16 @@ def _rand_bits(rng, k: int) -> int:
         return rng.bits(k)
     data = rng.bytes((k + 7) // 8)
     return int.from_bytes(data, "big") >> (8 * len(data) - k)
+
+
+def split_draws(data: bytes, k: int) -> list[int]:
+    """The k-bit draws (k >= 1) packed back to back in ``data``, each the
+    top k bits of its own ceil(k/8) bytes read big-endian, as one
+    ``_rand_bits`` call reads a draw off a byte stream."""
+    nbytes = (k + 7) // 8
+    drop = 8 * nbytes - k
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i : i + nbytes], "big") >> drop for i in range(0, len(data), nbytes)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -606,18 +617,28 @@ def sample_full_column_rank(rng, rows: int, cols: int) -> BitMatrix:
     Columns are drawn one at a time and redrawn whenever the candidate
     falls inside the span of the columns already kept, which induces the
     uniform distribution on full-column-rank matrices.
+
+    Each candidate is ``_rand_bits(rng, rows)``.  A byte stream (an rng
+    with ``read``) hands over the ``cols - kept`` candidates still needed
+    in one read: a candidate fills at most one column, so the one-at-a-time
+    loop examines at least that many more, and the stream is left exactly
+    where that loop leaves it.  A numpy Generator draws one candidate at a
+    time, since ``Generator.bytes`` drops the unused bytes of its 32-bit
+    draws and a batch would change its later draws.
     """
     if cols > rows:
         raise ValueError("cannot have more independent columns than rows")
+    batched = hasattr(rng, "read")
     basis: dict[int, int] = {}
-    kept: list[BitVec] = []
+    kept: list[int] = []
     while len(kept) < cols:
-        cand = _rand_bits(rng, rows)
-        residue = _reduce_word(cand, basis)
-        if residue == 0:
-            continue
-        basis[residue.bit_length() - 1] = residue
-        kept.append(BitVec(rows, cand))
-    if not kept:
-        return BitMatrix.zeros(rows, 0)
-    return BitMatrix.from_cols(kept)
+        if batched:
+            batch = split_draws(rng.read((cols - len(kept)) * ((rows + 7) // 8)), rows)
+        else:
+            batch = [_rand_bits(rng, rows)]
+        for cand in batch:
+            residue = _reduce_word(cand, basis)
+            if residue:
+                basis[residue.bit_length() - 1] = residue
+                kept.append(cand)
+    return BitMatrix(rows, cols, tuple(_transpose_words(kept, rows)))

@@ -30,6 +30,7 @@ from .gf2 import (
     Subspace,
     chain_from_top,
     sample_full_column_rank,
+    split_draws,
     widened_normals,
     widened_top,
 )
@@ -178,7 +179,11 @@ class SeededStream:
         return BitVec(n, self.bits(n))
 
     def matrix(self, rows: int, cols: int) -> BitMatrix:
-        return BitMatrix(rows, cols, tuple(self.bits(cols) for _ in range(rows)))
+        """rows x cols matrix whose rows are ``rows`` successive bits(cols)
+        draws, taken from one read of all their bytes."""
+        if cols == 0:
+            return BitMatrix.zeros(rows, 0)
+        return BitMatrix(rows, cols, tuple(split_draws(self.read(rows * ((cols + 7) // 8)), cols)))
 
 
 @dataclass(frozen=True)
@@ -348,28 +353,35 @@ class PermutationEngine:
 
 
 def _derive_coset(p: Params, seed: bytes, y: int) -> tuple[BitMatrix, BitVec]:
+    if not 0 <= y < 1 << p.r:
+        raise ValueError(f"y = {y} is not an r = {p.r} bit hash value")
     stream = SeededStream(seed, b"coset", p.variant.encode(), y.to_bytes((p.r + 7) // 8, "big"))
-    d = p.n - p.r - p.ell
-    b_block = stream.matrix(p.n - p.ell, p.ell)
-    c_block = sample_full_column_rank(stream, p.n - p.ell, d)
-    shift = stream.bitvec(p.n)
+    ell, width = p.ell, p.n - p.r
+    d = width - ell
+    b_block = stream.matrix(p.n - ell, ell)
+    c_block = sample_full_column_rank(stream, p.n - ell, d)
+    shift = stream.bits(p.n)
     if p.variant == "incompressible":
-        shift = shift.with_bit(p.ell, 1)
-    if p.ell:
-        top = BitMatrix.identity(p.ell).hstack(BitMatrix.zeros(p.ell, d))
-        return top.vstack(b_block.hstack(c_block)), shift
-    return c_block, shift
+        shift |= 1 << (p.n - ell)  # bit l, 1-based from the top
+    rows = [1 << (width - 1 - i) for i in range(ell)]
+    rows += [(b << d) | c for b, c in zip(b_block.row_words, c_block.row_words)]
+    return BitMatrix(p.n, width, tuple(rows)), BitVec(p.n, shift)
 
 
 class CosetFamily:
     """Lazy, seed-derived map y -> (generator matrix, shift vector).
 
-    For each y the stream labelled by y yields, in order: the B block
-    ((n - l) x l), the full-column-rank C block ((n - l) x (n - r - l),
-    by per-column rejection), and the shift b (n bits).  The
-    incompressible variant then forces bit l of the shift to 1.  With
-    l = 0 the identity block vanishes and the generator is just C, a
-    uniform full-column-rank matrix (the unstructured flavor).
+    For each y in [0, 2^r) the stream labelled by y yields, in order: the
+    B block ((n - l) x l, one row at a time, each ceil(l/8) bytes), the
+    full-column-rank C block ((n - l) x (n - r - l), one candidate column
+    of ceil((n - l)/8) bytes at a time, redrawn while it lies in the span
+    of the columns kept), and the shift b (ceil(n/8) bytes).  Each draw of
+    k bits is the top k bits of its bytes read big-endian.  Reading several
+    rows or candidates at once yields the same bytes, so a bulk read never
+    changes a world.  The incompressible variant then forces bit l of the
+    shift to 1.  With l = 0 the identity block vanishes and the generator
+    is just C, a uniform full-column-rank matrix (the unstructured flavor).
+    A y outside [0, 2^r) is refused with ``ValueError``.
 
     ``derive_cache``, a ``functools.lru_cache`` wrapper, keeps the last
     COSET_CACHE_SIZE cosets; its ``cache_info()`` reports hits and misses.

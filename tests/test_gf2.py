@@ -1,7 +1,9 @@
 """Bit-packed GF(2) linear algebra: worked examples plus properties."""
 
+import copy
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,10 +12,12 @@ from osslab.gf2 import (
     BitVec,
     ColumnDecoder,
     Subspace,
+    _rand_bits,
     _rref_words,
     sample_full_column_rank,
     xor_span_ints,
 )
+from osslab.oracles import SeededStream
 
 
 def bitvecs(n):
@@ -264,6 +268,47 @@ def test_sample_full_column_rank(rng):
     for cols in (1, 3, 5):
         m = sample_full_column_rank(rng, 5, cols)
         assert m.rank() == cols
+
+
+def one_candidate_at_a_time(rng, rows, cols):
+    """The columns the draw rule picks, written out: one
+    ``_rand_bits(rng, rows)`` candidate at a time, kept when it raises the
+    rank of the columns kept so far."""
+    kept = []
+    while len(kept) < cols:
+        cand = _rand_bits(rng, rows)
+        if len(_rref_words(kept + [cand])) > len(kept):
+            kept.append(cand)
+    return kept
+
+
+# (6, 6), (8, 8) and (9, 9) reject often; (0, 0) and (5, 0) draw nothing.
+DRAW_SHAPES = [(1, 1), (6, 4), (6, 6), (8, 8), (9, 9), (17, 3), (48, 16), (5, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("rows, cols", DRAW_SHAPES)
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_full_column_rank_on_a_generator_draws_per_candidate(rows, cols, seed):
+    # Generator.bytes drops the unused bytes of its 32-bit draws, so only a
+    # draw per candidate keeps the generator's later output unchanged
+    rng = np.random.default_rng(seed)
+    twin = copy.deepcopy(rng)
+    m = sample_full_column_rank(rng, rows, cols)
+    assert [c.bits for c in m.columns()] == one_candidate_at_a_time(twin, rows, cols)
+    assert rng.bytes(16) == twin.bytes(16)
+
+
+@pytest.mark.parametrize("rows, cols", DRAW_SHAPES)
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_full_column_rank_leaves_a_stream_where_the_replay_does(rows, cols, seed):
+    label = (b"draw-rule", bytes([seed, rows, cols]))
+    stream, twin = SeededStream(*label), SeededStream(*label)
+    stream.read(seed * 17)  # start off a block edge, too
+    twin.read(seed * 17)
+    m = sample_full_column_rank(stream, rows, cols)
+    assert (m.rows, m.cols) == (rows, cols)
+    assert [c.bits for c in m.columns()] == one_candidate_at_a_time(twin, rows, cols)
+    assert stream.read(16) == twin.read(16)
 
 
 # -- subspaces ----------------------------------------------------------

@@ -13,7 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 from osslab.gf2 import BitMatrix, BitVec, Subspace, _rref_words
 from osslab.oracles import (
     COSET_CACHE_SIZE,
+    PERM_MODES,
     QUERY_KEYS,
+    VARIANTS,
     OracleSet,
     Params,
     PermutationEngine,
@@ -162,6 +164,97 @@ def test_golden_world_against_replayed_shuffle():
     o = small_world()
     for xv in (0x00, 0x2A, 0x77, 0xFF):
         assert o.hash_bits(BitVec(8, xv)).bits == fwd[xv] >> 5
+
+
+def replay_coset(p, seed, y):
+    """y's (generator, shift) rebuilt from the stream contract, a byte at
+    a time: B row by row, C candidate column by candidate column with
+    rejection, then the shift and the incompressible bit."""
+    source = replay_bytes(seed, b"coset", p.variant.encode(), y.to_bytes((p.r + 7) // 8, "big"))
+
+    def draw(k):
+        width = (k + 7) // 8
+        return int.from_bytes(bytes(next(source) for _ in range(width)), "big") >> (8 * width - k)
+
+    rows, d = p.n - p.ell, p.n - p.r - p.ell
+    b_block = BitMatrix(rows, p.ell, tuple(draw(p.ell) for _ in range(rows)))
+    kept, basis = [], []  # basis: reduced, leading bits distinct and descending
+    while len(kept) < d:
+        cand = residue = draw(rows)
+        for b in basis:
+            residue = min(residue, residue ^ b)
+        if residue:
+            kept.append(BitVec(rows, cand))
+            basis = sorted(basis + [residue], reverse=True)
+    c_block = BitMatrix.from_cols(kept) if kept else BitMatrix.zeros(rows, 0)
+    gen = b_block.hstack(c_block)
+    if p.ell:
+        gen = BitMatrix.identity(p.ell).hstack(BitMatrix.zeros(p.ell, d)).vstack(gen)
+    shift = BitVec(p.n, draw(p.n))
+    if p.variant == "incompressible":
+        shift = shift.with_bit(p.ell, 1)
+    return gen, shift
+
+
+@st.composite
+def coset_worlds(draw):
+    variant = draw(st.sampled_from(VARIANTS))
+    perm_mode = draw(st.sampled_from(PERM_MODES))
+    structured = variant != "original"
+    n = draw(st.integers(1 + structured, 64 if perm_mode == "feistel" else 10))
+    r = draw(st.integers(1, n - structured))
+    ell = draw(st.integers(1, n - r)) if structured else 0
+    p = Params(n=n, r=r, ell=ell, variant=variant, perm_mode=perm_mode)
+    seed = draw(st.binary(min_size=32, max_size=32))
+    return p, seed, draw(st.lists(st.integers(0, (1 << r) - 1), min_size=1, max_size=3))
+
+
+@settings(max_examples=150)
+@given(coset_worlds())
+@example((Params(n=64, r=32, ell=16, perm_mode="feistel"), SEED, [0, (1 << 32) - 1]))
+@example((Params(n=6, r=2, ell=0, variant="original"), SEED, [0, 1, 2, 3]))
+@example((Params(n=8, r=3, ell=2, variant="incompressible"), SEED, [5]))
+def test_derive_matches_a_byte_by_byte_replay(world):
+    p, seed, ys = world
+    o = build_oracles(p, seed)
+    for y in ys:
+        assert o.coset_of(BitVec(p.r, y)) == replay_coset(p, seed, y)
+
+
+def _cosets_digest(pairs) -> str:
+    h = hashlib.sha256()
+    for o, y in pairs:
+        gen, shift = o.coset_of(BitVec(o.params.r, y))
+        for w in gen.row_words + (shift.bits,):
+            h.update(w.to_bytes(8, "big"))
+    return h.hexdigest()
+
+
+def test_wide_feistel_cosets_are_pinned():
+    o = build_oracles(Params(n=64, r=32, ell=16, perm_mode="feistel"), SEED)
+    ys = [(i * 0x9E3779B9) % (1 << 32) for i in range(64)]
+    assert _cosets_digest((o, y) for y in ys) == (
+        "5ce002909fdef2e935c1e9e427d982c3e965ca101c4aa9b86dc26905c055433a"
+    )
+
+
+def test_unstructured_cosets_are_pinned():
+    # r = 2 gives four cosets a world, so 16 worlds give 64; between them
+    # they redraw 12 candidate columns, so the rejection path is pinned too
+    p = Params(n=6, r=2, ell=0, variant="original")
+    worlds = [build_oracles(p, hashlib.sha256(bytes([i])).digest()) for i in range(16)]
+    assert _cosets_digest((o, y) for o in worlds for y in range(4)) == (
+        "803ca020a7f14597deffc0fb17c1f60772edf81d1e89079cfb5382fd6471eccb"
+    )
+
+
+def test_derive_refuses_a_y_outside_r_bits():
+    o = small_world()  # r = 3
+    for y in (9, 256, -1):
+        with pytest.raises(ValueError, match="r = 3"):
+            o.cosets.derive(y)
+    assert o.cosets.derive_cache.cache_info().currsize == 0
+    assert o.cosets.derive(7) == o.coset_of(BitVec(3, 7))
 
 
 # -- permutation backends ----------------------------------------------
