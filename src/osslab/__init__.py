@@ -34,9 +34,7 @@ from .scheme import (
     hs_verify,
     rom_hash,
     sign,
-    sign_incompressible,
     verify,
-    verify_incompressible,
 )
 
 __version__ = "0.1.0"
@@ -61,8 +59,6 @@ __all__ = [
     "sign",
     "verify",
     "extract_collision",
-    "sign_incompressible",
-    "verify_incompressible",
     "rom_hash",
     "hs_sign",
     "hs_verify",

@@ -4,8 +4,9 @@ Subcommands: ``world new``, ``world show``, ``gen``, ``sign``,
 ``verify``, ``experiments``, ``distinguisher``, ``bench``.
 
 Exit codes: 0 success, 1 domain rejection (verify failure, failing
-experiment metric, unbuildable world), 2 one-shot violation (a consumed
-key token used again), 64 usage error or malformed input file.
+experiment metric, or any ValueError the library raises to refuse a
+world, key or message), 2 one-shot violation (a consumed key token used
+again), 64 usage error, malformed input file or unwritable output path.
 
 All files written by the CLI are versioned JSON documents ("v": 1) and
 are written atomically (temp file + rename).  Secret-key tokens exist
@@ -30,7 +31,7 @@ import numpy as np
 from . import scheme, suites
 from .distlab import DISTINGUISHER_TRIALS, run_collapse_distinguisher
 from .gf2 import BitVec
-from .oracles import PERM_MODES, QUERY_KEYS, VARIANTS, OracleSet, Params, build_oracles, metered
+from .oracles import PERM_MODES, QUERY_KEYS, VARIANTS, Params, build_oracles, metered
 
 __all__ = ["main", "entry"]
 
@@ -46,10 +47,6 @@ class UsageError(Exception):
     """Bad invocation or malformed/mismatched input file (exit 64)."""
 
 
-class DomainError(Exception):
-    """Well-formed request the scheme rejects (exit 1)."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
@@ -59,18 +56,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".osslab-tmp-")
+    directory = os.path.dirname(os.path.abspath(path))
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".osslab-tmp-")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output path that _atomic_write would fail on for want of
+    a directory, before work that cannot be undone or is long."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise UsageError(f"cannot write {path}: no such directory, or the path is a directory")
 
 
 def _write_doc(path: str, kind: str, body: dict) -> None:
@@ -85,7 +92,7 @@ def _load_doc(path: str, kind: str) -> dict:
             obj = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise UsageError(f"{path}: expected a JSON object")
@@ -140,13 +147,6 @@ def _public_key_from_doc(doc: dict, origin: str) -> scheme.PublicKey:
     return scheme.PublicKey(y=y, params=params, seed=seed)
 
 
-def _build_world(params: Params, seed: bytes) -> OracleSet:
-    try:
-        return build_oracles(params, seed)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
-
-
 # -- message handling ---------------------------------------------------
 
 
@@ -170,11 +170,14 @@ def _message_bytes(args) -> bytes:
     return args.msg.encode()
 
 
-def _fixed_message(args, params: Params) -> BitVec:
-    nbits = params.ell - 1 if params.variant == "incompressible" else params.ell
+def _message(args, pk: scheme.PublicKey) -> BitVec:
+    """The message to sign or verify: the l-bit oracle digest of the
+    bytes in --hash mode, else a --msg bit string of message_bits."""
+    if args.hash:
+        return scheme.rom_hash(pk.seed, _message_bytes(args), pk.params.ell)
     if args.msg is None or args.msg_file is not None:
         raise UsageError("fixed-length mode needs --msg with a bit string (use --hash for bytes)")
-    return _parse_bits(args.msg, nbits, "message")
+    return _parse_bits(args.msg, scheme.message_bits(pk.params), "message")
 
 
 # -- subcommand handlers ------------------------------------------------
@@ -185,24 +188,18 @@ def cmd_world_new(args) -> int:
     if args.lam is not None:
         if any(v is not None for v in explicit) or args.s != 0:
             raise UsageError("--lambda replaces --n/--r/--l/--s; do not mix them")
-        try:
-            params = Params.from_lambda(args.lam, args.variant, args.perm_mode or "feistel")
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
+        params = Params.from_lambda(args.lam, args.variant, args.perm_mode or "feistel")
     else:
         if any(v is None for v in explicit):
             raise UsageError("give --n, --r and --l (or --lambda)")
-        try:
-            params = Params(
-                n=args.n,
-                r=args.r,
-                ell=args.l,
-                s=args.s,
-                variant=args.variant,
-                perm_mode=args.perm_mode or "table",
-            )
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
+        params = Params(
+            n=args.n,
+            r=args.r,
+            ell=args.l,
+            s=args.s,
+            variant=args.variant,
+            perm_mode=args.perm_mode or "table",
+        )
     seed = _parse_seed(args.seed)
     try:
         params.check_buildable()
@@ -251,14 +248,11 @@ def cmd_world_show(args) -> int:
 
 def cmd_gen(args) -> int:
     doc = _load_doc(args.world, "world")
-    o = _build_world(*_world_from_doc(doc, args.world))
+    o = build_oracles(*_world_from_doc(doc, args.world))
     if args.sk_out is not None and not args.unsafe_test_io:
         raise UsageError("writing key tokens requires --unsafe-test-io (test use only)")
     rng = _make_rng(args.rng_seed)
-    try:
-        pk, sk = scheme.generate(o, args.backend, rng)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    pk, sk = scheme.generate(o, args.backend, rng)
     _write_doc(args.pk_out, "pk", pk.to_json())
     if args.sk_out is not None:
         _write_doc(
@@ -294,38 +288,23 @@ def cmd_sign(args) -> int:
     if backend not in scheme.BACKENDS:
         raise UsageError(f"{args.sk}: unknown backend {backend!r}")
     pk = _public_key_from_doc(token, args.sk)
-    params = pk.params
-    o = _build_world(params, pk.seed)
+    o = build_oracles(pk.params, pk.seed)
     rng = _make_rng(args.rng_seed)
+    m = _message(args, pk)
+    if args.out:
+        _check_writable(args.out)
 
-    if args.hash:
-        msg = _message_bytes(args)
-    else:
-        m = _fixed_message(args, params)
-
-    # Refuse the world and rebuild the key state first, so a token that
-    # the signer or the backend refuses is kept.
-    try:
-        if args.hash or params.variant != "incompressible":
-            scheme.check_signable(params)
-        sk = scheme.SecretKey(backend, scheme.key_state(o, backend, pk.y))
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    # Refuse the world and the message and rebuild the key state first, so
+    # a token that the signer or the backend refuses is kept.
+    scheme.check_signable(pk.params, m)
+    sk = scheme.SecretKey(backend, scheme.key_state(o, backend, pk.y))
 
     # Burn the token before emitting anything: a crash mid-way loses the
     # key rather than double-spending it.
     token["consumed"] = True
     _atomic_write(args.sk, json.dumps(token, indent=2) + "\n")
 
-    try:
-        if args.hash:
-            sig = scheme.hs_sign(o, pk, sk, msg, rng)
-        elif params.variant == "incompressible":
-            sig = scheme.sign_incompressible(o, pk, sk, m, rng)
-        else:
-            sig = scheme.sign(o, pk, sk, m, rng)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    sig = scheme.sign(o, pk, sk, m, rng)
     if args.out:
         _write_doc(args.out, "sig", sig.to_json())
     if args.json or not args.out:
@@ -337,22 +316,13 @@ def cmd_sign(args) -> int:
 
 def cmd_verify(args) -> int:
     pk = _public_key_from_doc(_load_doc(args.pk, "pk"), args.pk)
-    params = pk.params
-    o = _build_world(params, pk.seed)
+    o = build_oracles(pk.params, pk.seed)
     sig_doc = _load_doc(args.sig, "sig")
     try:
         sig = scheme.Signature.from_json(sig_doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{args.sig}: bad signature ({exc})") from exc
-    try:
-        if args.hash:
-            ok = scheme.hs_verify(o, pk, _message_bytes(args), sig)
-        elif params.variant == "incompressible":
-            ok = scheme.verify_incompressible(o, pk, _fixed_message(args, params), sig)
-        else:
-            ok = scheme.verify(o, pk, _fixed_message(args, params), sig)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    ok = scheme.verify(o, pk, _message(args, pk), sig)
     if args.json:
         print(json.dumps({"accept": ok}))
     else:
@@ -374,6 +344,8 @@ def _worker_count() -> int:
 def cmd_experiments(args) -> int:
     names = args.suite or list(suites.SUITES)
     seed = _parse_seed(args.seed) if args.seed else suites.default_seed()
+    if args.out:
+        _check_writable(args.out)
     workers = min(_worker_count(), len(names))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -403,10 +375,7 @@ def cmd_distinguisher(args) -> int:
     elif trials < 1:
         raise UsageError("--trials must be >= 1")
     seed = _parse_seed(args.seed) if args.seed else suites.default_seed()
-    try:
-        report = run_collapse_distinguisher(args.n, args.r, args.case, trials, seed)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    report = run_collapse_distinguisher(args.n, args.r, args.case, trials, seed)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -418,31 +387,24 @@ def cmd_bench(args) -> int:
     if args.ops < 1:
         raise UsageError("--ops must be >= 1")
     doc = _load_doc(args.world, "world")
-    o = _build_world(*_world_from_doc(doc, args.world))
+    o = build_oracles(*_world_from_doc(doc, args.world))
     rng = _make_rng(args.rng_seed)
-    if o.params.variant == "incompressible":
-        sign, verify = scheme.sign_incompressible, scheme.verify_incompressible
-        mbits = o.params.ell - 1  # sign_incompressible appends a forced 0 bit
-    else:
-        sign, verify, mbits = scheme.sign, scheme.verify, o.params.ell
+    mbits = scheme.message_bits(o.params)
     phases = {"gen": 0.0, "sign": 0.0, "verify": 0.0}
     with metered() as spent:
         for _ in range(args.ops):
             t0 = time.perf_counter()
-            try:
-                pk, sk = scheme.generate(o, args.backend, rng)
-            except ValueError as exc:
-                raise DomainError(str(exc)) from exc
+            pk, sk = scheme.generate(o, args.backend, rng)
             phases["gen"] += time.perf_counter() - t0
             m = BitVec(mbits, int(rng.integers(0, 1 << mbits))) if mbits else BitVec(0, 0)
             t0 = time.perf_counter()
-            sig = sign(o, pk, sk, m, rng)
+            sig = scheme.sign(o, pk, sk, m, rng)
             phases["sign"] += time.perf_counter() - t0
             t0 = time.perf_counter()
-            ok = verify(o, pk, m, sig)
+            ok = scheme.verify(o, pk, m, sig)
             phases["verify"] += time.perf_counter() - t0
             if not ok:
-                raise DomainError("benchmark signature failed to verify")
+                raise ValueError("benchmark signature failed to verify")
     result = {
         "backend": args.backend,
         "ops": args.ops,
@@ -556,7 +518,7 @@ def main(argv=None) -> int:
     except scheme.OneShotViolation as exc:
         print(f"osslab: one-shot violation: {exc}", file=sys.stderr)
         return EX_ONESHOT
-    except DomainError as exc:
+    except ValueError as exc:
         print(f"osslab: rejected: {exc}", file=sys.stderr)
         return EX_FAIL
 

@@ -61,10 +61,6 @@ class CosetState:
     def n(self) -> int:
         return self.gen.rows
 
-    @property
-    def support_size(self) -> int:
-        return 1 << (self.gen.cols - self.matched)
-
     def copy(self) -> "CosetState":
         """Frozen, so a copy is the state itself."""
         return self

@@ -34,6 +34,9 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 def _rand_bits(rng, k: int) -> int:
     """Draw k bits, MSB-first, from a byte-stream object or numpy Generator."""
     if k == 0:
@@ -91,11 +94,12 @@ class BitVec:
 
     @classmethod
     def from_hex(cls, s: str, n: int) -> "BitVec":
+        """Exactly ceil(n/4) ASCII hex digits; int() would also take signs,
+        spaces, underscores and non-ASCII digits."""
         digits = (n + 3) // 4
-        if len(s) != digits:
-            raise ValueError(f"expected {digits} hex digits for {n} bits, got {len(s)!r}")
-        value = int(s, 16) if digits else 0
-        return cls(n, value)
+        if len(s) != digits or not _HEX_DIGITS.issuperset(s):
+            raise ValueError(f"expected {digits} hex digits for {n} bits, got {s!r}")
+        return cls(n, int(s, 16) if digits else 0)
 
     @classmethod
     def random(cls, rng, n: int) -> "BitVec":

@@ -555,7 +555,7 @@ class OracleSet:
             raise ValueError("bloat needs s >= 1")
         if p.n - p.r - p.ell < p.s:
             raise ValueError("bloat needs n - r - l >= s")
-        sub = rng.bytes(32) if hasattr(rng, "bytes") else rng.read(32)
+        sub = rng.bytes(32)
         self._bloat_for = functools.lru_cache(maxsize=COSET_CACHE_SIZE)(
             functools.partial(_bloat_chain, self.cosets, sub)
         )

@@ -12,9 +12,10 @@ any work; a second sign attempt on the same key object raises
 OneShotViolation.  There is deliberately no way to copy a live key
 outside of tests (see allow_test_cloning).
 
-Verification needs one decode query and nothing else.  The membership
-variant (sign_incompressible / verify_incompressible) verifies with a
-single coset-membership query instead and never calls decode.
+sign and verify serve every world that can sign.  An incompressible
+world takes (l-1)-bit messages, signs m || 0, and verifies with a single
+coset-membership query instead of decode; message_bits and
+check_signable state that rule once.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ __all__ = [
     "draw_key",
     "key_state",
     "generate",
+    "message_bits",
     "check_signable",
     "sign",
     "verify",
     "extract_collision",
-    "sign_incompressible",
-    "verify_incompressible",
     "rom_hash",
     "hs_sign",
     "hs_verify",
@@ -175,11 +175,34 @@ def generate(o: OracleSet, backend: str, rng) -> tuple[PublicKey, SecretKey]:
     return PublicKey(y=y, params=o.params, seed=o.seed), sk
 
 
-def _run_sign(o: OracleSet, pk: PublicKey, sk: SecretKey, m: BitVec, rng) -> Signature:
+def message_bits(params: Params) -> int:
+    """Width of the messages sign and verify take: l - 1 on an
+    incompressible world, whose walk pins m || 0, and l on any other."""
+    return params.ell - 1 if params.variant == "incompressible" else params.ell
+
+
+def check_signable(params: Params, m: BitVec) -> None:
+    """Refuse a world that cannot sign and a message of the wrong width.
+    sign and verify (and so hs_sign and hs_verify) run this first."""
+    if params.variant == "original":
+        raise ValueError("unstructured worlds cannot sign")
+    width = message_bits(params)
+    if m.n != width:
+        rule = "l - 1 on an incompressible world, else l"
+        raise ValueError(f"message must have {width} bits ({rule}), got {m.n}")
+
+
+def _pinned(params: Params, m: BitVec) -> BitVec:
+    """The l bits the signing walk pins for m."""
+    return m.concat(BitVec.zeros(1)) if params.variant == "incompressible" else m
+
+
+def sign(o: OracleSet, pk: PublicKey, sk: SecretKey, m: BitVec, rng) -> Signature:
+    """Consume sk and sign m (message_bits wide).  Exactly l dual queries."""
+    check_signable(o.params, m)
     _check_world(o, pk)
-    if m.n != o.params.ell:
-        raise ValueError(f"message must have {o.params.ell} bits")
     state = sk._claim()
+    m = _pinned(o.params, m)
     if sk.backend == "statevector":
         sigma = _qsim.sign_with_amplitudes(o, state, m, rng)
     else:
@@ -187,37 +210,28 @@ def _run_sign(o: OracleSet, pk: PublicKey, sk: SecretKey, m: BitVec, rng) -> Sig
     return Signature(sigma=sigma)
 
 
-def check_signable(params: Params) -> None:
-    """Refuse a world that sign and verify (and so hs_sign and hs_verify)
-    cannot serve."""
-    if params.variant == "incompressible":
-        raise ValueError("use sign_incompressible and verify_incompressible on incompressible worlds")
-    if params.variant == "original":
-        raise ValueError("unstructured worlds cannot sign")
-
-
-def sign(o: OracleSet, pk: PublicKey, sk: SecretKey, m: BitVec, rng) -> Signature:
-    """Consume sk and sign the l-bit message m.  Exactly l dual queries."""
-    check_signable(o.params)
-    return _run_sign(o, pk, sk, m, rng)
-
-
 def verify(o: OracleSet, pk: PublicKey, m: BitVec, sig: Signature) -> bool:
-    """Accept iff the signature starts with m and decodes to a preimage.
+    """Accept iff the signature starts with the pinned bits of m and lies
+    in pk's coset.
 
-    Both clauses are always evaluated, so every call costs exactly one
-    decode query regardless of the outcome.  Refuses the worlds that
-    sign refuses.
+    The coset clause costs one decode query, or one membership query and
+    no decode on an incompressible world: there the valid signatures are
+    exactly shift + (nonzero column-span point), because the forced shift
+    bit rules the all-zero combination out.  Both clauses are always
+    evaluated, so the cost is the same whatever the outcome.  Refuses
+    what sign refuses.
     """
-    check_signable(o.params)
+    p = o.params
+    check_signable(p, m)
     _check_world(o, pk)
-    if m.n != o.params.ell:
-        raise ValueError(f"message must have {o.params.ell} bits")
-    if sig.sigma.n != o.params.n:
+    if sig.sigma.n != p.n:
         raise ValueError("signature must have n bits")
-    preimage = o.decode(pk.y, sig.sigma)
-    prefix_ok = sig.sigma.prefix(o.params.ell) == m
-    return prefix_ok and preimage is not None
+    if p.variant == "incompressible":
+        found = o.coset_check(pk.y, sig.sigma) == 1
+    else:
+        found = o.decode(pk.y, sig.sigma) is not None
+    prefix_ok = sig.sigma.prefix(p.ell) == _pinned(p, m)
+    return prefix_ok and found
 
 
 def extract_collision(
@@ -247,35 +261,6 @@ def extract_collision(
     return x0, x1
 
 
-# -- incompressible variant --------------------------------------------
-
-
-def sign_incompressible(o: OracleSet, pk: PublicKey, sk: SecretKey, m: BitVec, rng) -> Signature:
-    """Sign an (l-1)-bit message by signing m || 0 with the standard walk."""
-    if o.params.variant != "incompressible":
-        raise ValueError("world is not incompressible")
-    if m.n != o.params.ell - 1:
-        raise ValueError(f"message must have {o.params.ell - 1} bits")
-    return _run_sign(o, pk, sk, m.concat(BitVec.zeros(1)), rng)
-
-
-def verify_incompressible(o: OracleSet, pk: PublicKey, m: BitVec, sig: Signature) -> bool:
-    """Membership-only verification: prefix must read m || 0 and the
-    signature must pass the coset membership oracle.  Zero decode queries;
-    valid signatures are exactly shift + (nonzero column-span point),
-    because the forced shift bit rules the all-zero combination out."""
-    _check_world(o, pk)
-    if o.params.variant != "incompressible":
-        raise ValueError("world is not incompressible")
-    if m.n != o.params.ell - 1:
-        raise ValueError(f"message must have {o.params.ell - 1} bits")
-    if sig.sigma.n != o.params.n:
-        raise ValueError("signature must have n bits")
-    member = o.coset_check(pk.y, sig.sigma)
-    prefix_ok = sig.sigma.prefix(o.params.ell) == m.concat(BitVec.zeros(1))
-    return prefix_ok and member == 1
-
-
 # -- hash-and-sign wrapper ---------------------------------------------
 
 
@@ -290,7 +275,8 @@ def rom_hash(seed: bytes, msg: bytes, out_bits: int) -> BitVec:
 
 
 def hs_sign(o: OracleSet, pk: PublicKey, sk: SecretKey, msg: bytes, rng) -> Signature:
-    """Sign an arbitrary byte string by signing its l-bit oracle digest."""
+    """Sign an arbitrary byte string by signing its l-bit oracle digest.
+    The width rule refuses it on an incompressible world."""
     return sign(o, pk, sk, rom_hash(o.seed, msg, o.params.ell), rng)
 
 

@@ -396,9 +396,9 @@ def suite_incompressible(seed: bytes) -> _Outcome:
         backend = "statevector" if t % 2 == 0 else "symbolic"
         pk, sk = _scheme.generate(o, backend, rng)
         m = BitVec(1, int(rng.integers(0, 2)))
-        sig = _scheme.sign_incompressible(o, pk, sk, m, rng)
+        sig = _scheme.sign(o, pk, sk, m, rng)
         with metered() as spent:
-            accepted = _scheme.verify_incompressible(o, pk, m, sig)
+            accepted = _scheme.verify(o, pk, m, sig)
         if accepted:
             ok += 1
         if "Pinv" not in spent and spent.get("D0") == 1:

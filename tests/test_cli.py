@@ -147,7 +147,7 @@ def test_hash_sign_on_an_incompressible_world_is_refused_unburnt(tmp_path, capsy
     _, sk = keypair(tmp_path, world)
     capsys.readouterr()
     assert run("sign", "--sk", str(sk), "--hash", "--msg", "hello", "--unsafe-test-io") == 1
-    assert "use sign_incompressible" in capsys.readouterr().err
+    assert "message must have 2 bits (l - 1 on an incompressible world" in capsys.readouterr().err
     assert json.loads(sk.read_text())["consumed"] is False
     # the kept token still signs the (l-1)-bit messages such a world takes
     assert run("sign", "--sk", str(sk), "--msg", "10", "--unsafe-test-io") == 0
@@ -170,7 +170,7 @@ def test_hash_verify_on_an_incompressible_world_is_refused(tmp_path, capsys):
     capsys.readouterr()
     assert run("verify", "--pk", str(pk), "--sig", str(sig), "--msg-file", str(msg), "--hash") == 1
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "verify_incompressible" in err
+    assert len(err.splitlines()) == 1 and "message must have 1 bits" in err
 
 
 def test_second_sign_exits_two(tmp_path, world):
@@ -240,6 +240,8 @@ def test_malformed_files_exit_64(tmp_path, world):
     # not JSON at all
     junk = tmp_path / "junk.json"
     junk.write_text("{")
+    assert run("world", "show", "--world", str(junk)) == 64
+    junk.write_bytes(b"\xff{")  # not UTF-8
     assert run("world", "show", "--world", str(junk)) == 64
     # missing file
     assert run("world", "show", "--world", str(tmp_path / "absent.json")) == 64
@@ -396,14 +398,21 @@ def test_bench_subcommand(world, capsys):
     assert doc["query_delta"] == {"P": 0, "Pinv": 5, "D": 10, "D0": 0, "Dprime": 0}
 
 
-def test_bench_on_a_bloated_world(tmp_path, capsys):
-    world = tmp_path / "bloated.json"
+@pytest.mark.parametrize(
+    "variant, verify_queries",
+    [("bloated", {"Pinv": 3, "D0": 0}), ("incompressible", {"Pinv": 0, "D0": 3})],
+    ids=["bloated", "incompressible"],
+)
+def test_bench_on_a_bloated_world(tmp_path, capsys, variant, verify_queries):
+    world = tmp_path / f"{variant}.json"
     assert run("world", "new", "--n", "12", "--r", "4", "--l", "3", "--s", "2",
-               "--variant", "bloated", "--seed", WORLD_SEED, "--out", str(world)) == 0
+               "--variant", variant, "--seed", WORLD_SEED, "--out", str(world)) == 0
     capsys.readouterr()
     assert run("bench", "--world", str(world), "--ops", "3", "--rng-seed", "01", "--json") == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["query_delta"]["D"] == 9 and doc["query_delta"]["Pinv"] == 3
+    spent = json.loads(capsys.readouterr().out)["query_delta"]
+    # l = 3 dual queries per sign; one decode, or one membership query and no decode, per verify
+    assert spent["D"] == 9
+    assert {k: spent[k] for k in verify_queries} == verify_queries
 
 
 @pytest.mark.parametrize(
@@ -445,6 +454,48 @@ def test_bench_refuses_a_dense_key_wider_than_the_cap(tmp_path, capsys):
 @pytest.mark.parametrize("ops", ["0", "-3"])
 def test_bench_refuses_fewer_than_one_op(world, ops):
     assert run("bench", "--world", str(world), "--ops", ops) == 64
+
+
+def test_unwritable_outputs_exit_64(tmp_path, world, capsys):
+    missing = tmp_path / "missing"
+    capsys.readouterr()
+    for argv in (
+        ["world", "new", "--n", "8", "--r", "3", "--l", "2", "--out", str(missing / "w.json")],
+        ["gen", "--world", str(world), "--pk-out", str(missing / "pk.json")],
+        ["experiments", "--suite", "queries", "--out", str(missing / "r.json")],
+    ):
+        assert run(*argv) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("osslab: error: cannot write") and err.count("\n") == 1
+    assert not missing.exists()
+
+
+def test_sign_into_a_missing_directory_keeps_the_token(tmp_path, world, capsys):
+    _, sk = keypair(tmp_path, world)
+    out = tmp_path / "missing" / "sig.json"
+    capsys.readouterr()
+    assert run("sign", "--sk", str(sk), "--msg", "10", "--out", str(out), "--unsafe-test-io") == 64
+    err = capsys.readouterr().err
+    assert err.startswith("osslab: error: cannot write") and err.count("\n") == 1
+    assert json.loads(sk.read_text())["consumed"] is False
+    # the kept token still signs once
+    assert run("sign", "--sk", str(sk), "--msg", "10", "--unsafe-test-io") == 0
+    assert json.loads(sk.read_text())["consumed"] is True
+
+
+def test_verify_refuses_a_public_key_whose_y_is_not_plain_hex(tmp_path, capsys):
+    world = tmp_path / "w.json"  # r = 5: y has two hex digits, as "+1" has two characters
+    assert run("world", "new", "--n", "10", "--r", "5", "--l", "2",
+               "--seed", WORLD_SEED, "--out", str(world)) == 0
+    pk, sk = keypair(tmp_path, world)
+    sig = tmp_path / "sig.json"
+    assert run("sign", "--sk", str(sk), "--msg", "10", "--out", str(sig), "--unsafe-test-io") == 0
+    doc = json.loads(pk.read_text())
+    doc["y"] = "+1"  # int("+1", 16) reads it as 1
+    pk.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--pk", str(pk), "--msg", "10", "--sig", str(sig)) == 64
+    assert "bad y field" in capsys.readouterr().err
 
 
 def test_no_temp_files_left_behind(tmp_path, world):

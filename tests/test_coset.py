@@ -39,7 +39,7 @@ def test_step_phase_has_order_eight():
 def test_keypair_support_size(rng):
     o = world()
     st = fresh_key(o, rng)
-    assert st.support_size == 32  # 2^(n-r)
+    assert len(enumerate_support(st)) == 32  # 2^(n-r)
     assert st.matched == 0 and st.phase == 1
 
 
@@ -50,7 +50,7 @@ def test_grover_step_enforces_order_and_consistency(rng):
     with pytest.raises(ValueError):
         grover_step(st, 2, m)  # steps must be taken in order
     st1 = grover_step(st, 1, m)
-    assert st1.matched == 1 and st1.support_size == 16
+    assert st1.matched == 1 and len(enumerate_support(st1)) == 16
     assert abs(st1.phase - STEP_PHASE) < 1e-12
     with pytest.raises(ValueError):
         grover_step(st1, 2, BitVec.from_str("00"))  # contradicts pinned bit
@@ -84,7 +84,7 @@ def test_walk_equals_field_by_field_replaced_states(rng):
         assert type(st) is CosetState
         for f in fields(CosetState):
             assert getattr(st, f.name) == getattr(ref, f.name), f.name
-    assert st.prefix == m and st.support_size == 1 << 16
+    assert st.prefix == m and len(enumerate_support(st)) == 1 << 16
 
 
 def test_full_walk_accumulates_step_phases(rng):
@@ -93,7 +93,7 @@ def test_full_walk_accumulates_step_phases(rng):
     m = BitVec(8, 0b10110100)
     for step in range(1, 9):
         st = grover_step(st, step, m)
-    assert st.support_size == 1
+    assert len(enumerate_support(st)) == 1
     assert abs(st.phase - 1) < 1e-12  # STEP_PHASE ** 8
 
 

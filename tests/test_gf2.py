@@ -75,6 +75,14 @@ def test_bitvec_bits_round_trip(v):
     assert BitVec.from_hex(v.to_hex(), 11) == v
 
 
+@pytest.mark.parametrize("text, n", [(" 1", 5), ("+1", 5), ("1_0", 12), ("\u0663\u0663", 8)])
+def test_from_hex_takes_only_ascii_hex_digits(text, n):
+    # int(text, 16) reads each of these, the last (Arabic-Indic 33) as 0x33
+    with pytest.raises(ValueError, match="hex digits"):
+        BitVec.from_hex(text, n)
+    assert BitVec.from_hex("Af", 8) == BitVec.from_hex("af", 8) == BitVec(8, 0xAF)
+
+
 # -- matrix arithmetic --------------------------------------------------
 
 

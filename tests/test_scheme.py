@@ -21,10 +21,9 @@ from osslab.scheme import (
     hs_sign,
     hs_verify,
     rom_hash,
+    message_bits,
     sign,
-    sign_incompressible,
     verify,
-    verify_incompressible,
 )
 
 SEED = bytes(range(32))
@@ -278,8 +277,8 @@ def test_variant_dispatch_guards(rng):
     inc = world(variant="incompressible")
     pk, sk = generate(inc, "symbolic", rng)
     with pytest.raises(ValueError):
-        sign(inc, pk, sk, BitVec.from_str("11"), rng)  # must use the variant entry
-    with pytest.raises(ValueError, match="verify_incompressible"):
+        sign(inc, pk, sk, BitVec.from_str("11"), rng)  # l - 1 = 1 bit on this variant
+    with pytest.raises(ValueError, match="l - 1 on an incompressible world"):
         verify(inc, pk, BitVec.from_str("11"), Signature(BitVec(8, 0)))
     orig = build_oracles(Params(n=8, r=3, ell=0, variant="original"), SEED)
     with pytest.raises(ValueError):
@@ -316,9 +315,11 @@ def test_incompressible_round_trip_and_structure(rng):
     for backend in ("statevector", "symbolic"):
         pk, sk = generate(o, backend, rng)
         m = BitVec(1, 1)
-        sig = sign_incompressible(o, pk, sk, m, rng)
         with metered() as spent:
-            assert verify_incompressible(o, pk, m, sig)
+            sig = sign(o, pk, sk, m, rng)
+        assert spent == {"D": 2}  # the walk pins l = 2 bits, the forced 0 included
+        with metered() as spent:
+            assert verify(o, pk, m, sig)
         assert spent == {"D0": 1}  # membership only, no decode
         gen, shift = o.coset_of(pk.y)
         diff = sig.sigma ^ shift
@@ -329,12 +330,43 @@ def test_incompressible_round_trip_and_structure(rng):
 def test_incompressible_message_width(rng):
     o = world(variant="incompressible")
     pk, sk = generate(o, "symbolic", rng)
-    with pytest.raises(ValueError):
-        sign_incompressible(o, pk, sk, BitVec.from_str("11"), rng)  # l - 1 = 1 bit
-    with pytest.raises(ValueError):
-        verify_incompressible(o, pk, BitVec.from_str("11"), Signature(BitVec(8, 0)))
-    with pytest.raises(ValueError):
-        verify_incompressible(world(), pk, BitVec(1, 0), Signature(BitVec(8, 0)))
+    assert message_bits(o.params) == 1 and message_bits(world().params) == 2
+    with pytest.raises(ValueError, match="message must have 1 bits .*, got 2"):
+        sign(o, pk, sk, BitVec.from_str("11"), rng)  # l - 1 = 1 bit
+    assert not sk.consumed  # refused before the key is claimed
+    with pytest.raises(ValueError, match="message must have 1 bits"):
+        verify(o, pk, BitVec.from_str("11"), Signature(BitVec(8, 0)))
+    with pytest.raises(ValueError, match="message must have 2 bits"):
+        verify(world(), pk, BitVec(1, 0), Signature(BitVec(8, 0)))
+    with pytest.raises(ValueError, match="message must have 1 bits"):
+        hs_sign(o, pk, sk, b"hello", rng)  # a digest has l bits
+
+
+# sigma for these worlds, keys and rngs, pinned from the incompressible signer
+# that sign replaced: serving every variant from sign must not move a bit
+INCOMPRESSIBLE_GOLDEN = [
+    ((8, 3, 2, "table"), "statevector", "0f"),
+    ((8, 3, 2, "table"), "symbolic", "3d"),
+    ((12, 4, 4, "table"), "statevector", "23c"),
+    ((12, 4, 4, "table"), "symbolic", "2da"),
+    ((40, 16, 8, "feistel"), "symbolic", "3ccd376ac4"),
+]
+
+
+@pytest.mark.parametrize("shape, backend, sigma", INCOMPRESSIBLE_GOLDEN)
+def test_incompressible_sign_matches_the_former_variant_signer(shape, backend, sigma):
+    n, r, ell, perm_mode = shape
+    o = build_oracles(Params(n=n, r=r, ell=ell, variant="incompressible", perm_mode=perm_mode), SEED)
+    rng = np.random.default_rng(2024)
+    m = BitVec(ell - 1, int(rng.integers(0, 1 << (ell - 1))))
+    pk, sk = generate(o, backend, rng)
+    with metered() as spent:
+        sig = sign(o, pk, sk, m, rng)
+    assert sig.sigma.to_hex() == sigma
+    assert spent == {"D": ell}
+    with metered() as spent:
+        assert verify(o, pk, m, sig)
+    assert spent == {"D0": 1}
 
 
 # -- hash-and-sign ------------------------------------------------------
