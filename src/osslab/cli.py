@@ -36,6 +36,7 @@ from .oracles import PERM_MODES, QUERY_KEYS, VARIANTS, Params, build_oracles, me
 __all__ = ["main", "entry"]
 
 FORMAT_VERSION = 1
+SEED_BYTES = 32
 
 EX_OK = 0
 EX_FAIL = 1
@@ -103,15 +104,15 @@ def _load_doc(path: str, kind: str) -> dict:
     return obj
 
 
-def _parse_seed(text: str | None, nbytes: int = 32) -> bytes:
+def _parse_seed(text: str | None) -> bytes:
     if text is None:
-        return os.urandom(nbytes)
+        return os.urandom(SEED_BYTES)
     try:
         raw = bytes.fromhex(text)
     except ValueError as exc:
         raise UsageError(f"seed must be hex: {exc}") from exc
-    if len(raw) != nbytes:
-        raise UsageError(f"seed must be {nbytes} bytes ({2 * nbytes} hex digits), got {len(raw)}")
+    if len(raw) != SEED_BYTES:
+        raise UsageError(f"seed must be {SEED_BYTES} bytes ({2 * SEED_BYTES} hex digits), got {len(raw)}")
     return raw
 
 
@@ -131,8 +132,8 @@ def _world_from_doc(doc: dict, origin: str) -> tuple[Params, bytes]:
         seed = bytes.fromhex(doc["seed"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{origin}: bad world document ({exc})") from exc
-    if len(seed) != 32:
-        raise UsageError(f"{origin}: world seed must be 32 bytes")
+    if len(seed) != SEED_BYTES:
+        raise UsageError(f"{origin}: world seed must be {SEED_BYTES} bytes")
     return params, seed
 
 
@@ -201,18 +202,24 @@ def cmd_world_new(args) -> int:
             perm_mode=args.perm_mode or "table",
         )
     seed = _parse_seed(args.seed)
-    try:
-        params.check_buildable()
-        buildable = True
-    except ValueError as exc:
-        buildable = False
-        print(f"warning: {exc}; world written but not buildable here", file=sys.stderr)
+    refusal = _build_refusal(params)
+    if refusal is not None:
+        print(f"warning: {refusal}; world written but not buildable here", file=sys.stderr)
     _write_doc(args.out, "world", {"params": params.to_json(), "seed": seed.hex()})
     if args.json:
-        print(json.dumps({"params": params.to_json(), "buildable": buildable}, indent=2))
+        print(json.dumps({"params": params.to_json(), "buildable": refusal is None}, indent=2))
     else:
         print(f"wrote world {args.out}: {_describe(params)}")
     return EX_OK
+
+
+def _build_refusal(params: Params) -> str | None:
+    """Why params' world cannot be built here, or None when it can."""
+    try:
+        params.check_buildable()
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def _describe(params: Params) -> str:
@@ -227,11 +234,7 @@ def _describe(params: Params) -> str:
 def cmd_world_show(args) -> int:
     doc = _load_doc(args.world, "world")
     params, seed = _world_from_doc(doc, args.world)
-    try:
-        params.check_buildable()
-        buildable = True
-    except ValueError:
-        buildable = False
+    buildable = _build_refusal(params) is None
     if args.json:
         print(
             json.dumps(

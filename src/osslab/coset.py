@@ -83,19 +83,19 @@ def grover_step(st: CosetState, step: int, m: BitVec) -> CosetState:
 
 
 def sign_with_coset(o: OracleSet, st: CosetState, m: BitVec, rng) -> BitVec:
-    """Run all l iterations symbolically and sample the final support.
+    """Spend the walk's l dual queries and sample its final support.
 
     Each iteration performs one logical dual query on the key state's y,
-    mirroring the dense backend.  The pinned support is every coset point
-    whose coefficients 1..l read m + shift, so the measurement draws the
-    rest uniformly.
+    mirroring the dense backend.  The walk ends on every coset point
+    whose coefficients 1..l read m + shift, which depends on m and the
+    coset alone, so no walk state is built and the measurement draws the
+    remaining coefficients uniformly.
     """
     if st.matched != 0:
         raise ValueError("signing must start from a fresh key state")
     ell = o.params.ell
     for step in range(1, ell + 1):
         o.dual_support(step, st.y)
-        st = grover_step(st, step, m)
     pinned = m ^ st.shift.prefix(ell)
     free = BitVec.random(rng, st.gen.cols - ell)
     return st.gen.matvec(pinned.concat(free)) ^ st.shift

@@ -37,20 +37,10 @@ def _parity(x: int) -> int:
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
-def _rand_bits(rng, k: int) -> int:
-    """Draw k bits, MSB-first, from a byte-stream object or numpy Generator."""
-    if k == 0:
-        return 0
-    if hasattr(rng, "bits"):
-        return rng.bits(k)
-    data = rng.bytes((k + 7) // 8)
-    return int.from_bytes(data, "big") >> (8 * len(data) - k)
-
-
 def split_draws(data: bytes, k: int) -> list[int]:
     """The k-bit draws (k >= 1) packed back to back in ``data``, each the
     top k bits of its own ceil(k/8) bytes read big-endian, as one
-    ``_rand_bits`` call reads a draw off a byte stream."""
+    ``SeededStream.bits`` call reads a draw."""
     nbytes = (k + 7) // 8
     drop = 8 * nbytes - k
     from_bytes = int.from_bytes
@@ -103,7 +93,11 @@ class BitVec:
 
     @classmethod
     def random(cls, rng, n: int) -> "BitVec":
-        return cls(n, _rand_bits(rng, n))
+        """n uniform bits from a numpy Generator: the top n bits of
+        ``rng.bytes(ceil(n/8))`` read big-endian.  n = 0 draws nothing."""
+        if n == 0:
+            return cls(0, 0)
+        return cls(n, split_draws(rng.bytes((n + 7) // 8), n)[0])
 
     # -- access ---------------------------------------------------------
 
@@ -137,14 +131,6 @@ class BitVec:
         if self.n != other.n:
             raise ValueError("length mismatch in xor")
         return BitVec(self.n, self.bits ^ other.bits)
-
-    def dot(self, other: "BitVec") -> int:
-        if self.n != other.n:
-            raise ValueError("length mismatch in dot")
-        return _parity(self.bits & other.bits)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
 
     def bit_list(self) -> list[int]:
         return [self.bit(i) for i in range(1, self.n + 1)]
@@ -197,15 +183,6 @@ class BitMatrix:
             raise ValueError("ragged rows")
         return cls(len(rows), cols, tuple(r.bits for r in rows))
 
-    @classmethod
-    def from_cols(cls, cols: Sequence[BitVec]) -> "BitMatrix":
-        if not cols:
-            raise ValueError("from_cols needs at least one column")
-        n_rows = cols[0].n
-        if any(c.n != n_rows for c in cols):
-            raise ValueError("ragged columns")
-        return cls(n_rows, len(cols), tuple(_transpose_words([c.bits for c in cols], n_rows)))
-
     # -- access ---------------------------------------------------------
 
     def row(self, i: int) -> BitVec:
@@ -213,20 +190,8 @@ class BitMatrix:
             raise IndexError(f"row {i} out of range [1, {self.rows}]")
         return BitVec(self.cols, self.row_words[i - 1])
 
-    def column(self, j: int) -> BitVec:
-        if not 1 <= j <= self.cols:
-            raise IndexError(f"column {j} out of range [1, {self.cols}]")
-        shift = self.cols - j
-        value = 0
-        for w in self.row_words:
-            value = (value << 1) | ((w >> shift) & 1)
-        return BitVec(self.rows, value)
-
     def columns(self) -> list[BitVec]:
         return [BitVec(self.rows, w) for w in _transpose_words(self.row_words, self.cols)]
-
-    def entry(self, i: int, j: int) -> int:
-        return self.row(i).bit(j)
 
     def span_ints(self, shift: int) -> list[int]:
         """Every point of shift + ColSpan(M) as packed ints, in the
@@ -323,10 +288,6 @@ class BitMatrix:
                 x |= 1 << pivot
         return BitVec(self.cols, x)
 
-    def null_space(self) -> "Subspace":
-        """Kernel {x : M @ x = 0} as a canonical subspace of Z2^cols."""
-        return Subspace._trusted(self.cols, _kernel_of_words(self.row_words, self.cols))
-
     def left_kernel(self) -> "Subspace":
         """The space {v : v^T M = 0} as a canonical subspace of Z2^rows."""
         columns = _transpose_words(self.row_words, self.cols)
@@ -352,9 +313,6 @@ class BitMatrix:
         return chain_from_top(top, [BitVec(self.rows, w) for w in normals])
 
     # -- serialization --------------------------------------------------
-
-    def to_hex_rows(self) -> list[str]:
-        return [self.row(i).to_hex() for i in range(1, self.rows + 1)]
 
     def __str__(self) -> str:
         return "\n".join(str(self.row(i)) for i in range(1, self.rows + 1))
@@ -502,10 +460,6 @@ class Subspace:
         """All 2^dim elements as packed ints (doubling order)."""
         return xor_span_ints(self.basis)
 
-    def orthogonal(self) -> "Subspace":
-        """The dual {v : v . b = 0 for every basis vector b}."""
-        return Subspace._trusted(self.ambient, _kernel_of_words(self.basis, self.ambient))
-
     def intersect_hyperplane(self, normal: BitVec) -> "Subspace":
         """Intersection with {v : v . normal = 0}, canonical without a
         row reduction.
@@ -615,31 +569,25 @@ class ColumnDecoder:
         return x
 
 
-def sample_full_column_rank(rng, rows: int, cols: int) -> BitMatrix:
+def sample_full_column_rank(stream, rows: int, cols: int) -> BitMatrix:
     """Uniform matrix with linearly independent columns.
 
     Columns are drawn one at a time and redrawn whenever the candidate
     falls inside the span of the columns already kept, which induces the
     uniform distribution on full-column-rank matrices.
 
-    Each candidate is ``_rand_bits(rng, rows)``.  A byte stream (an rng
-    with ``read``) hands over the ``cols - kept`` candidates still needed
-    in one read: a candidate fills at most one column, so the one-at-a-time
-    loop examines at least that many more, and the stream is left exactly
-    where that loop leaves it.  A numpy Generator draws one candidate at a
-    time, since ``Generator.bytes`` drops the unused bytes of its 32-bit
-    draws and a batch would change its later draws.
+    ``stream`` is a byte stream with ``read`` (a SeededStream), and each
+    candidate is one ``stream.bits(rows)`` draw.  The ``cols - kept``
+    candidates still needed come in one read: a candidate fills at most
+    one column, so the one-at-a-time loop examines at least that many
+    more, and the stream is left exactly where that loop leaves it.
     """
     if cols > rows:
         raise ValueError("cannot have more independent columns than rows")
-    batched = hasattr(rng, "read")
     basis: dict[int, int] = {}
     kept: list[int] = []
     while len(kept) < cols:
-        if batched:
-            batch = split_draws(rng.read((cols - len(kept)) * ((rows + 7) // 8)), rows)
-        else:
-            batch = [_rand_bits(rng, rows)]
+        batch = split_draws(stream.read((cols - len(kept)) * ((rows + 7) // 8)), rows)
         for cand in batch:
             residue = _reduce_word(cand, basis)
             if residue:

@@ -126,12 +126,8 @@ class SeededStream:
         if bound <= 0:
             raise ValueError("bound must be positive")
         k = (bound - 1).bit_length()
-        if k == 0:
-            return 0
-        nbytes = (k + 7) // 8
-        drop = 8 * nbytes - k
         while True:
-            x = int.from_bytes(self.read(nbytes), "big") >> drop
+            x = self.bits(k)
             if x < bound:
                 return x
 
@@ -200,6 +196,12 @@ class Params:
     lam: Optional[int] = None
 
     def __post_init__(self) -> None:
+        shape = {"n": self.n, "r": self.r, "l": self.ell, "s": self.s}
+        if self.lam is not None:
+            shape["lambda"] = self.lam
+        for name, value in shape.items():
+            if type(value) is not int:  # refuses a float such as 8.0 and a bool
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.perm_mode not in PERM_MODES:

@@ -253,6 +253,33 @@ def test_malformed_files_exit_64(tmp_path, world):
     assert json.loads(sk.read_text())["consumed"] is False
 
 
+@pytest.mark.parametrize("field, value", [("n", 8.0), ("n", 8.5), ("r", True)])
+def test_world_with_a_non_integer_shape_exits_64(tmp_path, world, capsys, field, value):
+    doc = json.loads(world.read_text())
+    doc["params"][field] = value
+    world.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (("world", "show"), ("gen", "--pk-out", str(tmp_path / "pk.json"))):
+        assert run(*argv, "--world", str(world)) == 64
+        err = capsys.readouterr().err
+        assert "bad world document" in err and f"{field} must be an integer" in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "pk.json").exists()
+
+
+def test_verify_refuses_a_public_key_with_a_float_shape(tmp_path, world, capsys):
+    pk, sk = keypair(tmp_path, world)
+    sig = tmp_path / "sig.json"
+    assert run("sign", "--sk", str(sk), "--msg", "10", "--out", str(sig), "--unsafe-test-io") == 0
+    doc = json.loads(pk.read_text())
+    doc["world"]["params"]["n"] = 8.0
+    pk.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--pk", str(pk), "--msg", "10", "--sig", str(sig)) == 64
+    err = capsys.readouterr().err
+    assert "n must be an integer, got 8.0" in err and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_64():
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")

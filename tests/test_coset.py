@@ -145,6 +145,9 @@ def test_sign_with_coset_spends_l_dual_queries(rng):
     assert spent == {"D": 2}
     assert sigma.prefix(2) == BitVec.from_str("01")
     assert o.decode(st.y, sigma) is not None
+    with metered() as spent, pytest.raises(ValueError, match="fresh key state"):
+        sign_with_coset(o, grover_step(st, 1, BitVec.from_str("01")), BitVec.from_str("01"), rng)
+    assert spent == {}
 
 
 def test_sign_with_coset_on_wide_feistel_world(rng):

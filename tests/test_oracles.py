@@ -113,6 +113,24 @@ def test_params_validation():
     Params(n=8, r=3, ell=0, variant="original")  # fine
 
 
+@pytest.mark.parametrize(
+    "kw, field",
+    [
+        ({"n": 8.0}, "n"),
+        ({"n": 8.5}, "n"),
+        ({"r": True}, "r"),
+        ({"ell": 2.0}, "l"),
+        ({"s": False}, "s"),
+        ({"lam": 2.0}, "lambda"),
+        ({"n": "8"}, "n"),
+    ],
+)
+def test_params_refuse_a_shape_that_is_not_an_int(kw, field):
+    # a float n reached PermutationEngine's shifts and raised TypeError there
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        Params(**{"n": 8, "r": 3, "ell": 2, **kw})
+
+
 def test_params_lambda_scaling():
     p = Params.from_lambda(2)
     assert (p.n, p.r, p.ell, p.s) == (82, 32, 2, 32)
@@ -149,7 +167,7 @@ def test_golden_world_values():
         y, u = o.encode(BitVec(8, xv))
         assert (y.to_hex(), u.to_hex()) == (y_hex, u_hex)
     gen, shift = o.coset_of(BitVec(3, 5))
-    assert gen.to_hex_rows() == ["10", "08", "19", "11", "1e", "0c", "10", "03"]
+    assert [gen.row(i).to_hex() for i in range(1, 9)] == ["10", "08", "19", "11", "1e", "0c", "10", "03"]
     assert shift.to_hex() == "c2"
 
 
@@ -186,7 +204,7 @@ def replay_coset(p, seed, y):
         if residue:
             kept.append(BitVec(rows, cand))
             basis = sorted(basis + [residue], reverse=True)
-    c_block = BitMatrix.from_cols(kept) if kept else BitMatrix.zeros(rows, 0)
+    c_block = BitMatrix.from_rows(kept).transpose() if kept else BitMatrix.zeros(rows, 0)
     gen = b_block.hstack(c_block)
     if p.ell:
         gen = BitMatrix.identity(p.ell).hstack(BitMatrix.zeros(p.ell, d)).vstack(gen)

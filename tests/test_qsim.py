@@ -88,7 +88,7 @@ def test_wht_of_coset_state_lives_on_the_dual(rng):
     y, st = generate_keypair_state(o, rng)
     gen, shift = o.coset_of(y)
     walsh_hadamard(st)
-    dual = gen.transpose().null_space()
+    dual = gen.left_kernel()
     members = set(dual.element_ints())
     nz = set(np.nonzero(np.abs(st.amp) > 1e-12)[0].tolist())
     assert nz == members

@@ -369,6 +369,35 @@ def test_incompressible_sign_matches_the_former_variant_signer(shape, backend, s
     assert spent == {"D0": 1}
 
 
+# (world shape, rng seed, m, y, sigma) for the symbolic signer: the rng
+# draws m, then keygen's y, then sign's free coefficients
+SYMBOLIC_GOLDEN = [
+    ((8, 3, 2, "table"), 1, "1", "4", "6e"),
+    ((8, 3, 2, "table"), 2, "3", "2", "c6"),
+    ((8, 3, 2, "table"), 3, "3", "0", "fb"),
+    ((64, 32, 16, "feistel"), 1, "7922", "8306bdf3", "7922137ceca84ef4"),
+    ((64, 32, 16, "feistel"), 2, "d66b", "42f90348", "d66bc025e3954000"),
+    ((64, 32, 16, "feistel"), 3, "cfbe", "15ed1a93", "cfbe0cf28dcda208"),
+]
+
+
+@pytest.mark.parametrize("shape, seed, m_hex, y_hex, sigma", SYMBOLIC_GOLDEN)
+def test_symbolic_sign_draws_pinned_signatures(shape, seed, m_hex, y_hex, sigma):
+    n, r, ell, perm_mode = shape
+    o = build_oracles(Params(n=n, r=r, ell=ell, perm_mode=perm_mode), SEED)
+    rng = np.random.default_rng(seed)
+    m = BitVec(ell, int(rng.integers(0, 1 << ell)))
+    pk, sk = generate(o, "symbolic", rng)
+    assert (m.to_hex(), pk.y.to_hex()) == (m_hex, y_hex)
+    with metered() as spent:
+        sig = sign(o, pk, sk, m, rng)
+    assert sig.sigma.to_hex() == sigma
+    assert spent == {"D": ell}
+    with metered() as spent:
+        assert verify(o, pk, m, sig)
+    assert spent == {"Pinv": 1}
+
+
 # -- hash-and-sign ------------------------------------------------------
 
 
