@@ -314,6 +314,43 @@ def one_candidate_at_a_time(stream, rows, cols):
 DRAW_SHAPES = [(1, 1), (6, 4), (6, 6), (8, 8), (9, 9), (17, 3), (48, 16), (5, 0), (0, 0)]
 
 
+class PerCandidateGenerator:
+    """A numpy Generator read as a byte stream of rows-bit candidates.
+
+    Each candidate is its own ``rng.bytes(ceil(rows/8))`` draw, the draw
+    ``BitVec.random`` makes, so a ``read`` that is not whole candidates
+    fails: ``Generator.bytes`` drops the unused bytes of its 32-bit draws,
+    and a read across candidates would change the generator's later output.
+    """
+
+    def __init__(self, rng, rows):
+        self.rng = rng
+        self.nbytes = (rows + 7) // 8
+
+    def read(self, n):
+        count, extra = divmod(n, self.nbytes)
+        assert extra == 0, f"read of {n} bytes splits a {self.nbytes}-byte candidate"
+        return b"".join(self.rng.bytes(self.nbytes) for _ in range(count))
+
+    def bits(self, k):
+        return BitVec.random(self.rng, k).bits
+
+
+@pytest.mark.parametrize("rows, cols", DRAW_SHAPES)
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_full_column_rank_on_a_generator_draws_per_candidate(rows, cols, seed):
+    # the sampler reads whole candidates only, so a Generator drawn one
+    # candidate at a time yields the columns of the per-candidate rule and
+    # ends where BitVec.random, one draw per candidate, leaves its twin
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    m = sample_full_column_rank(PerCandidateGenerator(rng, rows), rows, cols)
+    assert (m.rows, m.cols) == (rows, cols)
+    assert [c.bits for c in m.columns()] == one_candidate_at_a_time(
+        PerCandidateGenerator(twin, rows), rows, cols
+    )
+    assert rng.bytes(16) == twin.bytes(16)
+
+
 @pytest.mark.parametrize("rows, cols", DRAW_SHAPES)
 @pytest.mark.parametrize("seed", range(4))
 def test_sample_full_column_rank_leaves_a_stream_where_the_replay_does(rows, cols, seed):
@@ -353,6 +390,19 @@ def test_subspace_count_dimension_by_dimension():
     # dimension 4 needs four generators; add the full space by hand
     assert len(seen) + 1 == 67
     assert Subspace.full(4).dim == 4
+
+
+@given(matrices(4, 5))
+def test_orthogonal_is_an_involution(a):
+    # the dual of s is the left kernel of the matrix whose columns are s's
+    # basis: {v : v . b = 0 for every basis vector b}
+    def dual(sub):
+        return BitMatrix(sub.dim, sub.ambient, sub.basis).transpose().left_kernel()
+
+    s = Subspace.from_words(5, a.row_words)
+    assert dual(dual(s)) == s
+    assert s.dim + dual(s).dim == 5
+    assert all(bin(v & b).count("1") % 2 == 0 for v in dual(s).element_ints() for b in s.basis)
 
 
 @given(matrices(4, 5), bitvecs(5))
