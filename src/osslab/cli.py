@@ -346,7 +346,7 @@ def _worker_count() -> int:
 
 def cmd_experiments(args) -> int:
     names = args.suite or list(suites.SUITES)
-    seed = _parse_seed(args.seed) if args.seed else suites.default_seed()
+    seed = _parse_seed(args.seed) if args.seed is not None else suites.default_seed()
     if args.out:
         _check_writable(args.out)
     workers = min(_worker_count(), len(names))
@@ -377,7 +377,7 @@ def cmd_distinguisher(args) -> int:
         trials = DISTINGUISHER_TRIALS[args.case]
     elif trials < 1:
         raise UsageError("--trials must be >= 1")
-    seed = _parse_seed(args.seed) if args.seed else suites.default_seed()
+    seed = _parse_seed(args.seed) if args.seed is not None else suites.default_seed()
     report = run_collapse_distinguisher(args.n, args.r, args.case, trials, seed)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))

@@ -21,7 +21,6 @@ import cmath
 from dataclasses import dataclass
 
 from .gf2 import BitMatrix, BitVec
-from .oracles import OracleSet
 from .qsim import StateVector
 
 __all__ = [
@@ -82,22 +81,17 @@ def grover_step(st: CosetState, step: int, m: BitVec) -> CosetState:
     return CosetState(st.y, st.gen, st.shift, step, prefix, st.phase * STEP_PHASE)
 
 
-def sign_with_coset(o: OracleSet, st: CosetState, m: BitVec, rng) -> BitVec:
-    """Spend the walk's l dual queries and sample its final support.
+def sign_with_coset(st: CosetState, m: BitVec, rng) -> BitVec:
+    """Walk a fresh key state over the l = len(m) bits of m and sample.
 
-    Each iteration performs one logical dual query on the key state's y,
-    mirroring the dense backend.  The walk ends on every coset point
-    whose coefficients 1..l read m + shift, which depends on m and the
-    coset alone, so no walk state is built and the measurement draws the
-    remaining coefficients uniformly.
+    The walk ends on every coset point whose coefficients 1..l read m + shift,
+    which depends on m and the coset alone, so no walk state is built and
+    the measurement draws the remaining coefficients uniformly.
     """
     if st.matched != 0:
         raise ValueError("signing must start from a fresh key state")
-    ell = o.params.ell
-    for step in range(1, ell + 1):
-        o.dual_support(step, st.y)
-    pinned = m ^ st.shift.prefix(ell)
-    free = BitVec.random(rng, st.gen.cols - ell)
+    pinned = m ^ st.shift.prefix(m.n)
+    free = BitVec.random(rng, st.gen.cols - m.n)
     return st.gen.matvec(pinned.concat(free)) ^ st.shift
 
 

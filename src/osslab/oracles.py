@@ -443,8 +443,8 @@ class OracleSet:
 
     @functools.cached_property
     def dual_chain(self) -> Callable[[int], tuple[Subspace, ...]]:
-        """One-slot ``lru_cache`` of y's dual levels (y an int), made on first
-        use as most worlds never sign; a walk asks for one y l times in a row."""
+        """One-slot ``lru_cache`` of y's dual levels (y an int), made on first read;
+        phase_dual's walks in the grover and backends batteries read one y l times."""
         return functools.lru_cache(maxsize=1)(functools.partial(_dual_chain, self.cosets))
 
     @functools.cached_property
@@ -517,6 +517,15 @@ class OracleSet:
         tail = gen.rmatvec(v).bits & ((1 << max(p.n - p.r - j + 1, 0)) - 1)
         return 1 if tail == 0 else 0
 
+    def spend_dual(self, j: int, y: BitVec) -> None:
+        """One D query at level j on y that reads no level, so builds nothing
+        (the signing walk's).  Refuses, uncounted, what dual_support refuses."""
+        if not 1 <= j <= self.params.ell + 1:
+            raise ValueError("a D query needs 1 <= j <= l + 1")
+        if y.n != self.params.r:
+            raise ValueError("y must have r bits")
+        self._count("D")
+
     def dual_support(self, j: int, y: BitVec) -> Subspace:
         """Accepted set of dual_check(j, y, .) as a subspace.
 
@@ -525,12 +534,7 @@ class OracleSet:
         query, and it counts as one D query.  Every level comes from the
         chain for y, which is built once and shared by all l + 1 levels.
         """
-        p = self.params
-        if not 1 <= j <= p.ell + 1:
-            raise ValueError("dual_support needs 1 <= j <= l + 1")
-        if y.n != p.r:
-            raise ValueError("y must have r bits")
-        self._count("D")
+        self.spend_dual(j, y)
         return self.dual_chain(y.bits)[j - 1]
 
     def coset_check(self, y: BitVec, u: BitVec) -> int:

@@ -174,7 +174,7 @@ def phase_dual(state: StateVector, step: int, y: BitVec, o: OracleSet) -> StateV
     return state
 
 
-def walk_step(st: CosetAmplitudes, step: int, m: BitVec, o: OracleSet) -> CosetAmplitudes:
+def walk_step(st: CosetAmplitudes, step: int, m: BitVec) -> CosetAmplitudes:
     """phase_prefix then phase_dual at level ``step``, in coset coordinates.
 
     The top l rows of the generator are [I_l | 0], so bit c <= l of a
@@ -182,29 +182,28 @@ def walk_step(st: CosetAmplitudes, step: int, m: BitVec, o: OracleSet) -> CosetA
     first ``step`` columns read m + shift.  Conjugating a phase i on the
     level-``step`` dual S by transforms gives psi + (i - 1) avg_{S-perp} psi,
     and S-perp is the span of columns step..n-r: an average over those
-    coefficients of w.  The dual level is still pulled once (one D query).
+    coefficients of w.
     """
     if not 1 <= step <= m.n:
         raise ValueError("step must satisfy 1 <= step <= len(m)")
     pinned = (m.bits >> (m.n - step)) ^ (st.shift.bits >> (st.gen.rows - step))
     low = int(f"{pinned:0{step}b}"[::-1], 2)  # column c is bit c - 1 of w
     st.amp.reshape(-1, 1 << step)[:, low] *= 1j
-    o.dual_support(step, st.y)
     rows = st.amp.reshape(-1, 1 << (step - 1))
     rows += rows.sum(axis=0) * ((1j - 1.0) / rows.shape[0])
     return st
 
 
-def sign_with_amplitudes(o: OracleSet, st: CosetAmplitudes, m: BitVec, rng) -> BitVec:
-    """Run all l walk steps on the key state and measure.
+def sign_with_amplitudes(st: CosetAmplitudes, m: BitVec, rng) -> BitVec:
+    """Run the l = len(m) walk steps on the key state and measure.
 
     The measurement draws once from the Born distribution over the coset
     in ascending point order, which is measure's distribution on the full
     register with its zero entries dropped: the same signature for the
     same rng.  The caller's state is consumed.
     """
-    for step in range(1, o.params.ell + 1):
-        walk_step(st, step, m, o)
+    for step in range(1, m.n + 1):
+        walk_step(st, step, m)
     probs = np.abs(st.amp) ** 2
     norm = math.sqrt(probs.sum())
     if abs(norm - 1.0) > _NORM_TOL:

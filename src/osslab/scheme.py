@@ -4,8 +4,9 @@ This module owns the key path on both backends.  draw_key measures the
 hash register (a uniform y) and key_state writes down the key state for
 y on the chosen backend; generate, the CLI's test tokens and the
 full-register reference keygen (qsim.generate_keypair_state) all go
-through these two.  The backends supply only the signing walk and its
-final measurement (qsim.sign_with_amplitudes, coset.sign_with_coset).
+through these two.  sign spends the walk's l D queries on the key's y; the
+backends supply only the walk and final draw (qsim.sign_with_amplitudes,
+coset.sign_with_coset).
 
 A secret key is consumable.  Signing atomically claims it before doing
 any work; a second sign attempt on the same key object raises
@@ -202,11 +203,13 @@ def sign(o: OracleSet, pk: PublicKey, sk: SecretKey, m: BitVec, rng) -> Signatur
     check_signable(o.params, m)
     _check_world(o, pk)
     state = sk._claim()
+    for step in range(1, o.params.ell + 1):
+        o.spend_dual(step, state.y)
     m = _pinned(o.params, m)
     if sk.backend == "statevector":
-        sigma = _qsim.sign_with_amplitudes(o, state, m, rng)
+        sigma = _qsim.sign_with_amplitudes(state, m, rng)
     else:
-        sigma = _coset.sign_with_coset(o, state, m, rng)
+        sigma = _coset.sign_with_coset(state, m, rng)
     return Signature(sigma=sigma)
 
 

@@ -385,6 +385,16 @@ def test_experiments_take_no_trial_count():
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["experiments", "--suite", "queries"], ["distinguisher", "--case", "hash-only", "--trials", "1"]],
+)
+def test_an_empty_seed_is_refused_not_defaulted(argv, capsys):
+    assert run(*argv, "--seed", "") == 64
+    err = capsys.readouterr().err
+    assert err.endswith("seed must be 32 bytes (64 hex digits), got 0\n") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("case", ["hash-only", "hash-first-bit"])
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_distinguisher_refuses_fewer_than_one_trial(case, trials, capsys):

@@ -137,23 +137,24 @@ def test_to_statevector_tracks_dense_backend(rng):
         assert np.max(np.abs(to_statevector(st).amp - sv.amp)) < 1e-12
 
 
-def test_sign_with_coset_spends_l_dual_queries(rng):
+def test_sign_with_coset_spends_no_queries(rng):
+    """The walk's l dual queries are spent by scheme.sign (see
+    test_sign_spends_exactly_l_dual_queries), never by the backend."""
     o = world()
     st = fresh_key(o, rng)
     with metered() as spent:
-        sigma = sign_with_coset(o, st, BitVec.from_str("01"), rng)
-    assert spent == {"D": 2}
+        sigma = sign_with_coset(st, BitVec.from_str("01"), rng)
+    assert spent == {}
     assert sigma.prefix(2) == BitVec.from_str("01")
     assert o.decode(st.y, sigma) is not None
-    with metered() as spent, pytest.raises(ValueError, match="fresh key state"):
-        sign_with_coset(o, grover_step(st, 1, BitVec.from_str("01")), BitVec.from_str("01"), rng)
-    assert spent == {}
+    with pytest.raises(ValueError, match="fresh key state"):
+        sign_with_coset(grover_step(st, 1, BitVec.from_str("01")), BitVec.from_str("01"), rng)
 
 
 def test_sign_with_coset_on_wide_feistel_world(rng):
     o = build_oracles(Params(n=40, r=20, ell=8, perm_mode="feistel"), SEED)
     st = fresh_key(o, rng)
     m = BitVec(8, 0xA5)
-    sigma = sign_with_coset(o, st, m, rng)
+    sigma = sign_with_coset(st, m, rng)
     assert sigma.prefix(8) == m
     assert o.decode(st.y, sigma) is not None

@@ -180,7 +180,7 @@ def test_coset_walk_matches_the_full_register(case):
     for step in range(1, m.n + 1):
         phase_prefix(sv, step, m)
         phase_dual(sv, step, y, o)
-        walk_step(ca, step, m, o)
+        walk_step(ca, step, m)
         assert np.max(np.abs(scatter(ca) - sv.amp)) < 1e-12
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import osslab
-from osslab.gf2 import BitVec
+from osslab.gf2 import BitMatrix, BitVec
 from osslab.oracles import Params, build_oracles, metered
 from osslab.scheme import (
     OneShotViolation,
@@ -62,8 +62,8 @@ def test_sign_queries_the_key_states_y(backend, rng, monkeypatch):
     pk, sk = generate(o, backend, rng)
     other = PublicKey(y=BitVec(3, pk.y.bits ^ 1), params=o.params, seed=o.seed)
     seen = []
-    real = o.dual_support
-    monkeypatch.setattr(o, "dual_support", lambda j, y: seen.append(y) or real(j, y))
+    real = o.spend_dual
+    monkeypatch.setattr(o, "spend_dual", lambda j, y: seen.append(y) or real(j, y))
     sig = sign(o, other, sk, BitVec.from_str("10"), rng)
     assert seen == [pk.y, pk.y]
     assert verify(o, pk, BitVec.from_str("10"), sig)
@@ -164,23 +164,47 @@ def test_sign_spends_exactly_l_dual_queries(rng):
         assert spent == {"D": 2}
 
 
+@pytest.mark.parametrize("backend", ["statevector", "symbolic"])
+def test_sign_builds_no_dual_chain(backend, rng, monkeypatch):
+    """sign only counts its D queries: the chain slot is left as it was
+    and no left kernel is taken."""
+    o = world()
+    o.dual_support(1, BitVec(3, 0))  # fill the slot with some y
+    before = o.dual_chain.cache_info()
+    pk, sk = generate(o, backend, rng)
+
+    def refuse(self):
+        raise AssertionError("sign took a left kernel")
+
+    monkeypatch.setattr(BitMatrix, "left_kernel", refuse)
+    sign(o, pk, sk, BitVec.from_str("01"), rng)
+    after = o.dual_chain.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
 def test_dual_chain_cache_keeps_only_the_latest_y(rng):
     o = build_oracles(Params(n=24, r=8, ell=6, perm_mode="feistel"), SEED)
     chains = o.dual_chain
     keys = []
+    slot = None
     for _ in range(16):
         pk, sk = generate(o, "symbolic", rng)
         sign(o, pk, sk, BitVec(6, 0b101100), rng)
         y = pk.y.bits
         misses = chains.cache_info().misses
-        chain = chains(y)
+        chain = chains(y)  # a sign leaves the slot alone, so a new y is built here
+        if y != slot:
+            misses += 1
+        assert chains.cache_info().misses == misses
         assert chains(y) is chain  # served from the slot without a rebuild
         assert chains.cache_info().misses == misses
         assert chains.cache_info().currsize == 1
         assert chain == o.cosets.derive(y)[0].dual_chain(6)
+        slot = y
         if keys and keys[-1] != y:
             chains(keys[-1])  # the previous y was evicted, so it is rebuilt
             assert chains.cache_info().misses == misses + 1
+            slot = keys[-1]
         keys.append(y)
     assert len(set(keys)) > 1
 
