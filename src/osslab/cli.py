@@ -123,6 +123,8 @@ def _make_rng(text: str | None) -> np.random.Generator:
         raw = bytes.fromhex(text)
     except ValueError as exc:
         raise UsageError(f"--rng-seed must be hex: {exc}") from exc
+    if not raw:
+        raise UsageError("--rng-seed must not be empty")
     return np.random.default_rng(int.from_bytes(raw, "big"))
 
 

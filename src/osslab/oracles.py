@@ -485,16 +485,27 @@ class OracleSet:
         gen, shift = self.cosets.derive(y.bits)
         return y, gen.matvec(w) ^ shift
 
-    def decode(self, y: BitVec, u: BitVec) -> Optional[BitVec]:
-        """Inverse oracle: recover x with encode(x) = (y, u), or None."""
+    def _pinv_coordinates(self, y: BitVec, u: BitVec) -> Optional[int]:
+        """One Pinv query on (y, u): u's coset coordinates w, or None.
+        Refuses a wrong width before counting."""
         p = self.params
         if y.n != p.r or u.n != p.n:
-            raise ValueError("decode expects r-bit y and n-bit u")
+            raise ValueError("a Pinv query expects r-bit y and n-bit u")
         self._count("Pinv")
-        w = self._coset_coordinates(y.bits, u.bits)
+        return self._coset_coordinates(y.bits, u.bits)
+
+    def decode(self, y: BitVec, u: BitVec) -> Optional[BitVec]:
+        """Inverse oracle: recover x with encode(x) = (y, u), or None."""
+        w = self._pinv_coordinates(y, u)
         if w is None:
             return None
+        p = self.params
         return BitVec(p.n, self.perm.inverse((y.bits << (p.n - p.r)) | w))
+
+    def decodes(self, y: BitVec, u: BitVec) -> bool:
+        """The verifier's inverse query: decode(y, u) is not None, at the
+        same cost of one Pinv, without inverting the permutation."""
+        return self._pinv_coordinates(y, u) is not None
 
     def hash_bits(self, x: BitVec) -> BitVec:
         """First r bits of the permuted input.  Derived view of encode;

@@ -15,7 +15,7 @@ outside of tests (see allow_test_cloning).
 
 sign and verify serve every world that can sign.  An incompressible
 world takes (l-1)-bit messages, signs m || 0, and verifies with a single
-coset-membership query instead of decode; message_bits and
+coset-membership query instead of the Pinv query; message_bits and
 check_signable state that rule once.
 """
 
@@ -217,8 +217,9 @@ def verify(o: OracleSet, pk: PublicKey, m: BitVec, sig: Signature) -> bool:
     """Accept iff the signature starts with the pinned bits of m and lies
     in pk's coset.
 
-    The coset clause costs one decode query, or one membership query and
-    no decode on an incompressible world: there the valid signatures are
+    The coset clause is one Pinv query that reads only whether sigma
+    decodes, so the permutation is never inverted; on an incompressible
+    world it is one membership query instead: there the valid signatures are
     exactly shift + (nonzero column-span point), because the forced shift
     bit rules the all-zero combination out.  Both clauses are always
     evaluated, so the cost is the same whatever the outcome.  Refuses
@@ -232,7 +233,7 @@ def verify(o: OracleSet, pk: PublicKey, m: BitVec, sig: Signature) -> bool:
     if p.variant == "incompressible":
         found = o.coset_check(pk.y, sig.sigma) == 1
     else:
-        found = o.decode(pk.y, sig.sigma) is not None
+        found = o.decodes(pk.y, sig.sigma)
     prefix_ok = sig.sigma.prefix(p.ell) == _pinned(p, m)
     return prefix_ok and found
 

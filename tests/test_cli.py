@@ -395,6 +395,22 @@ def test_an_empty_seed_is_refused_not_defaulted(argv, capsys):
     assert err.endswith("seed must be 32 bytes (64 hex digits), got 0\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["gen", "sign", "bench"])
+def test_an_empty_rng_seed_is_refused_not_defaulted(command, tmp_path, world, capsys):
+    _, sk = keypair(tmp_path, world)
+    argv = {
+        "gen": ["gen", "--world", str(world), "--pk-out", str(tmp_path / "pk2.json")],
+        "sign": ["sign", "--sk", str(sk), "--msg", "10", "--unsafe-test-io"],
+        "bench": ["bench", "--world", str(world), "--ops", "1"],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv, "--rng-seed", "") == 64
+    captured = capsys.readouterr()
+    assert captured.err.endswith("--rng-seed must not be empty\n") and captured.err.count("\n") == 1
+    assert captured.out == "" and not (tmp_path / "pk2.json").exists()
+    assert not json.loads(sk.read_text())["consumed"]
+
+
 @pytest.mark.parametrize("case", ["hash-only", "hash-first-bit"])
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_distinguisher_refuses_fewer_than_one_trial(case, trials, capsys):

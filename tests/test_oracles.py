@@ -572,8 +572,8 @@ def test_coset_check_matches_decode():
     st.data(),
 )
 def test_column_decoder_agrees_with_solve_on_and_off_the_coset(variant, perm_mode, data):
-    """The cached decoder gives solve's answer, value or None, and decode
-    and coset_check follow it, for points on y's coset and off it."""
+    """The cached decoder gives solve's answer, value or None, and decode,
+    decodes and coset_check follow it, for points on y's coset and off it."""
     n = data.draw(st.integers(2, 12 if perm_mode == "table" else 64))
     if variant == "original":
         r, ell = data.draw(st.integers(1, n)), 0
@@ -599,6 +599,20 @@ def test_column_decoder_agrees_with_solve_on_and_off_the_coset(variant, perm_mod
         x = None if w is None else BitVec(n, o.perm.inverse((y.bits << (n - r)) | w))
         assert o.decode(y, u) == x
         assert o.coset_check(y, u) == (w is not None)
+        with metered() as spent:
+            assert o.decodes(y, u) is (w is not None)
+        assert spent == {"Pinv": 1}
+
+
+def test_decodes_refuses_a_wrong_width_uncounted():
+    o = small_world()
+    base = o.query_counts()
+    for y, u in [(BitVec(2, 0), BitVec(8, 0)), (BitVec(4, 0), BitVec(8, 0)),
+                 (BitVec(3, 0), BitVec(7, 0)), (BitVec(3, 0), BitVec(9, 0))]:
+        with metered() as spent, pytest.raises(ValueError, match="r-bit y and n-bit u"):
+            o.decodes(y, u)
+        assert spent == {}
+    assert o.query_counts() == base
 
 
 def test_decode_and_coset_check_spend_one_query_through_the_decoder_cache():

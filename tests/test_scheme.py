@@ -10,7 +10,7 @@ import pytest
 
 import osslab
 from osslab.gf2 import BitMatrix, BitVec
-from osslab.oracles import Params, build_oracles, metered
+from osslab.oracles import Params, PermutationEngine, build_oracles, metered
 from osslab.scheme import (
     OneShotViolation,
     PublicKey,
@@ -144,6 +144,36 @@ def test_verify_always_costs_one_decode(rng):
     for probe, msg in [(sig, m), (sig, BitVec.from_str("01")), (Signature(BitVec(8, 0)), m)]:
         with metered() as spent:
             verify(o, pk, msg, probe)
+        assert spent == {"Pinv": 1}
+
+
+@pytest.mark.parametrize("backend", ["statevector", "symbolic"])
+def test_verify_never_inverts_the_permutation(backend, rng, monkeypatch):
+    """On a Feistel world verify accepts the signature and rejects a wrong
+    message or an off-coset sigma for one Pinv query each, with
+    PermutationEngine.inverse unreachable."""
+    o = build_oracles(Params(n=16, r=4, ell=3, perm_mode="feistel"), SEED)
+    pk, sk = generate(o, backend, rng)
+    m = BitVec.from_str("101")
+    sig = sign(o, pk, sk, m, rng)
+    # One bit flipped below the pinned prefix that leaves y's coset: the
+    # 13 low unit vectors cannot all lie in a 12-dimensional span.
+    flips = [sig.sigma ^ BitVec(16, 1 << i) for i in range(13)]
+    off = next(u for u in flips if o.decode(pk.y, u) is None)
+    probes = [
+        (m, sig, True),
+        (BitVec.from_str("011"), sig, False),
+        (m, Signature(off), False),
+        (m, Signature(sig.sigma ^ BitVec(16, 1 << 15)), False),
+    ]
+
+    def refuse(self, u):
+        raise AssertionError("verify inverted the permutation")
+
+    monkeypatch.setattr(PermutationEngine, "inverse", refuse)
+    for msg, probe, accepted in probes:
+        with metered() as spent:
+            assert verify(o, pk, msg, probe) is accepted
         assert spent == {"Pinv": 1}
 
 
