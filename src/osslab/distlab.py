@@ -48,7 +48,6 @@ __all__ = [
     "chain_by_shear",
     "chain_by_basis",
     "chain_by_matrix",
-    "validate_chain",
     "exact_distribution",
     "tv_distance",
     "collapse_acceptance_exact",
@@ -290,18 +289,6 @@ def _invertible_rows(d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def validate_chain(tpl: SubspaceTuple, n: int, r: int, extra: int) -> None:
-    """Assert the shape every sampler must produce: ascending subspaces
-    of Z2^n with dim T_j = r + extra + j - 1."""
-    for j, sub in enumerate(tpl, start=1):
-        if sub.ambient != n:
-            raise AssertionError("wrong ambient dimension")
-        if sub.dim != r + extra + j - 1:
-            raise AssertionError(f"level {j} has dim {sub.dim}, expected {r + extra + j - 1}")
-        if j > 1 and not tpl[j - 2].is_subspace_of(sub):
-            raise AssertionError("levels must be nested")
-
-
 Distribution = dict[SubspaceTuple, Fraction]
 
 
@@ -368,7 +355,7 @@ def run_collapse_distinguisher(
         raise ValueError(f"unknown case {case!r}")
     # The cosets and the dual check never read the permutation, and a
     # coset's stream label has no perm_mode, so Feistel worlds carry the
-    # table worlds' cosets without shuffling a table each.
+    # table worlds' cosets and reach past the table limit of n = 24.
     params = Params(n=n, r=r, ell=0, variant="original", perm_mode="feistel")
     if case == "hash-first-bit" and n > 30:
         raise ValueError(

@@ -132,43 +132,11 @@ class SeededStream:
                 return x
 
     def shuffle(self, size: int) -> list[int]:
-        """A permutation of range(size) by Fisher-Yates: for i from
-        size - 1 down to 1, swap entries i and below(i + 1).
-
-        Draws exactly the bytes those below calls would, but reads them
-        straight off the current block, one run of equal draw widths at a
-        time; only a draw that crosses into the next block goes through
-        read.
-        """
+        """A permutation of range(size) by Fisher-Yates over below draws."""
         perm = list(range(size))
-        buf, pos = self._buf, self._pos
-        limit = len(buf)
-        from_bytes = int.from_bytes
-        top = size - 1
-        while top > 0:
-            k = top.bit_length()
-            low = 1 << (k - 1)  # every i in [low, top] draws k bits
-            nbytes = (k + 7) // 8
-            drop = 8 * nbytes - k
-            single = nbytes == 1
-            for i in range(top, low - 1, -1):
-                while True:
-                    if single and pos < limit:
-                        x = buf[pos] >> drop
-                        pos += 1
-                    elif pos + nbytes <= limit:
-                        x = from_bytes(buf[pos : pos + nbytes], "big") >> drop
-                        pos += nbytes
-                    else:
-                        self._pos = pos
-                        x = from_bytes(self.read(nbytes), "big") >> drop
-                        buf, pos = self._buf, self._pos
-                        limit = len(buf)
-                    if x <= i:
-                        break
-                perm[i], perm[x] = perm[x], perm[i]
-            top = low - 1
-        self._pos = pos
+        for i in range(size - 1, 0, -1):
+            j = self.below(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
         return perm
 
     def bitvec(self, n: int) -> BitVec:
@@ -215,26 +183,20 @@ class Params:
                 raise ValueError("variant 'original' fixes ell = 0 (unstructured cosets)")
         elif self.ell < 1:
             raise ValueError(f"variant {self.variant!r} needs ell >= 1")
+        if self.lam is not None:
+            if self.variant == "original":
+                raise ValueError("variant 'original' takes no lambda")
+            shape = _lambda_shape(self.lam, self.variant)
+            if (self.n, self.r, self.ell, self.s) != shape:
+                raise ValueError(
+                    f"lambda = {self.lam} gives (n, r, l, s) = {shape} for variant "
+                    f"{self.variant!r}, not {(self.n, self.r, self.ell, self.s)}"
+                )
 
     @classmethod
     def from_lambda(cls, lam: int, variant: str = "standard", perm_mode: str = "feistel") -> "Params":
-        """Scale parameters from a single security knob.
-
-        Standard rule: s = 16*lam, r = s*(lam - 1), l = lam.
-        Incompressible rule: s = 16*(lam + 1), r = s*lam, l = lam + 1.
-        Either way n = r + l + (3/2)*s.
-        """
-        if lam < 2:
-            raise ValueError("lambda-derived parameters need lam >= 2 (lam = 1 degenerates)")
-        if variant == "incompressible":
-            s = 16 * (lam + 1)
-            r = s * lam
-            ell = lam + 1
-        else:
-            s = 16 * lam
-            r = s * (lam - 1)
-            ell = lam
-        n = r + ell + (3 * s) // 2
+        """Scale parameters from a single security knob (see _lambda_shape)."""
+        n, r, ell, s = _lambda_shape(lam, variant)
         return cls(n=n, r=r, ell=ell, s=s, variant=variant, perm_mode=perm_mode, lam=lam)
 
     def check_buildable(self) -> None:
@@ -266,6 +228,26 @@ class Params:
         )
 
 
+def _lambda_shape(lam: int, variant: str) -> tuple[int, int, int, int]:
+    """(n, r, l, s) of the lambda rule for ``variant``.
+
+    Standard rule (bloated worlds too): s = 16*lam, r = s*(lam - 1), l = lam.
+    Incompressible rule: s = 16*(lam + 1), r = s*lam, l = lam + 1.
+    Either way n = r + l + (3/2)*s.
+    """
+    if lam < 2:
+        raise ValueError("lambda-derived parameters need lam >= 2 (lam = 1 degenerates)")
+    if variant == "incompressible":
+        s = 16 * (lam + 1)
+        r = s * lam
+        ell = lam + 1
+    else:
+        s = 16 * lam
+        r = s * (lam - 1)
+        ell = lam
+    return r + ell + (3 * s) // 2, r, ell, s
+
+
 def _check_perm_width(n: int, mode: str) -> None:
     """Refuse a width the permutation backend ``mode`` cannot build."""
     limit = _PERM_MAX_N.get(mode)
@@ -278,7 +260,8 @@ def _check_perm_width(n: int, mode: str) -> None:
 class PermutationEngine:
     """Bijection on {0,1}^n, either a stored table or a keyed Feistel network.
 
-    Table mode runs a Fisher-Yates shuffle off the seeded stream (n <= 24).
+    Table mode (n <= 24) shuffles its table on the first query, by
+    SeededStream.shuffle off the stream labelled b"perm-table" and n.
     Feistel mode (n <= 64) splits x into a left half of n // 2 bits and a
     right half of the rest, and runs 16 alternating rounds: even rounds i
     XOR F_i(left) into right, odd rounds XOR F_i(right) into left.  With
@@ -293,15 +276,23 @@ class PermutationEngine:
         self.n = n
         self.mode = mode
         self._size = 1 << n
-        if mode == "table":
-            stream = SeededStream(seed, b"perm-table", n.to_bytes(1, "big"))
-            self._fwd = np.array(stream.shuffle(self._size), dtype=np.int64)
-            self._inv = np.empty_like(self._fwd)
-            self._inv[self._fwd] = np.arange(self._size, dtype=np.int64)
-        else:
-            self._seed = seed
-            self._left = n // 2
-            self._right = n - self._left
+        self._seed = seed
+        self._left = n // 2
+        self._right = n - self._left
+
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """A table world's (forward, inverse) int64 arrays.
+
+        Threads racing on the first query build equal tables, and either
+        may be kept.  Built on the first query because most table worlds
+        the batteries and the CLI build never read their permutation.
+        """
+        stream = SeededStream(self._seed, b"perm-table", self.n.to_bytes(1, "big"))
+        fwd = np.array(stream.shuffle(self._size), dtype=np.int64)
+        inv = np.empty_like(fwd)
+        inv[fwd] = np.arange(self._size, dtype=np.int64)
+        return fwd, inv
 
     @functools.cached_property
     def _hashers(self) -> list:
@@ -343,14 +334,14 @@ class PermutationEngine:
         if not 0 <= x < self._size:
             raise ValueError("input outside domain")
         if self.mode == "table":
-            return int(self._fwd[x])
+            return int(self._table[0][x])
         return self._feistel(x, range(_FEISTEL_ROUNDS))
 
     def inverse(self, u: int) -> int:
         if not 0 <= u < self._size:
             raise ValueError("input outside domain")
         if self.mode == "table":
-            return int(self._inv[u])
+            return int(self._table[1][u])
         return self._feistel(u, reversed(range(_FEISTEL_ROUNDS)))
 
 

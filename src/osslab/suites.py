@@ -143,8 +143,8 @@ def _fresh_level_state(o, y, m, depth) -> _qsim.StateVector:
 @_battery("grover", "grover-identity", 30.0)
 def suite_grover(seed: bytes) -> _Outcome:
     """Reads only coset_points and dual_support, which never touch the
-    permutation, so its worlds are Feistel ones: no table to shuffle, and
-    the same cosets as the table worlds of the same seeds."""
+    permutation, so its worlds are Feistel ones, with the same cosets as
+    the table worlds of the same seeds."""
     worlds = 20
     shapes = [(6, 2, 2), (7, 2, 3), (8, 3, 2), (9, 3, 4), (10, 4, 3)]
     worst = 0.0

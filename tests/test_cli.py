@@ -267,6 +267,20 @@ def test_world_with_a_non_integer_shape_exits_64(tmp_path, world, capsys, field,
     assert not (tmp_path / "pk.json").exists()
 
 
+@pytest.mark.parametrize("lam, message", [(3, "lambda = 3 gives"), (-5, "need lam >= 2")])
+def test_world_whose_lambda_contradicts_its_shape_exits_64(tmp_path, world, capsys, lam, message):
+    doc = json.loads(world.read_text())
+    doc["params"]["lambda"] = lam
+    world.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (("world", "show"), ("world", "show", "--json"), ("gen", "--pk-out", str(tmp_path / "pk.json"))):
+        assert run(*argv, "--world", str(world)) == 64
+        err = capsys.readouterr().err
+        assert "bad world document" in err and message in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "pk.json").exists()
+
+
 def test_verify_refuses_a_public_key_with_a_float_shape(tmp_path, world, capsys):
     pk, sk = keypair(tmp_path, world)
     sig = tmp_path / "sig.json"

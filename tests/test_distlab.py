@@ -25,7 +25,6 @@ from osslab.distlab import (
     run_collapse_distinguisher,
     signature_set_census,
     tv_distance,
-    validate_chain,
 )
 from osslab.gf2 import BitMatrix, BitVec, sample_full_column_rank
 from osslab.oracles import Params, SeededStream, build_oracles
@@ -151,6 +150,18 @@ def test_basis_pick_matches_a_full_scan():
         v1 = BitVec(n, scan(top, first))
         v2 = BitVec(n, scan(top.extend([v1]), second))
         assert sampler.tuple_at(index) == tuple(lv.extend([v1, v2]) for lv in sampler.levels)
+
+
+def validate_chain(tpl, n, r, extra):
+    """Assert the shape every sampler must produce: ascending subspaces
+    of Z2^n with dim T_j = r + extra + j - 1."""
+    for j, sub in enumerate(tpl, start=1):
+        if sub.ambient != n:
+            raise AssertionError("wrong ambient dimension")
+        if sub.dim != r + extra + j - 1:
+            raise AssertionError(f"level {j} has dim {sub.dim}, expected {r + extra + j - 1}")
+        if j > 1 and not tpl[j - 2].is_subspace_of(sub):
+            raise AssertionError("levels must be nested")
 
 
 def test_sampler_chains_have_the_right_shape():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from osslab import scheme
 from osslab.gf2 import BitMatrix, BitVec, Subspace, _rref_words
 from osslab.oracles import (
     COSET_CACHE_SIZE,
@@ -141,6 +142,30 @@ def test_params_lambda_scaling():
     assert (q.n, q.r, q.ell, q.s) == (171, 96, 3, 48)
     with pytest.raises(ValueError):
         Params.from_lambda(1)
+
+
+@pytest.mark.parametrize("variant", ["standard", "incompressible", "bloated"])
+def test_params_refuse_a_lambda_that_contradicts_the_shape(variant):
+    p = Params.from_lambda(2, variant=variant)
+    assert Params.from_json(p.to_json()) == p  # the rule's own shape is kept
+    for shape in ({"n": p.n + 1}, {"r": p.r - 1, "n": p.n - 1}, {"s": 0}, {"lam": 3}):
+        with pytest.raises(ValueError, match=r"^lambda = \d gives \(n, r, l, s\)"):
+            Params(**{**vars(p), **shape})
+    with pytest.raises(ValueError, match=r"^lambda = 2 gives"):
+        Params(n=8, r=3, ell=2, variant=variant, lam=2)
+
+
+@pytest.mark.parametrize("lam", [1, 0, -5])
+def test_params_refuse_a_lambda_below_two(lam):
+    with pytest.raises(ValueError, match="need lam >= 2"):
+        Params(n=8, r=3, ell=2, lam=lam)
+    with pytest.raises(ValueError, match="need lam >= 2"):
+        Params.from_lambda(lam)
+
+
+def test_params_refuse_a_lambda_on_an_original_world():
+    with pytest.raises(ValueError, match="^variant 'original' takes no lambda$"):
+        Params(n=8, r=3, ell=0, variant="original", lam=2)
 
 
 def test_params_json_round_trip():
@@ -412,6 +437,88 @@ def test_permutation_refuses_a_width_past_its_limit(mode, limit, monkeypatch):
         PermutationEngine(130, mode, SEED)  # a half wider than the 8-byte encoding
     with pytest.raises(ValueError, match="unknown permutation mode"):
         PermutationEngine(8, mode + "s", SEED)
+
+
+# -- a table is shuffled on its first query ---------------------------
+
+
+@pytest.mark.parametrize("variant", ["standard", "incompressible"])
+def test_table_worlds_sign_verify_and_check_without_a_shuffle(variant, monkeypatch):
+    def refuse(self, size):
+        raise AssertionError("a table was shuffled")
+
+    monkeypatch.setattr(SeededStream, "shuffle", refuse)
+    o = build_oracles(Params(n=12, r=4, ell=3, variant=variant), SEED)
+    rng = np.random.default_rng(3)
+    m = BitVec(scheme.message_bits(o.params), 0b10)
+    for backend in ("symbolic", "statevector"):
+        pk, sk = scheme.generate(o, backend, rng)
+        sig = scheme.sign(o, pk, sk, m, rng)
+        assert scheme.verify(o, pk, m, sig)
+        assert o.decodes(pk.y, sig.sigma) and o.coset_check(pk.y, sig.sigma) == 1
+        assert o.dual_check(1, pk.y, BitVec(12, 0)) == 1
+
+
+@pytest.mark.parametrize("first", ["hash_bits", "encode", "decode"])
+def test_first_read_shuffles_the_table_once(first, monkeypatch):
+    calls = []  # the size of each table shuffled
+    shuffle = SeededStream.shuffle
+
+    def counted(self, size):
+        calls.append(size)
+        return shuffle(self, size)
+
+    monkeypatch.setattr(SeededStream, "shuffle", counted)
+    o = small_world()
+    gen, shift = o.coset_of(BitVec(3, 5))
+    u = gen.matvec(BitVec(5, 0b01101)) ^ shift
+    reads = {
+        "hash_bits": lambda: o.hash_bits(BitVec(8, 0x2A)),
+        "encode": lambda: o.encode(BitVec(8, 0x2A)),
+        "decode": lambda: o.decode(BitVec(3, 5), u),
+    }
+    assert calls == []
+    reads[first]()
+    assert calls == [256]
+    for read in reads.values():
+        read()
+    assert calls == [256]
+    # the table is the one the stream contract gives, both ways
+    source = replay_bytes(SEED, b"perm-table", (8).to_bytes(1, "big"))
+    fwd = list(range(256))
+    for i in range(255, 0, -1):
+        j = replay_below(source, i + 1)
+        fwd[i], fwd[j] = fwd[j], fwd[i]
+    assert [o.perm.forward(x) for x in range(256)] == fwd
+    assert [o.perm.inverse(fwd[x]) for x in range(256)] == list(range(256))
+    assert calls == [256]
+
+
+def test_threads_racing_on_a_fresh_table_get_equal_answers():
+    params = Params(n=12, r=4, ell=3)
+    xs = [BitVec(12, (k * 0x9E3779B9) % (1 << 12)) for k in range(300)]
+    alone = build_oracles(params, SEED)
+    expected = [alone.hash_bits(x) for x in xs]
+    shared = build_oracles(params, SEED)  # its table is built under the race
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def run(slot):
+        start.wait()
+        results[slot] = [shared.hash_bits(x) for x in xs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads between bytecodes
+    try:
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
 
 
 # -- encode / decode ----------------------------------------------------
