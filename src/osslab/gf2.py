@@ -1,15 +1,18 @@
 """Bit-packed linear algebra over Z2.
 
-Vectors and matrix rows are stored one Python int per row, so a row of up
-to 64 columns fits a single machine word.  Public indices are 1-based and
-bit 1 is the most significant bit of the packed word: the bit string
-"10110" packs to 0b10110 and serializes to hex "16".  All containers are
-immutable; operations return fresh objects.
+A vector is one Python int, and a matrix holds one int per row, one int
+per column, or both: it keeps the orientation it was built in and
+transposes into the other at most once, on the first read that needs it.
+Threads racing on that first read build equal tuples, and either may be
+kept.  Public indices are 1-based and bit 1 is the most significant bit
+of the packed word: the bit string "10110" packs to 0b10110 and
+serializes to hex "16".  All containers are immutable; operations return
+fresh objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -146,25 +149,92 @@ class BitVec:
         return "".join(str(b) for b in self.bit_list())
 
 
-@dataclass(frozen=True, slots=True)
 class BitMatrix:
-    """Immutable matrix over Z2, stored as one packed int per row."""
+    """Immutable matrix over Z2, held as packed rows, packed columns or both.
 
-    rows: int
-    cols: int
-    row_words: tuple[int, ...]
+    ``row_words`` packs row i into one int over ``cols`` bits, column 1
+    the most significant; ``col_words`` packs column j into one int over
+    ``rows`` bits, row 1 the most significant.  The public constructor
+    takes rows and ``_from_columns`` takes columns; each property
+    transposes the other orientation on its first read and keeps the
+    result, so a matrix is transposed at most once.  Threads racing on a
+    first read build equal tuples, and either may be kept.  Each method
+    reads the orientation it is written in: columns for ``matvec``,
+    ``rmatvec``, ``col_range``, ``columns``, ``span_ints``,
+    ``left_kernel``, ``dual_chain`` and ``ColumnDecoder``; rows for
+    ``row``, ``solve``, ``rank``, ``@``, ``hstack`` and ``vstack``.
+    ``transpose`` swaps the two.  Equality, hashing and ``repr`` go by
+    ``(rows, cols, row_words)``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    __slots__ = ("rows", "cols", "_row_words", "_col_words")
+
+    def __init__(self, rows: int, cols: int, row_words: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("negative shape")
-        if len(self.row_words) != self.rows:
+        if len(row_words) != rows:
             raise ValueError("row count mismatch")
-        limit = 1 << self.cols
-        for w in self.row_words:
+        limit = 1 << cols
+        for w in row_words:
             if not 0 <= w < limit:
                 raise ValueError("row does not fit column count")
+        self._set(rows, cols, row_words, None)
+
+    def _set(self, rows: int, cols: int, row_words, col_words) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_row_words", row_words)
+        object.__setattr__(self, "_col_words", col_words)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return (self.rows, self.cols, self._row_words, self._col_words)
+
+    def __setstate__(self, state: tuple) -> None:
+        self._set(*state)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not BitMatrix:
+            return NotImplemented
+        return (self.rows, self.cols, self.row_words) == (other.rows, other.cols, other.row_words)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.row_words))
+
+    def __repr__(self) -> str:
+        return f"BitMatrix(rows={self.rows!r}, cols={self.cols!r}, row_words={self.row_words!r})"
+
+    @property
+    def row_words(self) -> tuple[int, ...]:
+        words = self._row_words
+        if words is None:
+            words = tuple(_transpose_words(self._col_words, self.rows))
+            object.__setattr__(self, "_row_words", words)
+        return words
+
+    @property
+    def col_words(self) -> tuple[int, ...]:
+        words = self._col_words
+        if words is None:
+            words = tuple(_transpose_words(self._row_words, self.cols))
+            object.__setattr__(self, "_col_words", words)
+        return words
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _from_columns(cls, rows: int, cols: int, col_words: tuple[int, ...]) -> "BitMatrix":
+        """The matrix whose column j is ``col_words[j - 1]``, packed over
+        ``rows`` bits.  Unlike the public constructor it does not check
+        that the words fit: its callers build them to."""
+        obj = object.__new__(cls)
+        obj._set(rows, cols, None, col_words)
+        return obj
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
@@ -191,43 +261,43 @@ class BitMatrix:
         return BitVec(self.cols, self.row_words[i - 1])
 
     def columns(self) -> list[BitVec]:
-        return [BitVec(self.rows, w) for w in _transpose_words(self.row_words, self.cols)]
+        return [BitVec(self.rows, w) for w in self.col_words]
 
     def span_ints(self, shift: int) -> list[int]:
         """Every point of shift + ColSpan(M) as packed ints, in the
         doubling order of xor_span_ints over the columns, column 1 first."""
-        return xor_span_ints(_transpose_words(self.row_words, self.cols), shift)
+        return xor_span_ints(self.col_words, shift)
 
     def col_range(self, j: int, k: int) -> "BitMatrix":
         """Columns ``j..k`` inclusive (1-based); ``k = j - 1`` is the empty slice."""
         if not (1 <= j <= self.cols + 1 and j - 1 <= k <= self.cols):
             raise IndexError(f"column range [{j}, {k}] invalid for {self.cols} columns")
-        width = k - j + 1
-        shift = self.cols - k
-        return BitMatrix(self.rows, width, tuple((w >> shift) & _mask(width) for w in self.row_words))
+        return BitMatrix._from_columns(self.rows, k - j + 1, self.col_words[j - 1 : k])
 
     # -- algebra --------------------------------------------------------
 
     def matvec(self, v: BitVec) -> BitVec:
-        """M @ v for a length-``cols`` vector, giving length ``rows``."""
+        """M @ v for a length-``cols`` vector, giving length ``rows``: the
+        XOR of the columns that v selects."""
         if v.n != self.cols:
             raise ValueError(f"matvec length mismatch: {v.n} != {self.cols}")
-        out = 0
-        for w in self.row_words:
-            out = (out << 1) | _parity(w & v.bits)
-        return BitVec(self.rows, out)
-
-    def rmatvec(self, v: BitVec) -> BitVec:
-        """v^T @ M for a length-``rows`` vector, giving length ``cols``."""
-        if v.n != self.rows:
-            raise ValueError(f"rmatvec length mismatch: {v.n} != {self.rows}")
         acc = 0
         sel = v.bits
-        for w in reversed(self.row_words):
+        for c in reversed(self.col_words):
             if sel & 1:
-                acc ^= w
+                acc ^= c
             sel >>= 1
-        return BitVec(self.cols, acc)
+        return BitVec(self.rows, acc)
+
+    def rmatvec(self, v: BitVec) -> BitVec:
+        """v^T @ M for a length-``rows`` vector, giving length ``cols``:
+        one parity per column."""
+        if v.n != self.rows:
+            raise ValueError(f"rmatvec length mismatch: {v.n} != {self.rows}")
+        out = 0
+        for c in self.col_words:
+            out = (out << 1) | _parity(c & v.bits)
+        return BitVec(self.cols, out)
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
@@ -244,7 +314,9 @@ class BitMatrix:
         return BitMatrix(self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows, tuple(_transpose_words(self.row_words, self.cols)))
+        obj = object.__new__(BitMatrix)
+        obj._set(self.cols, self.rows, self._col_words, self._row_words)
+        return obj
 
     def hstack(self, other: "BitMatrix") -> "BitMatrix":
         if self.rows != other.rows:
@@ -290,8 +362,7 @@ class BitMatrix:
 
     def left_kernel(self) -> "Subspace":
         """The space {v : v^T M = 0} as a canonical subspace of Z2^rows."""
-        columns = _transpose_words(self.row_words, self.cols)
-        return Subspace._trusted(self.rows, _kernel_of_words(columns, self.rows))
+        return Subspace._trusted(self.rows, _kernel_of_words(self.col_words, self.rows))
 
     def dual_chain(self, ell: int) -> tuple["Subspace", ...]:
         """The nested left kernels S_1 <= ... <= S_{ell+1}, where S_j is
@@ -305,12 +376,8 @@ class BitMatrix:
         """
         if not 0 <= ell <= self.cols:
             raise ValueError(f"dual_chain needs 0 <= ell <= {self.cols}, got {ell}")
-        if ell < self.cols:
-            top = self.col_range(ell + 1, self.cols).left_kernel()
-        else:
-            top = Subspace.full(self.rows)
-        normals = _transpose_words(self.row_words, self.cols)[:ell]
-        return chain_from_top(top, [BitVec(self.rows, w) for w in normals])
+        top = self.col_range(ell + 1, self.cols).left_kernel()
+        return chain_from_top(top, [BitVec(self.rows, w) for w in self.col_words[:ell]])
 
     # -- serialization --------------------------------------------------
 
@@ -344,8 +411,8 @@ def _kernel_of_words(words: Iterable[int], width: int) -> tuple[int, ...]:
     vector per free coordinate f, e_f plus e_pivot(p) for each row p with
     bit f set; every such pivot lies below f, so f leads its vector and
     no vector holds another's free bit.  In descending order of f that is
-    the RREF basis _rref_words would give, and it is read straight off
-    the transpose of the rows, each placed at its pivot's index.
+    the RREF basis _rref_words would give, and each vector is gathered
+    straight from the rows.
     """
     rows: dict[int, int] = {}  # lowest set bit -> row
     for w in words:
@@ -358,11 +425,17 @@ def _kernel_of_words(words: Iterable[int], width: int) -> tuple[int, ...]:
                 if row & p:
                     rows[q] = row ^ w
             rows[p] = w
-    placed = [0] * width
-    for p, row in rows.items():
-        placed[width - p.bit_length()] = row
-    cols = _transpose_words(placed, width)
-    return tuple([c | (1 << (width - 1 - j)) for j, c in enumerate(cols) if not placed[j]])
+    pivots = sum(rows)  # the keys are distinct powers of two
+    basis = []
+    for i in reversed(range(width)):
+        f = 1 << i
+        if not pivots & f:
+            v = f
+            for p, row in rows.items():
+                if row & f:
+                    v |= p
+            basis.append(v)
+    return tuple(basis)
 
 
 def _reduce_word(w: int, basis: dict[int, int]) -> int:
@@ -548,7 +621,7 @@ class ColumnDecoder:
     def __init__(self, m: BitMatrix) -> None:
         k = m.cols
         basis: dict[int, int] = {}
-        for j, col in enumerate(_transpose_words(m.row_words, k)):
+        for j, col in enumerate(m.col_words):
             w = _reduce_word((col << k) | (1 << (k - 1 - j)), basis)
             if not w >> k:
                 raise ValueError(f"column {j + 1} depends on earlier columns: not full column rank")
@@ -593,4 +666,4 @@ def sample_full_column_rank(stream, rows: int, cols: int) -> BitMatrix:
             if residue:
                 basis[residue.bit_length() - 1] = residue
                 kept.append(cand)
-    return BitMatrix(rows, cols, tuple(_transpose_words(kept, rows)))
+    return BitMatrix._from_columns(rows, cols, tuple(kept))

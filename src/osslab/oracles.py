@@ -349,16 +349,22 @@ def _derive_coset(p: Params, seed: bytes, y: int) -> tuple[BitMatrix, BitVec]:
     if not 0 <= y < 1 << p.r:
         raise ValueError(f"y = {y} is not an r = {p.r} bit hash value")
     stream = SeededStream(seed, b"coset", p.variant.encode(), y.to_bytes((p.r + 7) // 8, "big"))
-    ell, width = p.ell, p.n - p.r
-    d = width - ell
-    b_block = stream.matrix(p.n - ell, ell)
-    c_block = sample_full_column_rank(stream, p.n - ell, d)
-    shift = stream.bits(p.n)
+    n, ell = p.n, p.ell
+    cols: list[int] = []
+    if ell:
+        # B's rows, each the top l bits of its own ceil(l/8) bytes, laid end
+        # to end in one bit text (behind a 0x01 byte that keeps its leading
+        # zeros): column j of B is the slice from j - 1 at the row stride,
+        # and sits under e_j of the identity block.
+        stride = 8 * ((ell + 7) // 8)
+        data = stream.read((n - ell) * stride // 8)
+        text = bin(int.from_bytes(b"\x01" + data, "big"))[3:]
+        cols = [(1 << (n - 1 - j)) | int(text[j::stride], 2) for j in range(ell)]
+    c_block = sample_full_column_rank(stream, n - ell, n - p.r - ell)
+    shift = stream.bits(n)
     if p.variant == "incompressible":
-        shift |= 1 << (p.n - ell)  # bit l, 1-based from the top
-    rows = [1 << (width - 1 - i) for i in range(ell)]
-    rows += [(b << d) | c for b, c in zip(b_block.row_words, c_block.row_words)]
-    return BitMatrix(p.n, width, tuple(rows)), BitVec(p.n, shift)
+        shift |= 1 << (n - ell)  # bit l, 1-based from the top
+    return BitMatrix._from_columns(n, n - p.r, tuple(cols) + c_block.col_words), BitVec(n, shift)
 
 
 class CosetFamily:
@@ -374,6 +380,10 @@ class CosetFamily:
     changes a world.  The incompressible variant then forces bit l of the
     shift to 1.  With l = 0 the identity block vanishes and the generator
     is just C, a uniform full-column-rank matrix (the unstructured flavor).
+    The generator is assembled by columns from the same bytes: column
+    j <= l is e_j over B's column j, read off B's bytes as one strided
+    slice of their bit text, and the columns after it are C's kept
+    candidates, so neither block is transposed.
     A y outside [0, 2^r) is refused with ``ValueError``.
 
     ``derive_cache``, a ``functools.lru_cache`` wrapper, keeps the last
@@ -516,8 +526,11 @@ class OracleSet:
         if not 1 <= j <= p.ell + 1:
             return 0
         gen, _ = self.cosets.derive(y.bits)
-        tail = gen.rmatvec(v).bits & ((1 << max(p.n - p.r - j + 1, 0)) - 1)
-        return 1 if tail == 0 else 0
+        bits = v.bits
+        for c in gen.col_words[j - 1 :]:
+            if (c & bits).bit_count() & 1:
+                return 0
+        return 1
 
     def spend_dual(self, j: int, y: BitVec) -> None:
         """One D query at level j on y that reads no level, so builds nothing

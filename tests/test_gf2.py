@@ -1,11 +1,15 @@
 """Bit-packed GF(2) linear algebra: worked examples plus properties."""
 
+import copy
+import pickle
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from osslab import gf2
 from osslab.gf2 import (
     BitMatrix,
     BitVec,
@@ -177,6 +181,116 @@ def test_one_pass_transpose_matches_entries(a):
             assert t.row(j).bit(i) == cols[j - 1].bit(i) == a.row(i).bit(j)
     assert BitMatrix.from_rows(cols).transpose() == a
     assert BitMatrix.zeros(0, 3).transpose() == BitMatrix.zeros(3, 0)
+
+
+def shapes():
+    """Matrices of every shape up to 9 x 9, empty ones included."""
+    return st.integers(0, 9).flatmap(
+        lambda rows: st.integers(0, 9).flatmap(lambda cols: matrices(rows, cols))
+    )
+
+
+def both_orientations(m):
+    """Fresh copies of m built from its rows and from its columns, with
+    nothing transposed yet."""
+    by_rows = BitMatrix(m.rows, m.cols, m.row_words)
+    return by_rows, BitMatrix._from_columns(m.rows, m.cols, m.col_words)
+
+
+def decoder_answers(m):
+    """ColumnDecoder's verdict on m: its refusal text, or its solution for
+    every target."""
+    try:
+        decoder = ColumnDecoder(m)
+    except ValueError as exc:
+        return str(exc)
+    return [decoder.solve_word(t) for t in range(1 << m.rows)]
+
+
+@settings(max_examples=60)
+@given(shapes(), st.data())
+def test_a_matrix_built_from_columns_is_the_same_matrix(m, data):
+    by_rows, by_cols = both_orientations(m)
+    assert by_cols == by_rows and by_rows == by_cols
+    assert hash(by_cols) == hash(by_rows)
+    expect = f"BitMatrix(rows={m.rows}, cols={m.cols}, row_words={m.row_words})"
+    assert repr(by_cols) == repr(by_rows) == expect
+    for built in both_orientations(m):
+        assert pickle.loads(pickle.dumps(built)) == copy.deepcopy(built) == m
+        assert m.transpose().transpose() == built.transpose().transpose() == m
+        with pytest.raises(FrozenInstanceError):
+            built.rows = 1
+        with pytest.raises(FrozenInstanceError):
+            built.row_words = ()
+    x = data.draw(bitvecs(m.cols))
+    v = data.draw(bitvecs(m.rows))
+    ell = data.draw(st.integers(0, m.cols))
+    j = data.draw(st.integers(1, m.cols + 1))
+    k = data.draw(st.integers(j - 1, m.cols))
+    other = data.draw(st.integers(0, 4).flatmap(lambda c: matrices(m.cols, c)))
+    side = data.draw(st.integers(0, 4).flatmap(lambda c: matrices(m.rows, c)))
+    below = data.draw(st.integers(0, 4).flatmap(lambda r: matrices(r, m.cols)))
+    methods = {
+        "matvec": lambda a: a.matvec(x),
+        "rmatvec": lambda a: a.rmatvec(v),
+        "col_range": lambda a: a.col_range(j, k),
+        "columns": lambda a: a.columns(),
+        "span_ints": lambda a: a.span_ints(v.bits),
+        "left_kernel": lambda a: a.left_kernel(),
+        "dual_chain": lambda a: a.dual_chain(ell),
+        "transpose": lambda a: a.transpose(),
+        "ColumnDecoder": decoder_answers,
+        "row": lambda a: [a.row(i) for i in range(1, a.rows + 1)],
+        "solve": lambda a: a.solve(v),
+        "rank": lambda a: a.rank(),
+        "@": lambda a: a @ other,
+        "hstack": lambda a: a.hstack(side),
+        "vstack": lambda a: a.vstack(below),
+        "str": str,
+    }
+    for name, method in methods.items():
+        by_rows, by_cols = both_orientations(m)
+        assert method(by_rows) == method(by_cols), name
+
+
+@given(shapes(), st.data())
+def test_matvec_and_rmatvec_match_the_entries(m, data):
+    # both read columns; check them against the rows, entry by entry
+    x, v = data.draw(bitvecs(m.cols)), data.draw(bitvecs(m.rows))
+    rows = [m.row(i) for i in range(1, m.rows + 1)]
+    assert m.matvec(x).bit_list() == [
+        sum(row.bit(j) & x.bit(j) for j in range(1, m.cols + 1)) % 2 for row in rows
+    ]
+    assert m.rmatvec(v).bit_list() == [
+        sum(v.bit(i) & row.bit(j) for i, row in enumerate(rows, start=1)) % 2
+        for j in range(1, m.cols + 1)
+    ]
+
+
+@given(shapes())
+def test_each_orientation_is_transposed_at_most_once(m):
+    # hypothesis refuses function-scoped fixtures such as monkeypatch
+    pairs = both_orientations(m)
+    calls = []
+    real = gf2._transpose_words
+
+    def counting(words, width):
+        calls.append(width)
+        return real(words, width)
+
+    gf2._transpose_words = counting
+    try:
+        for built in pairs:
+            calls.clear()
+            for _ in range(3):
+                assert built.row_words == m.row_words
+                assert built.col_words == m.col_words
+            assert len(calls) == 1
+            t = built.transpose()
+            assert (t.row_words, t.col_words) == (m.col_words, m.row_words)
+            assert len(calls) == 1
+    finally:
+        gf2._transpose_words = real
 
 
 @given(matrices(5, 5))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import osslab
+from osslab import gf2
 from osslab.gf2 import BitMatrix, BitVec
 from osslab.oracles import Params, PermutationEngine, build_oracles, metered
 from osslab.scheme import (
@@ -210,6 +211,32 @@ def test_sign_builds_no_dual_chain(backend, rng, monkeypatch):
     sign(o, pk, sk, BitVec.from_str("01"), rng)
     after = o.dual_chain.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
+def test_cold_symbolic_cycles_transpose_no_matrix(rng, monkeypatch):
+    """A coset is built by columns, and a cold symbolic cycle reads it only
+    by columns (matvec in sign, the ColumnDecoder in verify); so does the
+    dual chain of a freshly derived y.  At (64, 32, 16) none of them
+    transposes a matrix."""
+    calls = []
+    real = gf2._transpose_words
+    monkeypatch.setattr(
+        gf2, "_transpose_words", lambda words, width: calls.append(width) or real(words, width)
+    )
+    o = build_oracles(Params(n=64, r=32, ell=16, perm_mode="feistel"), SEED)
+    ys = set()
+    for _ in range(10):
+        pk, sk = generate(o, "symbolic", rng)
+        m = BitVec.random(rng, 16)
+        sig = sign(o, pk, sk, m, rng)
+        assert verify(o, pk, m, sig)
+        ys.add(pk.y.bits)
+    assert o.cosets.derive_cache.cache_info().misses == len(ys) == 10  # every cycle cold
+    assert calls == []
+    fresh = next(y for y in range(11) if y not in ys)
+    chain = o.dual_chain(fresh)
+    assert [level.dim for level in chain] == list(range(32, 49))
+    assert calls == []
 
 
 def test_dual_chain_cache_keeps_only_the_latest_y(rng):
