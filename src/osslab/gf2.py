@@ -161,8 +161,9 @@ class BitMatrix:
     first read build equal tuples, and either may be kept.  Each method
     reads the orientation it is written in: columns for ``matvec``,
     ``rmatvec``, ``col_range``, ``columns``, ``span_ints``,
-    ``left_kernel``, ``dual_chain`` and ``ColumnDecoder``; rows for
-    ``row``, ``solve``, ``rank``, ``@``, ``hstack`` and ``vstack``.
+    ``left_kernel``, ``dual_chain``, ``ColumnDecoder`` and ``@`` (which
+    reads both factors by columns and builds the product by columns);
+    rows for ``row``, ``solve``, ``rank``, ``hstack`` and ``vstack``.
     ``transpose`` swaps the two.  Equality, hashing and ``repr`` go by
     ``(rows, cols, row_words)``.
     """
@@ -300,18 +301,20 @@ class BitMatrix:
         return BitVec(self.cols, out)
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
+        """Column j of the product is the XOR of the columns of self that
+        column j of other selects."""
         if self.cols != other.rows:
             raise ValueError("matmul shape mismatch")
+        cols = self.col_words[::-1]
         out = []
-        for w in self.row_words:
+        for sel in other.col_words:
             acc = 0
-            sel = w
-            for o in reversed(other.row_words):
+            for c in cols:
                 if sel & 1:
-                    acc ^= o
+                    acc ^= c
                 sel >>= 1
             out.append(acc)
-        return BitMatrix(self.rows, other.cols, tuple(out))
+        return BitMatrix._from_columns(self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "BitMatrix":
         obj = object.__new__(BitMatrix)
@@ -614,20 +617,55 @@ class ColumnDecoder:
     target left by k and clears its leading bits with the basis; once no
     bit at or above k is left, the tag bits are the unique x.  A lead
     with no basis entry means the target is outside the column span.
+
+    Columns are admitted one at a time, and a column that reduces to no
+    lead at or above k depends on those before it.  That test is also
+    the rank check of ``sample_full_column_rank``, and a derived coset's
+    decoder is the one its draw of ``C`` fills (``_draw_columns``).
     """
 
     __slots__ = ("_basis", "_width")
 
     def __init__(self, m: BitMatrix) -> None:
-        k = m.cols
-        basis: dict[int, int] = {}
+        self._basis = {}
+        self._width = m.cols
         for j, col in enumerate(m.col_words):
-            w = _reduce_word((col << k) | (1 << (k - 1 - j)), basis)
-            if not w >> k:
+            if not self._admit((col,)):
                 raise ValueError(f"column {j + 1} depends on earlier columns: not full column rank")
+
+    @classmethod
+    def _of_echelon(cls, width: int, cols: Sequence[int]) -> "ColumnDecoder":
+        """The decoder of ``width`` columns with ``cols`` admitted first.
+
+        Their leading bits must strictly descend: then no column reduces
+        against an earlier one, and column j enters at its own lead as
+        ``(column << width)`` tagged by bit width - j.
+        """
+        obj = object.__new__(cls)
+        obj._width = width
+        obj._basis = basis = {}
+        tag = 1 << width
+        for c in cols:
+            tag >>= 1
+            w = (c << width) | tag
             basis[w.bit_length() - 1] = w
-        self._basis = basis
-        self._width = k
+        return obj
+
+    def _admit(self, cands: Iterable[int]) -> list[int]:
+        """Admit each candidate in turn as the next column if it is
+        independent of the columns admitted so far; return those admitted.
+        No more may be offered than the decoder has columns left."""
+        k = self._width
+        basis = self._basis
+        tag = 1 << (k - 1 - len(basis))
+        kept = []
+        for col in cands:
+            w = _reduce_word((col << k) | tag, basis)
+            if w >> k:
+                basis[w.bit_length() - 1] = w
+                kept.append(col)
+                tag >>= 1
+        return kept
 
     def solve_word(self, target: int) -> Optional[int]:
         """The x with ``M @ x = target`` as a packed int, or None if none exists."""
@@ -642,6 +680,22 @@ class ColumnDecoder:
         return x
 
 
+def _draw_columns(stream, rows: int, count: int, decoder: ColumnDecoder) -> list[int]:
+    """The ``count`` candidates that ``decoder`` admits, each one
+    ``stream.bits(rows)`` draw, redrawn while it depends on the columns
+    admitted before it.
+
+    The candidates still needed come in one read: a candidate fills at
+    most one column, so the one-at-a-time loop examines at least that
+    many more, and the stream is left exactly where that loop leaves it.
+    """
+    kept: list[int] = []
+    nbytes = (rows + 7) // 8
+    while len(kept) < count:
+        kept += decoder._admit(split_draws(stream.read((count - len(kept)) * nbytes), rows))
+    return kept
+
+
 def sample_full_column_rank(stream, rows: int, cols: int) -> BitMatrix:
     """Uniform matrix with linearly independent columns.
 
@@ -650,20 +704,10 @@ def sample_full_column_rank(stream, rows: int, cols: int) -> BitMatrix:
     uniform distribution on full-column-rank matrices.
 
     ``stream`` is a byte stream with ``read`` (a SeededStream), and each
-    candidate is one ``stream.bits(rows)`` draw.  The ``cols - kept``
-    candidates still needed come in one read: a candidate fills at most
-    one column, so the one-at-a-time loop examines at least that many
-    more, and the stream is left exactly where that loop leaves it.
+    candidate is one ``stream.bits(rows)`` draw, read in bulk by
+    ``_draw_columns``.
     """
     if cols > rows:
         raise ValueError("cannot have more independent columns than rows")
-    basis: dict[int, int] = {}
-    kept: list[int] = []
-    while len(kept) < cols:
-        batch = split_draws(stream.read((cols - len(kept)) * ((rows + 7) // 8)), rows)
-        for cand in batch:
-            residue = _reduce_word(cand, basis)
-            if residue:
-                basis[residue.bit_length() - 1] = residue
-                kept.append(cand)
+    kept = _draw_columns(stream, rows, cols, ColumnDecoder._of_echelon(cols, ()))
     return BitMatrix._from_columns(rows, cols, tuple(kept))

@@ -28,8 +28,8 @@ from .gf2 import (
     BitVec,
     ColumnDecoder,
     Subspace,
+    _draw_columns,
     chain_from_top,
-    sample_full_column_rank,
     split_draws,
     widened_normals,
     widened_top,
@@ -345,11 +345,13 @@ class PermutationEngine:
         return self._feistel(u, reversed(range(_FEISTEL_ROUNDS)))
 
 
-def _derive_coset(p: Params, seed: bytes, y: int) -> tuple[BitMatrix, BitVec]:
+def _derive_coset(p: Params, seed: bytes, y: int) -> tuple[tuple[BitMatrix, BitVec], ColumnDecoder]:
+    """y's (generator, shift) and the generator's ColumnDecoder, which
+    the rank check of C's candidates fills."""
     if not 0 <= y < 1 << p.r:
         raise ValueError(f"y = {y} is not an r = {p.r} bit hash value")
     stream = SeededStream(seed, b"coset", p.variant.encode(), y.to_bytes((p.r + 7) // 8, "big"))
-    n, ell = p.n, p.ell
+    n, ell, k = p.n, p.ell, p.n - p.r
     cols: list[int] = []
     if ell:
         # B's rows, each the top l bits of its own ceil(l/8) bytes, laid end
@@ -360,11 +362,15 @@ def _derive_coset(p: Params, seed: bytes, y: int) -> tuple[BitMatrix, BitVec]:
         data = stream.read((n - ell) * stride // 8)
         text = bin(int.from_bytes(b"\x01" + data, "big"))[3:]
         cols = [(1 << (n - 1 - j)) | int(text[j::stride], 2) for j in range(ell)]
-    c_block = sample_full_column_rank(stream, n - ell, n - p.r - ell)
+    # Column j <= l leads at bit n - j, so the identity block is already in
+    # echelon form.  C's candidates have no bits in the top l rows, so one
+    # depends on the columns kept before it iff it depends on C's alone.
+    decoder = ColumnDecoder._of_echelon(k, cols)
+    cols += _draw_columns(stream, n - ell, k - ell, decoder)
     shift = stream.bits(n)
     if p.variant == "incompressible":
         shift |= 1 << (n - ell)  # bit l, 1-based from the top
-    return BitMatrix._from_columns(n, n - p.r, tuple(cols) + c_block.col_words), BitVec(n, shift)
+    return (BitMatrix._from_columns(n, k, tuple(cols)), BitVec(n, shift)), decoder
 
 
 class CosetFamily:
@@ -383,11 +389,17 @@ class CosetFamily:
     The generator is assembled by columns from the same bytes: column
     j <= l is e_j over B's column j, read off B's bytes as one strided
     slice of their bit text, and the columns after it are C's kept
-    candidates, so neither block is transposed.
+    candidates, so neither block is transposed.  C's rank check reduces
+    each candidate into the generator's ColumnDecoder, seeded with the
+    identity-headed columns, so the one elimination of a coset's columns
+    both picks C and builds the decoder that decode, decodes and
+    coset_check read.
     A y outside [0, 2^r) is refused with ``ValueError``.
 
     ``derive_cache``, a ``functools.lru_cache`` wrapper, keeps the last
-    COSET_CACHE_SIZE cosets; its ``cache_info()`` reports hits and misses.
+    COSET_CACHE_SIZE entries ``((generator, shift), decoder)``; its
+    ``cache_info()`` reports hits and misses.  ``derive`` returns the
+    entry's ``(generator, shift)``, the same object on every hit.
     """
 
     def __init__(self, params: Params, seed: bytes) -> None:
@@ -398,7 +410,7 @@ class CosetFamily:
         )
 
     def derive(self, y: int) -> tuple[BitMatrix, BitVec]:
-        return self.derive_cache(y)
+        return self.derive_cache(y)[0]
 
 
 def _dual_chain(cosets: CosetFamily, y: int) -> tuple[Subspace, ...]:
@@ -417,10 +429,11 @@ class OracleSet:
 
     decode/encode speak BitVec on the outside; y is r bits, coset points
     are n bits.  query_counts() is the monotone total over all users of
-    the instance; wrap an operation in metered() to profile it.  The chain
-    and decoder caches build from ``self.cosets`` and never refer back to
-    their owner, so a dropped world is freed at once rather than by the
-    cycle collector.
+    the instance; wrap an operation in metered() to profile it.  The
+    inverse and membership queries read y's ColumnDecoder from the coset
+    cache, where derive put it.  The chain caches build from
+    ``self.cosets`` and never refer back to their owner, so a dropped
+    world is freed at once rather than by the cycle collector.
     """
 
     def __init__(self, params: Params, seed: bytes) -> None:
@@ -448,14 +461,6 @@ class OracleSet:
         phase_dual's walks in the grover and backends batteries read one y l times."""
         return functools.lru_cache(maxsize=1)(functools.partial(_dual_chain, self.cosets))
 
-    @functools.cached_property
-    def column_decoder(self) -> Callable[[int], ColumnDecoder]:
-        """``lru_cache`` of y's ColumnDecoder (y an int), keeping as many
-        as the coset cache; made on first use, as most worlds never decode."""
-        return functools.lru_cache(maxsize=COSET_CACHE_SIZE)(
-            functools.partial(_column_decoder, self.cosets)
-        )
-
     def query_counts(self) -> dict[str, int]:
         with self._lock:
             return dict(self._counts)
@@ -469,8 +474,8 @@ class OracleSet:
 
     def _coset_coordinates(self, y: int, u: int) -> Optional[int]:
         """The w with A_y w + b_y = u, or None when u is off y's coset."""
-        _, shift = self.cosets.derive(y)
-        return self.column_decoder(y).solve_word(u ^ shift.bits)
+        (_, shift), decoder = self.cosets.derive_cache(y)
+        return decoder.solve_word(u ^ shift.bits)
 
     # -- primary oracles ------------------------------------------------
 
@@ -602,11 +607,6 @@ class OracleSet:
             raise ValueError("y must have r bits")
         self._count("Dprime")
         return self._bloat_for(y.bits)[j - 1]
-
-
-def _column_decoder(cosets: CosetFamily, y: int) -> ColumnDecoder:
-    """The decoder of y's generator, built from the cached coset."""
-    return ColumnDecoder(cosets.derive(y)[0])
 
 
 def _bloat_chain(cosets: CosetFamily, seed: Optional[bytes], y: int) -> tuple[Subspace, ...]:

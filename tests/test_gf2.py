@@ -300,6 +300,24 @@ def test_rref_idempotent(a):
     assert r.dim == a.rank()
 
 
+@given(st.data())
+def test_matmul_by_columns_is_the_row_form_product(data):
+    # row i of A @ B is the XOR of the rows of B that row i of A selects
+    rows, inner, cols = (data.draw(st.integers(0, 9)) for _ in range(3))
+    a, b = data.draw(matrices(rows, inner)), data.draw(matrices(inner, cols))
+    expected = []
+    for w in a.row_words:
+        acc = 0
+        for i, o in enumerate(b.row_words):
+            if w >> (inner - 1 - i) & 1:
+                acc ^= o
+        expected.append(acc)
+    for left in both_orientations(a):
+        for right in both_orientations(b):
+            product = left @ right
+            assert (product.rows, product.cols, product.row_words) == (rows, cols, tuple(expected))
+
+
 def test_matmul_identity_and_blocks():
     i3 = BitMatrix.identity(3)
     a = BitMatrix(3, 3, (0b101, 0b011, 0b110))

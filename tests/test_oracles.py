@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from osslab import scheme
-from osslab.gf2 import BitMatrix, BitVec, Subspace, _rref_words
+from osslab.gf2 import BitMatrix, BitVec, ColumnDecoder, Subspace, _rref_words
 from osslab.oracles import (
     COSET_CACHE_SIZE,
     PERM_MODES,
@@ -262,6 +262,28 @@ def test_derive_matches_a_byte_by_byte_replay(world):
     o = build_oracles(p, seed)
     for y in ys:
         assert o.coset_of(BitVec(p.r, y)) == replay_coset(p, seed, y)
+
+
+def assert_decoder_of(decoder, gen):
+    ref = ColumnDecoder(gen)
+    assert (decoder._basis, decoder._width) == (ref._basis, ref._width)
+
+
+@settings(max_examples=150)
+@given(coset_worlds())
+@example((Params(n=64, r=32, ell=16, perm_mode="feistel"), SEED, [0, (1 << 32) - 1]))
+@example((Params(n=6, r=2, ell=0, variant="original"), SEED, [0, 1, 2, 3]))
+@example((Params(n=8, r=3, ell=5, variant="incompressible"), SEED, [0, 5]))  # r + l = n: no C
+@example((Params(n=40, r=30, ell=10, variant="bloated", perm_mode="feistel"), SEED, [7]))
+def test_derive_caches_the_decoder_of_its_generator(world):
+    """derive's rank check of C's candidates builds the decoder that a
+    fresh ColumnDecoder of the generator would, entry for entry."""
+    p, seed, ys = world
+    o = build_oracles(p, seed)
+    for y in ys:
+        coset, decoder = o.cosets.derive_cache(y)
+        assert o.cosets.derive(y) is coset
+        assert_decoder_of(decoder, coset[0])
 
 
 def _cosets_digest(pairs) -> str:
@@ -679,8 +701,9 @@ def test_coset_check_matches_decode():
     st.data(),
 )
 def test_column_decoder_agrees_with_solve_on_and_off_the_coset(variant, perm_mode, data):
-    """The cached decoder gives solve's answer, value or None, and decode,
-    decodes and coset_check follow it, for points on y's coset and off it."""
+    """The decoder cached with y's coset gives solve's answer, value or
+    None, and decode, decodes and coset_check follow it, for points on y's
+    coset and off it."""
     n = data.draw(st.integers(2, 12 if perm_mode == "table" else 64))
     if variant == "original":
         r, ell = data.draw(st.integers(1, n)), 0
@@ -702,7 +725,7 @@ def test_column_decoder_agrees_with_solve_on_and_off_the_coset(variant, perm_mod
     for u in (on, off, BitVec(n, data.draw(st.integers(0, (1 << n) - 1)))):
         ref = gen.solve(u ^ shift)
         w = None if ref is None else ref.bits
-        assert o.column_decoder(y.bits).solve_word((u ^ shift).bits) == w
+        assert o.cosets.derive_cache(y.bits)[1].solve_word((u ^ shift).bits) == w
         x = None if w is None else BitVec(n, o.perm.inverse((y.bits << (n - r)) | w))
         assert o.decode(y, u) == x
         assert o.coset_check(y, u) == (w is not None)
@@ -723,24 +746,28 @@ def test_decodes_refuses_a_wrong_width_uncounted():
 
 
 def test_decode_and_coset_check_spend_one_query_through_the_decoder_cache():
+    """The decoder comes with y's cached coset: the derive that built the
+    coset is the one miss, and each decode and coset_check is a hit."""
     o = small_world()
     y = BitVec(3, 5)
-    gen, shift = o.coset_of(y)
-    u = gen.matvec(BitVec(5, 0b10110)) ^ shift
-    cache = o.column_decoder
+    cache = o.cosets.derive_cache
     assert cache.cache_info().maxsize == COSET_CACHE_SIZE
+    gen, shift = o.coset_of(y)
+    assert (cache.cache_info().hits, cache.cache_info().misses) == (0, 1)
+    u = gen.matvec(BitVec(5, 0b10110)) ^ shift
     with metered() as spent:
         x = o.decode(y, u)
-    assert spent == {"Pinv": 1} and x is not None and o.encode(x) == (y, u)
-    assert (cache.cache_info().hits, cache.cache_info().misses) == (0, 1)
+    assert spent == {"Pinv": 1} and x is not None
+    assert (cache.cache_info().hits, cache.cache_info().misses) == (1, 1)
+    assert o.encode(x) == (y, u)
     with metered() as spent:
         assert o.decode(y, u) == x
     assert spent == {"Pinv": 1}
-    assert (cache.cache_info().hits, cache.cache_info().misses) == (1, 1)
+    assert (cache.cache_info().hits, cache.cache_info().misses) == (3, 1)
     with metered() as spent:
         assert o.coset_check(y, u) == 1
     assert spent == {"D0": 1}
-    assert (cache.cache_info().hits, cache.cache_info().misses) == (2, 1)
+    assert (cache.cache_info().hits, cache.cache_info().misses) == (4, 1)
 
 
 def test_query_counters_are_monotone_and_split_by_oracle():
@@ -823,6 +850,7 @@ def test_coset_cache_is_bounded_and_re_derives_evicted_cosets():
     assert cache.cache_info().misses == COSET_CACHE_SIZE + 6
     assert again == first and again is not first
     assert o.cosets.derive(0) is again
+    assert_decoder_of(cache(0)[1], again[0])  # the decoder came back with it
 
 
 # -- bloated dual -------------------------------------------------------

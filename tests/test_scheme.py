@@ -215,13 +215,19 @@ def test_sign_builds_no_dual_chain(backend, rng, monkeypatch):
 
 def test_cold_symbolic_cycles_transpose_no_matrix(rng, monkeypatch):
     """A coset is built by columns, and a cold symbolic cycle reads it only
-    by columns (matvec in sign, the ColumnDecoder in verify); so does the
-    dual chain of a freshly derived y.  At (64, 32, 16) none of them
-    transposes a matrix."""
+    by columns (matvec in sign, and in verify the ColumnDecoder that derive
+    built while it drew C); so does the dual chain of a freshly derived y.
+    At (64, 32, 16) none of them transposes a matrix, and no generator is
+    eliminated a second time."""
     calls = []
     real = gf2._transpose_words
     monkeypatch.setattr(
         gf2, "_transpose_words", lambda words, width: calls.append(width) or real(words, width)
+    )
+    decoders = []
+    real_init = gf2.ColumnDecoder.__init__
+    monkeypatch.setattr(
+        gf2.ColumnDecoder, "__init__", lambda self, m: decoders.append(m) or real_init(self, m)
     )
     o = build_oracles(Params(n=64, r=32, ell=16, perm_mode="feistel"), SEED)
     ys = set()
@@ -233,6 +239,7 @@ def test_cold_symbolic_cycles_transpose_no_matrix(rng, monkeypatch):
         ys.add(pk.y.bits)
     assert o.cosets.derive_cache.cache_info().misses == len(ys) == 10  # every cycle cold
     assert calls == []
+    assert decoders == []
     fresh = next(y for y in range(11) if y not in ys)
     chain = o.dual_chain(fresh)
     assert [level.dim for level in chain] == list(range(32, 49))
