@@ -1,13 +1,12 @@
 """Bit-packed linear algebra over Z2.
 
-A vector is one Python int, and a matrix holds one int per row, one int
-per column, or both: it keeps the orientation it was built in and
-transposes into the other at most once, on the first read that needs it.
-Threads racing on that first read build equal tuples, and either may be
-kept.  Public indices are 1-based and bit 1 is the most significant bit
-of the packed word: the bit string "10110" packs to 0b10110 and
-serializes to hex "16".  All containers are immutable; operations return
-fresh objects.
+A vector is one Python int, and a matrix is its columns, one int each;
+a matrix built from rows is transposed once, as it is built.  One tagged
+column elimination (ColumnDecoder) serves solve, rank and the decoders
+of derived cosets.  Public indices are 1-based and bit 1 is the most
+significant bit of the packed word: the bit string "10110" packs to
+0b10110 and serializes to hex "16".  All containers are immutable;
+operations return fresh objects.
 """
 
 from __future__ import annotations
@@ -150,25 +149,20 @@ class BitVec:
 
 
 class BitMatrix:
-    """Immutable matrix over Z2, held as packed rows, packed columns or both.
+    """Immutable matrix over Z2, stored as its packed columns.
 
-    ``row_words`` packs row i into one int over ``cols`` bits, column 1
-    the most significant; ``col_words`` packs column j into one int over
-    ``rows`` bits, row 1 the most significant.  The public constructor
-    takes rows and ``_from_columns`` takes columns; each property
-    transposes the other orientation on its first read and keeps the
-    result, so a matrix is transposed at most once.  Threads racing on a
-    first read build equal tuples, and either may be kept.  Each method
-    reads the orientation it is written in: columns for ``matvec``,
-    ``rmatvec``, ``col_range``, ``columns``, ``span_ints``,
-    ``left_kernel``, ``dual_chain``, ``ColumnDecoder`` and ``@`` (which
-    reads both factors by columns and builds the product by columns);
-    rows for ``row``, ``solve``, ``rank``, ``hstack`` and ``vstack``.
-    ``transpose`` swaps the two.  Equality, hashing and ``repr`` go by
-    ``(rows, cols, row_words)``.
+    ``col_words`` packs column j into one int over ``rows`` bits, row 1
+    the most significant.  The public constructor takes packed rows, each
+    an int over ``cols`` bits with column 1 the most significant, and
+    transposes them once; ``_from_columns`` takes columns and transposes
+    nothing.  ``row_words`` transposes the columns back on each read, and
+    only ``repr``, ``str``, ``row`` and ``transpose`` read it: every other
+    method, the elimination that ``solve``, ``rank`` and ``ColumnDecoder``
+    share included, reads columns.  Equality, hashing and pickling go by
+    ``(rows, cols, col_words)``.
     """
 
-    __slots__ = ("rows", "cols", "_row_words", "_col_words")
+    __slots__ = ("rows", "cols", "col_words")
 
     def __init__(self, rows: int, cols: int, row_words: tuple[int, ...]) -> None:
         if rows < 0 or cols < 0:
@@ -179,13 +173,9 @@ class BitMatrix:
         for w in row_words:
             if not 0 <= w < limit:
                 raise ValueError("row does not fit column count")
-        self._set(rows, cols, row_words, None)
-
-    def _set(self, rows: int, cols: int, row_words, col_words) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_row_words", row_words)
-        object.__setattr__(self, "_col_words", col_words)
+        object.__setattr__(self, "col_words", tuple(_transpose_words(row_words, cols)))
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -193,38 +183,24 @@ class BitMatrix:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __getstate__(self) -> tuple:
-        return (self.rows, self.cols, self._row_words, self._col_words)
-
-    def __setstate__(self, state: tuple) -> None:
-        self._set(*state)
+    def __reduce__(self) -> tuple:
+        return BitMatrix._from_columns, (self.rows, self.cols, self.col_words)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not BitMatrix:
             return NotImplemented
-        return (self.rows, self.cols, self.row_words) == (other.rows, other.cols, other.row_words)
+        return (self.rows, self.cols, self.col_words) == (other.rows, other.cols, other.col_words)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.row_words))
+        return hash((self.rows, self.cols, self.col_words))
 
     def __repr__(self) -> str:
         return f"BitMatrix(rows={self.rows!r}, cols={self.cols!r}, row_words={self.row_words!r})"
 
     @property
     def row_words(self) -> tuple[int, ...]:
-        words = self._row_words
-        if words is None:
-            words = tuple(_transpose_words(self._col_words, self.rows))
-            object.__setattr__(self, "_row_words", words)
-        return words
-
-    @property
-    def col_words(self) -> tuple[int, ...]:
-        words = self._col_words
-        if words is None:
-            words = tuple(_transpose_words(self._row_words, self.cols))
-            object.__setattr__(self, "_col_words", words)
-        return words
+        """Row i packed over ``cols`` bits, column 1 the most significant."""
+        return tuple(_transpose_words(self.col_words, self.rows))
 
     # -- constructors ---------------------------------------------------
 
@@ -234,16 +210,18 @@ class BitMatrix:
         ``rows`` bits.  Unlike the public constructor it does not check
         that the words fit: its callers build them to."""
         obj = object.__new__(cls)
-        obj._set(rows, cols, None, col_words)
+        object.__setattr__(obj, "rows", rows)
+        object.__setattr__(obj, "cols", cols)
+        object.__setattr__(obj, "col_words", col_words)
         return obj
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
+        return cls._from_columns(rows, cols, (0,) * cols)
 
     @classmethod
     def identity(cls, k: int) -> "BitMatrix":
-        return cls(k, k, tuple(1 << (k - 1 - i) for i in range(k)))
+        return cls._from_columns(k, k, tuple(1 << (k - 1 - i) for i in range(k)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[BitVec]) -> "BitMatrix":
@@ -317,51 +295,39 @@ class BitMatrix:
         return BitMatrix._from_columns(self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "BitMatrix":
-        obj = object.__new__(BitMatrix)
-        obj._set(self.cols, self.rows, self._col_words, self._row_words)
-        return obj
+        return BitMatrix._from_columns(self.cols, self.rows, self.row_words)
 
     def hstack(self, other: "BitMatrix") -> "BitMatrix":
         if self.rows != other.rows:
             raise ValueError("hstack row mismatch")
-        return BitMatrix(
-            self.rows,
-            self.cols + other.cols,
-            tuple((a << other.cols) | b for a, b in zip(self.row_words, other.row_words)),
-        )
+        cols = self.cols + other.cols
+        return BitMatrix._from_columns(self.rows, cols, self.col_words + other.col_words)
 
     def vstack(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.cols:
             raise ValueError("vstack column mismatch")
-        return BitMatrix(self.rows + other.rows, self.cols, self.row_words + other.row_words)
+        below = other.rows
+        return BitMatrix._from_columns(
+            self.rows + below,
+            self.cols,
+            tuple((a << below) | b for a, b in zip(self.col_words, other.col_words)),
+        )
 
     def rank(self) -> int:
-        basis: dict[int, int] = {}
-        for w in self.row_words:
-            w = _reduce_word(w, basis)
-            if w:
-                basis[w.bit_length() - 1] = w
-        return len(basis)
+        """The number of columns the column echelon keeps."""
+        return self.cols - len(ColumnDecoder._echelon(self)[1])
 
     def solve(self, target: BitVec) -> Optional[BitVec]:
-        """A solution x of ``M @ x = target`` with free variables set to zero.
+        """A solution x of ``M @ x = target``, or None when none exists.
 
-        Returns None when the system is inconsistent.  The solution is a
-        canonical function of (M, target).
+        The solution is a canonical function of (M, target): it is 0 on
+        every column that depends on the columns before it, the columns
+        the column echelon skips, and so unique.
         """
         if target.n != self.rows:
             raise ValueError("solve target length mismatch")
-        # Augment each row with the target bit in the least significant slot.
-        aug = [(w << 1) | target.bit(i + 1) for i, w in enumerate(self.row_words)]
-        reduced = _rref_words(aug)
-        x = 0
-        for w in reduced:
-            if w == 1:
-                return None  # zero coefficients, nonzero right-hand side
-            if w & 1:
-                pivot = w.bit_length() - 2  # column position within cols bits
-                x |= 1 << pivot
-        return BitVec(self.cols, x)
+        x = ColumnDecoder._echelon(self)[0].solve_word(target.bits)
+        return None if x is None else BitVec(self.cols, x)
 
     def left_kernel(self) -> "Subspace":
         """The space {v : v^T M = 0} as a canonical subspace of Z2^rows."""
@@ -385,7 +351,7 @@ class BitMatrix:
     # -- serialization --------------------------------------------------
 
     def __str__(self) -> str:
-        return "\n".join(str(self.row(i)) for i in range(1, self.rows + 1))
+        return "\n".join(str(BitVec(self.cols, w)) for w in self.row_words)
 
 
 def _transpose_words(words: Sequence[int], width: int) -> list[int]:
@@ -615,23 +581,51 @@ class ColumnDecoder:
     columns it sums, into one int ``(column << k) | tag`` with k = cols
     and column j tagged by bit k - j, its place in x.  Solving shifts the
     target left by k and clears its leading bits with the basis; once no
-    bit at or above k is left, the tag bits are the unique x.  A lead
-    with no basis entry means the target is outside the column span.
+    bit at or above k is left, the tag bits are x.  A lead with no basis
+    entry means the target is outside the column span.
 
-    Columns are admitted one at a time, and a column that reduces to no
-    lead at or above k depends on those before it.  That test is also
-    the rank check of ``sample_full_column_rank``, and a derived coset's
-    decoder is the one its draw of ``C`` fills (``_draw_columns``).
+    Columns enter one at a time, and a column that reduces to no lead at
+    or above k depends on those before it.  ``_echelon`` runs that loop
+    over any matrix and skips such columns, so ``BitMatrix.solve`` and
+    ``rank`` read the same elimination that ``ColumnDecoder(m)`` refuses
+    a rank deficit from.  The same test, with tags in admission order
+    (``_admit``), is the rank check of ``sample_full_column_rank``, and a
+    derived coset's decoder is the one its draw of ``C`` fills
+    (``_draw_columns``).
     """
 
     __slots__ = ("_basis", "_width")
 
     def __init__(self, m: BitMatrix) -> None:
-        self._basis = {}
-        self._width = m.cols
-        for j, col in enumerate(m.col_words):
-            if not self._admit((col,)):
-                raise ValueError(f"column {j + 1} depends on earlier columns: not full column rank")
+        skipped = self._eliminate(m)
+        if skipped:
+            raise ValueError(
+                f"column {skipped[0]} depends on earlier columns: not full column rank"
+            )
+
+    @classmethod
+    def _echelon(cls, m: BitMatrix) -> tuple["ColumnDecoder", list[int]]:
+        """m's decoder, whatever its rank, and the columns it skipped."""
+        obj = object.__new__(cls)
+        return obj, obj._eliminate(m)
+
+    def _eliminate(self, m: BitMatrix) -> list[int]:
+        """Fill the basis with m's columns, column j tagged by bit k - j
+        whether or not an earlier column was skipped, and return the
+        skipped columns, 1-based.  Tags name kept columns only, so a
+        solution is 0 on every skipped column."""
+        k = self._width = m.cols
+        basis = self._basis = {}
+        skipped = []
+        tag = 1 << k
+        for j, col in enumerate(m.col_words, 1):
+            tag >>= 1
+            w = _reduce_word((col << k) | tag, basis)
+            if w >> k:
+                basis[w.bit_length() - 1] = w
+            else:
+                skipped.append(j)
+        return skipped
 
     @classmethod
     def _of_echelon(cls, width: int, cols: Sequence[int]) -> "ColumnDecoder":

@@ -30,7 +30,6 @@ from .gf2 import (
     Subspace,
     _draw_columns,
     chain_from_top,
-    split_draws,
     widened_normals,
     widened_top,
 )
@@ -144,10 +143,19 @@ class SeededStream:
 
     def matrix(self, rows: int, cols: int) -> BitMatrix:
         """rows x cols matrix whose rows are ``rows`` successive bits(cols)
-        draws, taken from one read of all their bytes."""
-        if cols == 0:
-            return BitMatrix.zeros(rows, 0)
-        return BitMatrix(rows, cols, tuple(split_draws(self.read(rows * ((cols + 7) // 8)), cols)))
+        draws, taken from one read of all their bytes.
+
+        Each row is the top cols bits of its own ceil(cols/8) bytes, so in
+        the bit text of those bytes (behind a 0x01 byte that keeps their
+        leading zeros) column j is the slice from j - 1 at the row stride,
+        and the matrix is built by columns.
+        """
+        stride = 8 * ((cols + 7) // 8)
+        if not rows or not cols:
+            return BitMatrix.zeros(rows, cols)
+        text = bin(int.from_bytes(b"\x01" + self.read(rows * stride // 8), "big"))[3:]
+        col_words = tuple(int(text[j::stride], 2) for j in range(cols))
+        return BitMatrix._from_columns(rows, cols, col_words)
 
 
 @dataclass(frozen=True)
@@ -352,19 +360,12 @@ def _derive_coset(p: Params, seed: bytes, y: int) -> tuple[tuple[BitMatrix, BitV
         raise ValueError(f"y = {y} is not an r = {p.r} bit hash value")
     stream = SeededStream(seed, b"coset", p.variant.encode(), y.to_bytes((p.r + 7) // 8, "big"))
     n, ell, k = p.n, p.ell, p.n - p.r
-    cols: list[int] = []
-    if ell:
-        # B's rows, each the top l bits of its own ceil(l/8) bytes, laid end
-        # to end in one bit text (behind a 0x01 byte that keeps its leading
-        # zeros): column j of B is the slice from j - 1 at the row stride,
-        # and sits under e_j of the identity block.
-        stride = 8 * ((ell + 7) // 8)
-        data = stream.read((n - ell) * stride // 8)
-        text = bin(int.from_bytes(b"\x01" + data, "big"))[3:]
-        cols = [(1 << (n - 1 - j)) | int(text[j::stride], 2) for j in range(ell)]
-    # Column j <= l leads at bit n - j, so the identity block is already in
-    # echelon form.  C's candidates have no bits in the top l rows, so one
-    # depends on the columns kept before it iff it depends on C's alone.
+    # Column j <= l is e_j over B's column j, so it leads at bit n - j and
+    # the identity block is already in echelon form.  C's candidates have
+    # no bits in the top l rows, so one depends on the columns kept before
+    # it iff it depends on C's alone.
+    b_cols = stream.matrix(n - ell, ell).col_words
+    cols = [(1 << (n - 1 - j)) | c for j, c in enumerate(b_cols)]
     decoder = ColumnDecoder._of_echelon(k, cols)
     cols += _draw_columns(stream, n - ell, k - ell, decoder)
     shift = stream.bits(n)
@@ -387,14 +388,13 @@ class CosetFamily:
     shift to 1.  With l = 0 the identity block vanishes and the generator
     is just C, a uniform full-column-rank matrix (the unstructured flavor).
     The generator is assembled by columns from the same bytes: column
-    j <= l is e_j over B's column j, read off B's bytes as one strided
-    slice of their bit text, and the columns after it are C's kept
-    candidates, so neither block is transposed.  C's rank check reduces
-    each candidate into the generator's ColumnDecoder, seeded with the
-    identity-headed columns, so the one elimination of a coset's columns
-    both picks C and builds the decoder that decode, decodes and
-    coset_check read.
-    A y outside [0, 2^r) is refused with ``ValueError``.
+    j <= l is e_j over B's column j, as SeededStream.matrix reads B by
+    columns, and the columns after it are C's kept candidates, so neither
+    block is transposed.  C's rank check reduces each candidate into the
+    generator's ColumnDecoder, seeded with the identity-headed columns, so
+    the one elimination of a coset's columns both picks C and builds the
+    decoder that decode, decodes and coset_check read.  A y outside
+    [0, 2^r) is refused with ``ValueError``.
 
     ``derive_cache``, a ``functools.lru_cache`` wrapper, keeps the last
     COSET_CACHE_SIZE entries ``((generator, shift), decoder)``; its

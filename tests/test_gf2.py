@@ -1,6 +1,9 @@
 """Bit-packed GF(2) linear algebra: worked examples plus properties."""
 
 import copy
+import functools
+import itertools
+import operator
 import pickle
 from collections import Counter
 from dataclasses import FrozenInstanceError
@@ -267,10 +270,38 @@ def test_matvec_and_rmatvec_match_the_entries(m, data):
     ]
 
 
-@given(shapes())
-def test_each_orientation_is_transposed_at_most_once(m):
+@given(shapes(), st.data())
+def test_only_the_row_constructor_transposes(m, data):
+    """A matrix built from rows transposes them once, in its constructor;
+    after that, as on a matrix built from columns, no method but the row
+    readers transposes."""
+    row_words = m.row_words
+    x, v = data.draw(bitvecs(m.cols)), data.draw(bitvecs(m.rows))
+    ell = data.draw(st.integers(0, m.cols))
+    j = data.draw(st.integers(1, m.cols + 1))
+    k = data.draw(st.integers(j - 1, m.cols))
+    other = data.draw(st.integers(0, 4).flatmap(lambda c: matrices(m.cols, c)))
+    side = data.draw(st.integers(0, 4).flatmap(lambda c: matrices(m.rows, c)))
+    below = data.draw(st.integers(0, 4).flatmap(lambda r: matrices(r, m.cols)))
+    methods = {
+        "matvec": lambda a: a.matvec(x),
+        "rmatvec": lambda a: a.rmatvec(v),
+        "col_range": lambda a: a.col_range(j, k),
+        "columns": lambda a: a.columns(),
+        "span_ints": lambda a: a.span_ints(v.bits),
+        "left_kernel": lambda a: a.left_kernel(),
+        "dual_chain": lambda a: a.dual_chain(ell),
+        "ColumnDecoder": decoder_answers,
+        "solve": lambda a: a.solve(v),
+        "rank": lambda a: a.rank(),
+        "@": lambda a: a @ other,
+        "hstack": lambda a: a.hstack(side),
+        "vstack": lambda a: a.vstack(below),
+        "==": lambda a: a == m,
+        "hash": hash,
+        "pickle": lambda a: pickle.loads(pickle.dumps(a)),
+    }
     # hypothesis refuses function-scoped fixtures such as monkeypatch
-    pairs = both_orientations(m)
     calls = []
     real = gf2._transpose_words
 
@@ -280,17 +311,58 @@ def test_each_orientation_is_transposed_at_most_once(m):
 
     gf2._transpose_words = counting
     try:
-        for built in pairs:
-            calls.clear()
-            for _ in range(3):
-                assert built.row_words == m.row_words
-                assert built.col_words == m.col_words
-            assert len(calls) == 1
-            t = built.transpose()
-            assert (t.row_words, t.col_words) == (m.col_words, m.row_words)
-            assert len(calls) == 1
+        by_rows = BitMatrix(m.rows, m.cols, row_words)
+        assert calls == [m.cols]
+        for built in (by_rows, BitMatrix._from_columns(m.rows, m.cols, m.col_words)):
+            for name, method in methods.items():
+                calls.clear()
+                method(built)
+                assert calls == [], name
     finally:
         gf2._transpose_words = real
+
+
+def brute_span(words):
+    """Every XOR of a subset of ``words``, one subset at a time."""
+    return {
+        functools.reduce(operator.xor, subset, 0)
+        for size in range(len(words) + 1)
+        for subset in itertools.combinations(words, size)
+    }
+
+
+def sample_matrices(rows, cols, rng):
+    """Every rows x cols matrix when there are at most 2^10, else 300
+    seeded draws (about 70% of 5 x 5 draws are rank-deficient)."""
+    if rows * cols <= 10:
+        draws = itertools.product(range(1 << cols), repeat=rows)
+    else:
+        draws = (tuple(rng.integers(0, 1 << cols, rows).tolist()) for _ in range(300))
+    return [BitMatrix(rows, cols, words) for words in draws]
+
+
+@pytest.mark.parametrize("rows, cols", itertools.product(range(6), repeat=2))
+def test_solve_and_rank_match_brute_force(rows, cols):
+    """solve answers None exactly off the column span, and otherwise the one
+    solution that is 0 on every column in the span of those before it."""
+    rng = np.random.default_rng(rows * 6 + cols)
+    for m in sample_matrices(rows, cols, rng):
+        words = m.col_words
+        dependent = 0
+        for j in range(cols):
+            if words[j] in brute_span(words[:j]):
+                dependent |= 1 << (cols - 1 - j)
+        images = {}
+        for x in range(1 << cols):
+            images.setdefault(m.matvec(BitVec(cols, x)).bits, []).append(x)
+        assert m.rank() == len(brute_span(words)).bit_length() - 1
+        for t in range(1 << rows):
+            got = m.solve(BitVec(rows, t))
+            if t not in images:
+                assert got is None
+            else:
+                [expect] = [x for x in images[t] if not x & dependent]
+                assert got == BitVec(cols, expect)
 
 
 @given(matrices(5, 5))

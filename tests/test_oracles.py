@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from osslab import scheme
+from osslab import gf2, scheme
 from osslab.gf2 import BitMatrix, BitVec, ColumnDecoder, Subspace, _rref_words
 from osslab.oracles import (
     COSET_CACHE_SIZE,
@@ -97,6 +97,22 @@ def test_shuffle_consumes_the_same_bytes_as_below(n):
         expect[i], expect[j] = expect[j], expect[i]
     assert stream.shuffle(1 << n) == expect
     assert stream.read(16) == bytes(itertools.islice(source, 16))
+
+
+def test_stream_matrix_matches_a_byte_by_byte_replay():
+    # one stream for every shape, so the reads start mid-block and cross
+    # block edges; rows = 0 and cols = 0 read nothing
+    stream = SeededStream(SEED, b"matrix")
+    source = replay_bytes(SEED, b"matrix")
+    shapes = [(rows, cols) for cols in (1, 3, 8, 9, 13, 16) for rows in (1, 5, 70)]
+    for rows, cols in shapes + [(0, 9), (7, 0), (0, 0), (33, 13)]:
+        nbytes = (cols + 7) // 8
+        expect = [
+            int.from_bytes(bytes(itertools.islice(source, nbytes)), "big") >> (8 * nbytes - cols)
+            for _ in range(rows)
+        ]
+        assert stream.matrix(rows, cols) == BitMatrix(rows, cols, tuple(expect)), (rows, cols)
+        assert stream.read(3) == bytes(itertools.islice(source, 3))
 
 
 # -- parameters ---------------------------------------------------------
@@ -931,6 +947,24 @@ def test_bloat_requires_sampling_and_room(rng):
     narrow = build_oracles(Params(n=6, r=2, ell=2, s=3, variant="bloated"), SEED)
     with pytest.raises(ValueError):
         narrow.sample_bloat(rng)  # n - r - l < s
+
+
+def test_a_fresh_bloat_chain_and_a_generator_solve_transpose_nothing(rng, monkeypatch):
+    """The bloat stream's M' and M are drawn by columns, and the widened
+    chain, rank and solve read only columns."""
+    calls = []
+    real = gf2._transpose_words
+    monkeypatch.setattr(
+        gf2, "_transpose_words", lambda words, width: calls.append(width) or real(words, width)
+    )
+    o = build_oracles(Params(n=64, r=32, ell=16, s=8, variant="bloated", perm_mode="feistel"), SEED)
+    o.sample_bloat(rng)
+    y = BitVec(32, 0x9E3779B9)
+    assert o.bloated_support(1, y).dim == 32 + 8
+    gen, _ = o.coset_of(y)
+    w = BitVec(32, 0x2545F491)
+    assert gen.solve(gen.matvec(w)) == w
+    assert calls == []
 
 
 # -- variants -----------------------------------------------------------
