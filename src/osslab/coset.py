@@ -90,9 +90,11 @@ def sign_with_coset(st: CosetState, m: BitVec, rng) -> BitVec:
     """
     if st.matched != 0:
         raise ValueError("signing must start from a fresh key state")
-    pinned = m ^ st.shift.prefix(m.n)
-    free = BitVec.random(rng, st.gen.cols - m.n)
-    return st.gen.matvec(pinned.concat(free)) ^ st.shift
+    gen, shift = st.gen, st.shift.bits
+    free = gen.cols - m.n
+    pinned = m.bits ^ (shift >> (st.n - m.n))  # m + the shift's first l bits
+    coeffs = (pinned << free) | BitVec.random(rng, free).bits
+    return BitVec(st.n, gen.matvec(BitVec(gen.cols, coeffs)).bits ^ shift)
 
 
 def enumerate_support(st: CosetState) -> list[BitVec]:

@@ -96,10 +96,18 @@ class BitVec:
     @classmethod
     def random(cls, rng, n: int) -> "BitVec":
         """n uniform bits from a numpy Generator: the top n bits of
-        ``rng.bytes(ceil(n/8))`` read big-endian.  n = 0 draws nothing."""
+        ``rng.bytes(ceil(n/8))`` read big-endian.  n = 0 draws nothing.
+
+        Those bytes are built as ``Generator.bytes`` builds them, from
+        ceil(n/32) uint32 draws written little-endian, joined and truncated,
+        but each word is drawn as a scalar ``rng.integers(0, 2^32)``, which
+        consumes the generator alike and skips the array round trip."""
         if n == 0:
             return cls(0, 0)
-        return cls(n, split_draws(rng.bytes((n + 7) // 8), n)[0])
+        nbytes = (n + 7) // 8
+        words = [int(rng.integers(0, 1 << 32)).to_bytes(4, "little") for _ in range((nbytes + 3) // 4)]
+        data = b"".join(words)
+        return cls(n, int.from_bytes(data[:nbytes], "big") >> (8 * nbytes - n))
 
     # -- access ---------------------------------------------------------
 

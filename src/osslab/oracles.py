@@ -51,7 +51,8 @@ VARIANTS = ("standard", "incompressible", "bloated", "original")
 PERM_MODES = ("table", "feistel")
 QUERY_KEYS = ("P", "Pinv", "D", "D0", "Dprime")
 # Cosets (and widened chains) kept per world: well above any battery's
-# working set and the 2^8 cosets of r = 8; about 2.6 KB each at (64, 32, 16).
+# working set and the 2^8 cosets of r = 8; about 4.2 KB each at (64, 32, 16),
+# the ColumnDecoder kept beside each coset included.
 COSET_CACHE_SIZE = 1024
 
 # Widest n each permutation backend builds: a table holds 2^n entries, and
@@ -449,11 +450,12 @@ class OracleSet:
 
     # -- bookkeeping ----------------------------------------------------
 
-    def _count(self, key: str) -> None:
+    def _count(self, key: str, k: int = 1) -> None:
+        """Count k queries of kind key, under one lock and in each open meter once."""
         with self._lock:
-            self._counts[key] += 1
+            self._counts[key] += k
         for spent in _METERS.get():
-            spent[key] = spent.get(key, 0) + 1
+            spent[key] = spent.get(key, 0) + k
 
     @functools.cached_property
     def dual_chain(self) -> Callable[[int], tuple[Subspace, ...]]:
@@ -538,13 +540,21 @@ class OracleSet:
         return 1
 
     def spend_dual(self, j: int, y: BitVec) -> None:
-        """One D query at level j on y that reads no level, so builds nothing
-        (the signing walk's).  Refuses, uncounted, what dual_support refuses."""
+        """One D query at level j on y that reads no level, so builds nothing.
+        Refuses, uncounted, what dual_support refuses."""
         if not 1 <= j <= self.params.ell + 1:
             raise ValueError("a D query needs 1 <= j <= l + 1")
         if y.n != self.params.r:
             raise ValueError("y must have r bits")
         self._count("D")
+
+    def spend_walk(self, y: BitVec) -> None:
+        """The signing walk's l D queries on y, one at each level 1..l, counted
+        at once; none reads a level, so nothing is built.  Refuses, uncounted,
+        a y that is not r bits."""
+        if y.n != self.params.r:
+            raise ValueError("y must have r bits")
+        self._count("D", self.params.ell)
 
     def dual_support(self, j: int, y: BitVec) -> Subspace:
         """Accepted set of dual_check(j, y, .) as a subspace.

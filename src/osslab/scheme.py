@@ -203,8 +203,7 @@ def sign(o: OracleSet, pk: PublicKey, sk: SecretKey, m: BitVec, rng) -> Signatur
     check_signable(o.params, m)
     _check_world(o, pk)
     state = sk._claim()
-    for step in range(1, o.params.ell + 1):
-        o.spend_dual(step, state.y)
+    o.spend_walk(state.y)
     m = _pinned(o.params, m)
     if sk.backend == "statevector":
         sigma = _qsim.sign_with_amplitudes(state, m, rng)

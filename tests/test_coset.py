@@ -13,7 +13,7 @@ from osslab.coset import (
     sign_with_coset,
     to_statevector,
 )
-from osslab.gf2 import BitVec
+from osslab.gf2 import BitVec, split_draws
 from osslab.oracles import Params, build_oracles, metered
 from osslab.qsim import generate_keypair_state, phase_dual, phase_prefix
 from osslab.scheme import draw_key, key_state
@@ -158,3 +158,33 @@ def test_sign_with_coset_on_wide_feistel_world(rng):
     sigma = sign_with_coset(st, m, rng)
     assert sigma.prefix(8) == m
     assert o.decode(st.y, sigma) is not None
+
+
+def reference_sign(st, m, rng):
+    """The signer written out step by step: pin m + the shift's first l bits,
+    draw the free coefficients as the top bits of rng.bytes, and map the
+    coefficients through the generator."""
+    free = st.gen.cols - m.n
+    coeffs = (m ^ st.shift.prefix(m.n)).concat(BitVec(free, split_draws(rng.bytes((free + 7) // 8), free)[0]))
+    return st.gen.matvec(coeffs) ^ st.shift
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        Params(n=64, r=32, ell=16, perm_mode="feistel"),
+        Params(n=32, r=8, ell=8, perm_mode="feistel"),
+        Params(n=12, r=4, ell=3, variant="incompressible"),
+        Params(n=64, r=8, ell=2, perm_mode="feistel"),  # 54 free bits: two words
+    ],
+    ids=lambda p: f"{p.n}-{p.r}-{p.ell}-{p.variant}",
+)
+def test_sign_with_coset_matches_the_reference_signer(params, rng):
+    o = build_oracles(params, SEED)
+    draw = np.random.default_rng(7)
+    ref = np.random.default_rng(7)
+    for _ in range(200):
+        st = fresh_key(o, rng)
+        m = BitVec(params.ell, int(rng.integers(0, 1 << params.ell)))
+        assert sign_with_coset(st, m, draw) == reference_sign(st, m, ref)
+        assert draw.bytes(16) == ref.bytes(16)

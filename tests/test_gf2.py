@@ -20,6 +20,7 @@ from osslab.gf2 import (
     Subspace,
     _rref_words,
     sample_full_column_rank,
+    split_draws,
     xor_span_ints,
 )
 from osslab.oracles import SeededStream
@@ -83,6 +84,21 @@ def test_bitvec_random_draws_pinned_bits(seed, n, bits, after):
     rng = np.random.default_rng(seed)
     assert BitVec.random(rng, n) == BitVec(n, bits)
     assert rng.bytes(16).hex() == after
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+def test_bitvec_random_reads_what_generator_bytes_reads(bit_generator):
+    """Every width draws the bits, and leaves the generator, exactly where
+    numpy's own ``rng.bytes(ceil(n/8))`` on a twin generator does; n = 0
+    draws nothing (numpy's ``bytes(0)`` would spend a word)."""
+    rng = np.random.Generator(bit_generator(2024))
+    ref = np.random.Generator(bit_generator(2024))
+    assert BitVec.random(rng, 0) == BitVec(0, 0)
+    assert rng.bytes(16) == ref.bytes(16)
+    for n in range(1, 131):
+        data = ref.bytes((n + 7) // 8)
+        assert BitVec.random(rng, n) == BitVec(n, split_draws(data, n)[0]), n
+        assert rng.bytes(16) == ref.bytes(16), n
 
 
 def test_bitvec_hex_round_trip():

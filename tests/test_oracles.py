@@ -632,6 +632,21 @@ def test_spend_dual_counts_one_query_and_refuses_uncounted():
     assert o.dual_chain.cache_info().currsize == 0  # a spend builds no chain
 
 
+def test_spend_walk_counts_l_queries_at_once_and_refuses_uncounted():
+    o = small_world()
+    for yy in (BitVec(4, 1), BitVec(2, 1), BitVec(0, 0)):
+        with metered() as spent, pytest.raises(ValueError):
+            o.spend_walk(yy)
+        assert spent == {}
+    assert o.query_counts()["D"] == 0
+    with metered() as outer:
+        with metered() as inner:
+            assert o.spend_walk(BitVec(3, 1)) is None
+    assert inner == outer == {"D": 2}  # l = 2
+    assert o.query_counts() == {"P": 0, "Pinv": 0, "D": 2, "D0": 0, "Dprime": 0}
+    assert o.dual_chain.cache_info().currsize == 0  # a spend builds no chain
+
+
 def test_dual_levels_nest():
     o = small_world()
     y = BitVec(3, 2)

@@ -57,16 +57,19 @@ def test_sign_verify_round_trip(backend, rng):
 
 @pytest.mark.parametrize("backend", ["statevector", "symbolic"])
 def test_sign_queries_the_key_states_y(backend, rng, monkeypatch):
-    """Both walks spend their dual queries on the y of the key state being
-    consumed, whatever y the public key passed alongside it names."""
+    """Both walks spend their l dual queries, in one spend_walk, on the y of
+    the key state being consumed, whatever y the public key passed alongside
+    it names."""
     o = world()
     pk, sk = generate(o, backend, rng)
     other = PublicKey(y=BitVec(3, pk.y.bits ^ 1), params=o.params, seed=o.seed)
     seen = []
-    real = o.spend_dual
-    monkeypatch.setattr(o, "spend_dual", lambda j, y: seen.append(y) or real(j, y))
-    sig = sign(o, other, sk, BitVec.from_str("10"), rng)
-    assert seen == [pk.y, pk.y]
+    real = o.spend_walk
+    monkeypatch.setattr(o, "spend_walk", lambda y: seen.append(y) or real(y))
+    with metered() as spent:
+        sig = sign(o, other, sk, BitVec.from_str("10"), rng)
+    assert seen == [pk.y]
+    assert spent == {"D": o.params.ell}
     assert verify(o, pk, BitVec.from_str("10"), sig)
 
 
