@@ -29,11 +29,12 @@ separates the hash from a compressing one.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -79,7 +80,8 @@ class ChainSampler:
     """Base for tuple samplers with an enumerable randomness domain.
 
     Subclasses define domain_size and tuple_at(index), the tuple that
-    each point of the domain yields; exact_distribution enumerates them.
+    each point of the domain yields; exact_distribution counts tuples(),
+    which a subclass may stream faster than one tuple_at per index.
     """
 
     domain_size: int
@@ -99,6 +101,10 @@ class ChainSampler:
 
     def tuple_at(self, index: int) -> SubspaceTuple:
         raise NotImplementedError
+
+    def tuples(self) -> Iterator[SubspaceTuple]:
+        """Every index's tuple, in index order."""
+        return map(self.tuple_at, range(self.domain_size))
 
 
 class chain_by_vector(ChainSampler):
@@ -211,7 +217,8 @@ class chain_by_basis(ChainSampler):
             v = self._pick(span, digit)
             chosen.append(v)
             span = span.extend([v])
-        return tuple(level.extend(chosen) for level in self.levels)
+        # the last span is the top level extended by every v
+        return tuple(level.extend(chosen) for level in self.levels[:-1]) + (span,)
 
 
 class chain_by_matrix(ChainSampler):
@@ -221,9 +228,10 @@ class chain_by_matrix(ChainSampler):
     With index = m_index * 2^(d l) + mp_bits, the top level depends on M
     only through its kept columns s+1..d, and the lower levels on M' only
     through the l cut normals.  So each distinct top is built once, the
-    normals once per mp_bits, and each chain once per (top, mp_bits);
-    tuple_at still answers every index on its own.  Equal chains are one
-    interned object, so counting them compares by identity.
+    normals once per mp_bits, and each chain once per (top, mp_bits),
+    all in the constructor: index m_index's chains are one list, indexed
+    by mp_bits, shared by every M with the same top.  Equal chains are
+    one interned object, so counting them compares by identity.
     """
 
     def __init__(self, mat: BitMatrix, n: int, r: int, ell: int, s: int) -> None:
@@ -236,35 +244,39 @@ class chain_by_matrix(ChainSampler):
             raise ValueError("matrix-chain enumeration capped at d^2 <= 24")
         self._mp_count = 1 << (d * ell)
         row_mask = (1 << ell) - 1
-        self._normals = []
+        normals = []
         for mp_bits in range(self._mp_count):
             # M' packs its rows first to last into mp_bits, ell bits a row
             rows = tuple((mp_bits >> (ell * (d - 1 - t))) & row_mask for t in range(d))
-            self._normals.append(widened_normals(mat, ell, BitMatrix(d, ell, rows)))
-        # one (top, chains by mp_bits) entry per m_index; equal kept
-        # columns, and equal tops, share one entry
+            normals.append(widened_normals(mat, ell, BitMatrix(d, ell, rows)))
+        # one chain list per m_index; equal kept columns, and equal tops,
+        # share one list
         kept_mask = (1 << (d - s)) - 1
-        by_kept: dict[tuple[int, ...], tuple[Subspace, list]] = {}
-        by_top: dict[Subspace, tuple[Subspace, list]] = {}
+        by_kept: dict[tuple[int, ...], list[SubspaceTuple]] = {}
+        by_top: dict[Subspace, list[SubspaceTuple]] = {}
+        interned: dict[SubspaceTuple, SubspaceTuple] = {}
         self._entries = []
         for rows in _invertible_rows(d):
             kept = tuple(row & kept_mask for row in rows)
-            entry = by_kept.get(kept)
-            if entry is None:
+            chains = by_kept.get(kept)
+            if chains is None:
                 top = widened_top(mat, ell, BitMatrix(d, d - s, kept))
-                entry = by_kept[kept] = by_top.setdefault(top, (top, [None] * self._mp_count))
-            self._entries.append(entry)
+                chains = by_top.get(top)
+                if chains is None:
+                    chains = by_top[top] = [
+                        interned.setdefault(chain, chain)
+                        for chain in (chain_from_top(top, nm) for nm in normals)
+                    ]
+                by_kept[kept] = chains
+            self._entries.append(chains)
         self.domain_size = len(self._entries) * self._mp_count
-        self._interned: dict[SubspaceTuple, SubspaceTuple] = {}
 
     def tuple_at(self, index: int) -> SubspaceTuple:
         m_index, mp_bits = divmod(index, self._mp_count)
-        top, chains = self._entries[m_index]
-        chain = chains[mp_bits]
-        if chain is None:
-            chain = chain_from_top(top, self._normals[mp_bits])
-            chain = chains[mp_bits] = self._interned.setdefault(chain, chain)
-        return chain
+        return self._entries[m_index][mp_bits]
+
+    def tuples(self) -> Iterator[SubspaceTuple]:
+        return itertools.chain.from_iterable(self._entries)
 
 
 def _invertible_rows(d: int) -> list[tuple[int, ...]]:
@@ -297,7 +309,7 @@ def exact_distribution(sampler: ChainSampler) -> Distribution:
     size = sampler.domain_size
     if size > _EXACT_LIMIT:
         raise ValueError(f"domain of {size} points exceeds exact-mode cap {_EXACT_LIMIT}")
-    counts = Counter(map(sampler.tuple_at, range(size)))
+    counts = Counter(sampler.tuples())
     return {k: Fraction(c, size) for k, c in counts.items()}
 
 
@@ -393,7 +405,14 @@ def run_collapse_distinguisher(
         half = 1 << (n - 1)
         rng = np.random.default_rng(int.from_bytes(_trial_seed(seed, 0), "big") % (1 << 63))
         k = rng.hypergeometric(half, half, k_coset, size=trials)
-        accs = (k**2 + (k_coset - k) ** 2) / float(k_coset**2)
+        # (k^2 + (K - k)^2) / K^2, squared and summed in place: the same
+        # int64 values as the plain expression, with two fewer arrays alive
+        rest = k_coset - k
+        rest *= rest
+        k *= k
+        k += rest
+        accs = k / float(k_coset**2)
+        del k, rest
         mean = float(np.mean(accs))
         se = float(np.std(accs, ddof=1) / math.sqrt(trials))
         expected = float(expected_exact)
@@ -491,7 +510,7 @@ def coset_points(o: OracleSet, y: BitVec) -> np.ndarray:
     if p.n - p.r > _CENSUS_LIMIT:
         raise ValueError("coset enumeration capped at 2^20 points")
     gen, shift = o.coset_of(y)
-    pts = np.array(gen.span_ints(shift.bits), dtype=np.uint64)
+    pts = gen.span_array(shift.bits)
     pts.sort()
     return pts
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 __all__ = [
     "BitVec",
     "BitMatrix",
@@ -254,6 +256,20 @@ class BitMatrix:
         """Every point of shift + ColSpan(M) as packed ints, in the
         doubling order of xor_span_ints over the columns, column 1 first."""
         return xor_span_ints(self.col_words, shift)
+
+    def span_array(self, shift: int) -> np.ndarray:
+        """span_ints as a uint64 array: the same points in the same
+        order, doubled in numpy, each column XORed into a copy of the
+        points listed so far.  Refuses more than 64 rows."""
+        if self.rows > 64:
+            raise ValueError(f"a uint64 span holds at most 64 rows, not {self.rows}")
+        out = np.empty(1 << self.cols, dtype=np.uint64)
+        out[0] = shift
+        k = 1
+        for g in self.col_words:
+            np.bitwise_xor(out[:k], np.uint64(g), out=out[k : 2 * k])
+            k *= 2
+        return out
 
     def col_range(self, j: int, k: int) -> "BitMatrix":
         """Columns ``j..k`` inclusive (1-based); ``k = j - 1`` is the empty slice."""

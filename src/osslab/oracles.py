@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -91,7 +92,10 @@ class SeededStream:
 
     def __init__(self, *parts: bytes) -> None:
         material = b"".join(len(p).to_bytes(2, "big") + p for p in parts)
-        self._key = hashlib.blake2b(material, digest_size=32, person=b"osslab.stream").digest()
+        key = hashlib.blake2b(material, digest_size=32, person=b"osslab.stream").digest()
+        # Block i is BLAKE2b(i as 8 bytes, key=key, digest_size=64); each
+        # block copies this keyed state rather than keying a new hasher.
+        self._keyed = hashlib.blake2b(key=key, digest_size=64)
         self._counter = 0
         self._buf = b""
         self._pos = 0
@@ -99,20 +103,31 @@ class SeededStream:
     def read(self, nbytes: int) -> bytes:
         pos = self._pos
         end = pos + nbytes
-        if end <= len(self._buf):
+        buf = self._buf
+        if end <= len(buf):
             self._pos = end
-            return self._buf[pos:end]
-        out = bytearray()
-        while len(out) < nbytes:
-            if self._pos >= len(self._buf):
-                block = self._counter.to_bytes(8, "big")
-                self._buf = hashlib.blake2b(block, key=self._key, digest_size=64).digest()
-                self._pos = 0
-                self._counter += 1
-            take = min(nbytes - len(out), len(self._buf) - self._pos)
-            out += self._buf[self._pos : self._pos + take]
-            self._pos += take
-        return bytes(out)
+            return buf[pos:end]
+        # BytesIO.getvalue hands over its buffer without a copy, so a long
+        # read (1 MiB in the hashsign battery) holds its bytes only once.
+        out = io.BytesIO()
+        out.write(buf[pos:])
+        need = end - len(buf)
+        keyed = self._keyed
+        counter = self._counter
+        while True:
+            hasher = keyed.copy()
+            hasher.update(counter.to_bytes(8, "big"))
+            counter += 1
+            buf = hasher.digest()
+            if need <= len(buf):
+                break
+            out.write(buf)
+            need -= len(buf)
+        self._counter = counter
+        self._buf = buf
+        self._pos = need
+        out.write(buf[:need])
+        return out.getvalue()
 
     def bits(self, k: int) -> int:
         """Next k bits as an int, MSB first."""
@@ -354,25 +369,37 @@ class PermutationEngine:
         return self._feistel(u, reversed(range(_FEISTEL_ROUNDS)))
 
 
-def _derive_coset(p: Params, seed: bytes, y: int) -> tuple[tuple[BitMatrix, BitVec], ColumnDecoder]:
-    """y's (generator, shift) and the generator's ColumnDecoder, which
-    the rank check of C's candidates fills."""
-    if not 0 <= y < 1 << p.r:
-        raise ValueError(f"y = {y} is not an r = {p.r} bit hash value")
-    stream = SeededStream(seed, b"coset", p.variant.encode(), y.to_bytes((p.r + 7) // 8, "big"))
-    n, ell, k = p.n, p.ell, p.n - p.r
-    # Column j <= l is e_j over B's column j, so it leads at bit n - j and
-    # the identity block is already in echelon form.  C's candidates have
-    # no bits in the top l rows, so one depends on the columns kept before
-    # it iff it depends on C's alone.
-    b_cols = stream.matrix(n - ell, ell).col_words
-    cols = [(1 << (n - 1 - j)) | c for j, c in enumerate(b_cols)]
-    decoder = ColumnDecoder._of_echelon(k, cols)
-    cols += _draw_columns(stream, n - ell, k - ell, decoder)
-    shift = stream.bits(n)
-    if p.variant == "incompressible":
-        shift |= 1 << (n - ell)  # bit l, 1-based from the top
-    return (BitMatrix._from_columns(n, k, tuple(cols)), BitVec(n, shift)), decoder
+_CosetEntry = tuple[tuple[BitMatrix, BitVec], ColumnDecoder]
+
+
+def _coset_deriver(p: Params, seed: bytes) -> Callable[[int], _CosetEntry]:
+    """The derive of the world (p, seed): a plain function of y that
+    returns y's (generator, shift) and the generator's ColumnDecoder,
+    which the rank check of C's candidates fills."""
+    n, r, ell = p.n, p.r, p.ell
+    k = n - r
+    variant = p.variant.encode()
+    y_bytes = (r + 7) // 8
+    forced = 1 << (n - ell) if p.variant == "incompressible" else 0  # bit l, 1-based from the top
+
+    def derive(y: int) -> _CosetEntry:
+        if not 0 <= y < 1 << r:
+            raise ValueError(f"y = {y} is not an r = {r} bit hash value")
+        stream = SeededStream(seed, b"coset", variant, y.to_bytes(y_bytes, "big"))
+        # Column j <= l is e_j over B's column j, so it leads at bit n - j and
+        # the identity block is already in echelon form.  C's candidates have
+        # no bits in the top l rows, so one depends on the columns kept before
+        # it iff it depends on C's alone.  With l = 0 there is no B to read.
+        cols = []
+        if ell:
+            b_cols = stream.matrix(n - ell, ell).col_words
+            cols = [(1 << (n - 1 - j)) | c for j, c in enumerate(b_cols)]
+        decoder = ColumnDecoder._of_echelon(k, cols)
+        cols += _draw_columns(stream, n - ell, k - ell, decoder)
+        shift = stream.bits(n) | forced
+        return (BitMatrix._from_columns(n, k, tuple(cols)), BitVec(n, shift)), decoder
+
+    return derive
 
 
 class CosetFamily:
@@ -397,7 +424,10 @@ class CosetFamily:
     decoder that decode, decodes and coset_check read.  A y outside
     [0, 2^r) is refused with ``ValueError``.
 
-    ``derive_cache``, a ``functools.lru_cache`` wrapper, keeps the last
+    ``derive_cache``, a ``functools.lru_cache`` wrapper around the plain
+    function that ``_coset_deriver`` builds for the world (a
+    ``functools.partial`` would make every new world pay for the
+    ``AttributeError``s of copying its metadata), keeps the last
     COSET_CACHE_SIZE entries ``((generator, shift), decoder)``; its
     ``cache_info()`` reports hits and misses.  ``derive`` returns the
     entry's ``(generator, shift)``, the same object on every hit.
@@ -406,9 +436,7 @@ class CosetFamily:
     def __init__(self, params: Params, seed: bytes) -> None:
         self.params = params
         self.seed = seed
-        self.derive_cache = functools.lru_cache(maxsize=COSET_CACHE_SIZE)(
-            functools.partial(_derive_coset, params, seed)
-        )
+        self.derive_cache = functools.lru_cache(maxsize=COSET_CACHE_SIZE)(_coset_deriver(params, seed))
 
     def derive(self, y: int) -> tuple[BitMatrix, BitVec]:
         return self.derive_cache(y)[0]

@@ -271,7 +271,8 @@ def rom_hash(seed: bytes, msg: bytes, out_bits: int) -> BitVec:
     """Keyed random-oracle stand-in: SHAKE-256 over (seed, "rom", msg),
     truncated to the first out_bits bits."""
     h = hashlib.shake_256()
-    h.update(len(seed).to_bytes(2, "big") + seed + b"rom" + msg)
+    h.update(len(seed).to_bytes(2, "big") + seed + b"rom")
+    h.update(msg)  # fed on its own, so a long message is not copied
     data = h.digest((out_bits + 7) // 8)
     value = int.from_bytes(data, "big") >> (8 * len(data) - out_bits) if out_bits else 0
     return BitVec(out_bits, value)

@@ -110,6 +110,15 @@ def test_matrix_chains_are_interned():
     assert len(first) < sampler.domain_size // 7
 
 
+@pytest.mark.parametrize("shape", [(4, 1, 1, 1), (5, 1, 2, 2), (6, 1, 1, 2)])
+def test_matrix_chain_stream_is_every_index_in_order(shape):
+    n, r, ell, s = shape
+    sampler = chain_by_matrix(toy_matrix(n, r, b"stream"), n, r, ell, s)
+    streamed = list(sampler.tuples())
+    assert len(streamed) == sampler.domain_size
+    assert streamed == [sampler.tuple_at(i) for i in range(sampler.domain_size)]
+
+
 def distribution_digest(dist):
     items = sorted(
         (tuple((level.ambient, level.basis) for level in chain), p.numerator, p.denominator)

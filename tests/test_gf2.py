@@ -511,6 +511,37 @@ def test_span_ints_of_no_columns_is_the_shift():
     assert BitMatrix.zeros(3, 0).span_ints(0) == [0]
 
 
+def assert_span_array_is_span_ints(a, shift):
+    array = a.span_array(shift)
+    assert array.dtype == np.uint64 and array.shape == (1 << a.cols,)
+    assert array.tolist() == a.span_ints(shift)  # element by element, in order
+
+
+@given(st.integers(1, 7), st.integers(0, 5), st.data())
+def test_span_array_is_span_ints_as_uint64(rows, cols, data):
+    # zero, dependent and repeated columns, and no columns at all
+    assert_span_array_is_span_ints(data.draw(matrices(rows, cols)), data.draw(bitvecs(rows)).bits)
+
+
+@pytest.mark.parametrize("cols", [0, 1, 6])
+def test_span_array_holds_64_bit_points(cols):
+    # every column, and the first shift, has bit 1 (the uint64's top bit) set
+    stream = SeededStream(b"span-array", cols.to_bytes(1, "big"))
+    top = 1 << 63
+    a = BitMatrix._from_columns(64, cols, tuple(top | stream.bits(64) for _ in range(cols)))
+    shift = top | stream.bits(64)
+    assert_span_array_is_span_ints(a, shift)
+    assert_span_array_is_span_ints(a, 0)
+
+
+def test_span_array_refuses_more_than_64_rows():
+    assert BitMatrix.zeros(64, 1).span_array(0).tolist() == [0, 0]
+    with pytest.raises(ValueError, match="64 rows"):
+        BitMatrix.zeros(65, 1).span_array(0)
+    with pytest.raises(ValueError, match="64 rows"):
+        BitMatrix.zeros(65, 0).span_array(1 << 64)
+
+
 def test_sample_full_column_rank():
     stream = SeededStream(b"full-column-rank")
     for cols in (1, 3, 5):

@@ -329,6 +329,24 @@ def test_unstructured_cosets_are_pinned():
     )
 
 
+def test_unstructured_derive_reads_no_b_block(monkeypatch):
+    # with l = 0 there is no B block: derive never asks the stream for a matrix
+    def refuse(self, rows, cols):
+        raise AssertionError(f"read a {rows} x {cols} matrix")
+
+    monkeypatch.setattr(SeededStream, "matrix", refuse)
+    o = build_oracles(Params(n=6, r=2, ell=0, variant="original", perm_mode="feistel"), SEED)
+    gen, _ = o.cosets.derive(3)
+    assert (gen.rows, gen.cols) == (6, 4)
+
+
+def test_derive_cache_wraps_a_plain_function():
+    # lru_cache copies a function's metadata without the AttributeErrors a
+    # functools.partial raises, so a world is quicker to build
+    wrapped = build_oracles(Params(n=8, r=3, ell=2), SEED).cosets.derive_cache.__wrapped__
+    assert type(wrapped) is type(test_derive_cache_wraps_a_plain_function)
+
+
 def test_derive_refuses_a_y_outside_r_bits():
     o = small_world()  # r = 3
     for y in (9, 256, -1):

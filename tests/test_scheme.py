@@ -1,5 +1,6 @@
 """Scheme layer: consumable keys, verification, collisions, wrappers."""
 
+import hashlib
 import json
 import sys
 import textwrap
@@ -502,6 +503,13 @@ def test_rom_hash_behaviour():
     # truncation really is a prefix
     wide = rom_hash(SEED, b"alpha", 64)
     assert wide.prefix(13) == a
+
+
+@pytest.mark.parametrize("msg", [b"", b"alpha", bytes(range(256)) * 4096])
+def test_rom_hash_is_shake_over_seed_label_and_message(msg):
+    joined = len(SEED).to_bytes(2, "big") + SEED + b"rom" + msg
+    expect = int.from_bytes(hashlib.shake_256(joined).digest(3), "big") >> 4
+    assert rom_hash(SEED, msg, 20) == BitVec(20, expect)
 
 
 def test_hash_and_sign_round_trip(rng):
