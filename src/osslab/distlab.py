@@ -288,17 +288,20 @@ def _invertible_rows(d: int) -> list[tuple[int, ...]]:
     scan of all 2^(d*d) words and no rank is ever tested.
     """
     out: list[tuple[int, ...]] = []
-
-    def grow(rows: tuple[int, ...], span: set[int]) -> None:
-        if len(rows) == d:
-            out.append(rows)
-            return
-        for w in range(1 << d):
-            if w not in span:
-                grow(rows + (w,), span | {w ^ x for x in span})
-
-    grow((), {0})
+    _grow_invertible_rows(d, (), {0}, out)
     return out
+
+
+def _grow_invertible_rows(d: int, rows: tuple[int, ...], span: set[int], out: list) -> None:
+    """Append to ``out`` every completion of ``rows``, whose span is
+    ``span``, in _invertible_rows' order.  A module function rather than a
+    closure, so the recursion leaves no reference cycle behind."""
+    if len(rows) == d:
+        out.append(rows)
+        return
+    for w in range(1 << d):
+        if w not in span:
+            _grow_invertible_rows(d, rows + (w,), span | {w ^ x for x in span}, out)
 
 
 Distribution = dict[SubspaceTuple, Fraction]
@@ -333,14 +336,15 @@ def _trial_seed(seed: bytes, index: int) -> bytes:
     return hashlib.blake2b(index.to_bytes(8, "big"), key=seed, digest_size=32).digest()
 
 
-def _hash_only_acceptance(o: OracleSet, y: BitVec) -> Fraction:
+def _hash_only_acceptance(o: OracleSet, y: BitVec) -> float:
     """Acceptance with the coset register intact: the transformed state
     is uniform over the dual of the generator, so average the dual check
-    over that support."""
+    over that support, checked in one dual_checks call.  The average is
+    at most 2^r hits over 2^r points (r <= 16), which a float holds
+    exactly."""
     gen, _ = o.coset_of(y)
-    dual = gen.left_kernel()
-    hits = sum(o.dual_check(1, y, BitVec(o.params.n, w)) for w in dual.element_ints())
-    return Fraction(hits, 1 << dual.dim)
+    points = gen.left_kernel().element_ints()
+    return sum(o.dual_checks(1, y, points)) / len(points)
 
 
 def run_collapse_distinguisher(
@@ -375,7 +379,7 @@ def run_collapse_distinguisher(
             "fewer than 10^9 good and bad items (2^(n-1) each)"
         )
     if case == "hash-only" and r > 16:
-        # At r = 16 one trial already takes about a quarter second.
+        # At r = 16 one trial takes about 0.03 s at n = 20 and 0.25 s at n = 64.
         raise ValueError("hash-only needs r <= 16: each trial lists all 2^r dual points")
     if case == "hash-first-bit" and trials < 2:
         raise ValueError("hash-first-bit needs at least 2 trials for its standard error")
@@ -469,9 +473,8 @@ def validate_collapse_shortcut(n: int, r: int, seed: bytes) -> float:
         o = build_oracles(params, _trial_seed(seed, 1000 + t))
         stream = SeededStream(_trial_seed(seed, 1000 + t), b"pick-y")
         y = stream.bitvec(r)
-        accept_idx = [
-            w for w in range(1 << n) if o.dual_check(1, y, BitVec(n, w))
-        ]
+        accept = o.dual_checks(1, y, range(1 << n))
+        accept_idx = [w for w, hit in enumerate(accept) if hit]
         # intact coset state
         state = coset_state(o, y)
         walsh_hadamard(state)

@@ -47,6 +47,8 @@ def split_draws(data: bytes, k: int) -> list[int]:
     ``SeededStream.bits`` call reads a draw."""
     nbytes = (k + 7) // 8
     drop = 8 * nbytes - k
+    if nbytes == 1:
+        return [b >> drop for b in data]
     from_bytes = int.from_bytes
     return [from_bytes(data[i : i + nbytes], "big") >> drop for i in range(0, len(data), nbytes)]
 
@@ -58,11 +60,13 @@ class BitVec:
     n: int
     bits: int = 0
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, bits: int = 0) -> None:
+        if n < 0:
             raise ValueError("negative length")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"value 0x{self.bits:x} does not fit in {self.n} bits")
+        if not 0 <= bits < (1 << n):
+            raise ValueError(f"value 0x{bits:x} does not fit in {n} bits")
+        _set_n(self, n)
+        _set_bits(self, bits)
 
     # -- constructors ---------------------------------------------------
 
@@ -158,6 +162,13 @@ class BitVec:
         return "".join(str(b) for b in self.bit_list())
 
 
+# Each slot's own setter fills a new frozen object without the name lookup
+# that object.__setattr__, and so a generated frozen __init__, makes per
+# field: vectors, trusted matrices and subspaces are built on every derive,
+# kernel and chain level.
+_set_n, _set_bits = (vars(BitVec)[name].__set__ for name in BitVec.__slots__)
+
+
 class BitMatrix:
     """Immutable matrix over Z2, stored as its packed columns.
 
@@ -220,9 +231,9 @@ class BitMatrix:
         ``rows`` bits.  Unlike the public constructor it does not check
         that the words fit: its callers build them to."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "rows", rows)
-        object.__setattr__(obj, "cols", cols)
-        object.__setattr__(obj, "col_words", col_words)
+        _set_rows(obj, rows)
+        _set_cols(obj, cols)
+        _set_col_words(obj, col_words)
         return obj
 
     @classmethod
@@ -378,6 +389,9 @@ class BitMatrix:
         return "\n".join(str(BitVec(self.cols, w)) for w in self.row_words)
 
 
+_set_rows, _set_cols, _set_col_words = (vars(BitMatrix)[name].__set__ for name in BitMatrix.__slots__)
+
+
 def _transpose_words(words: Sequence[int], width: int) -> list[int]:
     """Columns of the matrix with packed rows ``words`` and ``width``
     columns, as packed ints, column 1 first.
@@ -405,7 +419,7 @@ def _kernel_of_words(words: Iterable[int], width: int) -> tuple[int, ...]:
     bit f set; every such pivot lies below f, so f leads its vector and
     no vector holds another's free bit.  In descending order of f that is
     the RREF basis _rref_words would give, and each vector is gathered
-    straight from the rows.
+    straight from the rows, visiting the free coordinates only.
     """
     rows: dict[int, int] = {}  # lowest set bit -> row
     for w in words:
@@ -418,25 +432,25 @@ def _kernel_of_words(words: Iterable[int], width: int) -> tuple[int, ...]:
                 if row & p:
                     rows[q] = row ^ w
             rows[p] = w
-    pivots = sum(rows)  # the keys are distinct powers of two
+    free = _mask(width) ^ sum(rows)  # the keys are distinct powers of two
     basis = []
-    for i in reversed(range(width)):
-        f = 1 << i
-        if not pivots & f:
-            v = f
-            for p, row in rows.items():
-                if row & f:
-                    v |= p
-            basis.append(v)
+    while free:
+        f = 1 << (free.bit_length() - 1)
+        free ^= f
+        v = f
+        for p, row in rows.items():
+            if row & f:
+                v |= p
+        basis.append(v)
     return tuple(basis)
 
 
 def _reduce_word(w: int, basis: dict[int, int]) -> int:
     while w:
-        p = w.bit_length() - 1
-        if p not in basis:
+        b = basis.get(w.bit_length() - 1)
+        if b is None:
             break
-        w ^= basis[p]
+        w ^= b
     return w
 
 
@@ -487,9 +501,9 @@ class Subspace:
         """Wrap a basis already known to be canonical, skipping the
         validating row reduction of the public constructor."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "ambient", ambient)
-        object.__setattr__(obj, "basis", basis)
-        object.__setattr__(obj, "_hash", None)
+        _set_ambient(obj, ambient)
+        _set_basis(obj, basis)
+        _set_hash(obj, None)
         return obj
 
     @classmethod
@@ -550,6 +564,9 @@ class Subspace:
         lead = basis[k]
         cut = [b ^ lead if (b & nb).bit_count() & 1 else b for b in basis[:k]]
         return Subspace._trusted(self.ambient, tuple(cut) + basis[k + 1 :])
+
+
+_set_ambient, _set_basis, _set_hash = (vars(Subspace)[name].__set__ for name in Subspace.__slots__)
 
 
 def chain_from_top(top: Subspace, normals: Sequence[BitVec]) -> tuple[Subspace, ...]:

@@ -20,7 +20,7 @@ import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -55,12 +55,16 @@ QUERY_KEYS = ("P", "Pinv", "D", "D0", "Dprime")
 # working set and the 2^8 cosets of r = 8; about 4.2 KB each at (64, 32, 16),
 # the ColumnDecoder kept beside each coset included.
 COSET_CACHE_SIZE = 1024
+# The decorator of every per-world cache of that size, made once.
+_per_world_cache = functools.lru_cache(maxsize=COSET_CACHE_SIZE)
 
 # Widest n each permutation backend builds: a table holds 2^n entries, and
 # Feistel worlds stop at 64 bits (a half is hashed as 8 bytes, so the round
 # itself would take up to 128).
 _PERM_MAX_N = {"table": 24, "feistel": 64}
 _FEISTEL_ROUNDS = 16
+# A stream block: one BLAKE2b digest of the counter.
+_BLOCK_BYTES = 64
 
 # The spent-query dicts of the metered() blocks open in this context.
 _METERS: ContextVar[tuple[dict[str, int], ...]] = ContextVar("osslab_meters", default=())
@@ -91,11 +95,11 @@ class SeededStream:
     """
 
     def __init__(self, *parts: bytes) -> None:
-        material = b"".join(len(p).to_bytes(2, "big") + p for p in parts)
+        material = b"".join([len(p).to_bytes(2, "big") + p for p in parts])
         key = hashlib.blake2b(material, digest_size=32, person=b"osslab.stream").digest()
         # Block i is BLAKE2b(i as 8 bytes, key=key, digest_size=64); each
         # block copies this keyed state rather than keying a new hasher.
-        self._keyed = hashlib.blake2b(key=key, digest_size=64)
+        self._keyed = hashlib.blake2b(key=key, digest_size=_BLOCK_BYTES)
         self._counter = 0
         self._buf = b""
         self._pos = 0
@@ -107,11 +111,18 @@ class SeededStream:
         if end <= len(buf):
             self._pos = end
             return buf[pos:end]
+        need = end - len(buf)
+        if need <= _BLOCK_BYTES:  # at most one new block, as short reads need
+            hasher = self._keyed.copy()
+            hasher.update(self._counter.to_bytes(8, "big"))
+            self._counter += 1
+            self._buf = block = hasher.digest()
+            self._pos = need
+            return buf[pos:] + block[:need]
         # BytesIO.getvalue hands over its buffer without a copy, so a long
         # read (1 MiB in the hashsign battery) holds its bytes only once.
         out = io.BytesIO()
         out.write(buf[pos:])
-        need = end - len(buf)
         keyed = self._keyed
         counter = self._counter
         while True:
@@ -436,7 +447,7 @@ class CosetFamily:
     def __init__(self, params: Params, seed: bytes) -> None:
         self.params = params
         self.seed = seed
-        self.derive_cache = functools.lru_cache(maxsize=COSET_CACHE_SIZE)(_coset_deriver(params, seed))
+        self.derive_cache = _per_world_cache(_coset_deriver(params, seed))
 
     def derive(self, y: int) -> tuple[BitMatrix, BitVec]:
         return self.derive_cache(y)[0]
@@ -468,18 +479,27 @@ class OracleSet:
     def __init__(self, params: Params, seed: bytes) -> None:
         if len(seed) != 32:
             raise ValueError("seed must be exactly 32 bytes")
+        params.check_buildable()  # refuses a width first
         self.params = params
         self.seed = seed
-        self.perm = PermutationEngine(params.n, params.perm_mode, seed)  # refuses a width first
         self.cosets = CosetFamily(params, seed)
-        self._counts = {k: 0 for k in QUERY_KEYS}
+        self._counts = dict.fromkeys(QUERY_KEYS, 0)
         self._lock = threading.Lock()
-        self._bloat_for = functools.partial(_bloat_chain, self.cosets, None)
+
+    @functools.cached_property
+    def perm(self) -> PermutationEngine:
+        """The world's permutation, made on first read: the cosets and the
+        dual checks never read it, so a hash-only distinguisher world never
+        makes one.  Threads racing on the first read make equal engines."""
+        return PermutationEngine(self.params.n, self.params.perm_mode, self.seed)
 
     # -- bookkeeping ----------------------------------------------------
 
     def _count(self, key: str, k: int = 1) -> None:
-        """Count k queries of kind key, under one lock and in each open meter once."""
+        """Count k queries of kind key, under one lock and in each open meter
+        once; k = 0 counts nothing, so no meter lists the key."""
+        if not k:
+            return
         with self._lock:
             self._counts[key] += k
         for spent in _METERS.get():
@@ -553,19 +573,35 @@ class OracleSet:
 
     def dual_check(self, j: int, y: BitVec, v: BitVec) -> int:
         """1 iff v is orthogonal to columns j..n-r of the generator for y
-        and 1 <= j <= l + 1; otherwise 0."""
-        p = self.params
-        if y.n != p.r or v.n != p.n:
+        and 1 <= j <= l + 1; otherwise 0.  One D query."""
+        if v.n != self.params.n:
             raise ValueError("dual_check expects r-bit y and n-bit v")
-        self._count("D")
+        return self.dual_checks(j, y, (v.bits,))[0]
+
+    def dual_checks(self, j: int, y: BitVec, words: Sequence[int]) -> list[int]:
+        """dual_check(j, y, v) for the n-bit v of each packed word, in order:
+        one D query per word, counted at once, on one derive of y.  Refuses,
+        uncounted, a y that is not r bits and a word that is not n bits."""
+        p = self.params
+        if y.n != p.r:
+            raise ValueError("dual_check expects r-bit y and n-bit v")
+        limit = 1 << p.n
+        for w in words:
+            if not 0 <= w < limit:
+                raise ValueError(f"dual_check expects n = {p.n} bit words, got {w}")
+        self._count("D", len(words))
         if not 1 <= j <= p.ell + 1:
-            return 0
-        gen, _ = self.cosets.derive(y.bits)
-        bits = v.bits
-        for c in gen.col_words[j - 1 :]:
-            if (c & bits).bit_count() & 1:
-                return 0
-        return 1
+            return [0] * len(words)
+        cols = self.cosets.derive(y.bits)[0].col_words[j - 1 :]
+        out = []
+        for w in words:
+            accept = 1
+            for c in cols:
+                if (c & w).bit_count() & 1:
+                    accept = 0
+                    break
+            out.append(accept)
+        return out
 
     def spend_dual(self, j: int, y: BitVec) -> None:
         """One D query at level j on y that reads no level, so builds nothing.
@@ -620,9 +656,11 @@ class OracleSet:
         if p.n - p.r - p.ell < p.s:
             raise ValueError("bloat needs n - r - l >= s")
         sub = rng.bytes(32)
-        self._bloat_for = functools.lru_cache(maxsize=COSET_CACHE_SIZE)(
-            functools.partial(_bloat_chain, self.cosets, sub)
-        )
+        self._bloat_for = _per_world_cache(functools.partial(_bloat_chain, self.cosets, sub))
+
+    def _bloat_for(self, y: int) -> tuple[Subspace, ...]:
+        """y's widened dual chain; sample_bloat replaces it per world."""
+        raise RuntimeError("bloat not sampled; call sample_bloat first")
 
     def dual_check_bloated(self, j: int, y: BitVec, v: BitVec) -> int:
         """Widened dual check: like dual_check but with s middle columns
@@ -647,11 +685,9 @@ class OracleSet:
         return self._bloat_for(y.bits)[j - 1]
 
 
-def _bloat_chain(cosets: CosetFamily, seed: Optional[bytes], y: int) -> tuple[Subspace, ...]:
+def _bloat_chain(cosets: CosetFamily, seed: bytes, y: int) -> tuple[Subspace, ...]:
     """The widened dual chain for y, built by the same gf2 pieces as
     distlab.chain_by_matrix."""
-    if seed is None:
-        raise RuntimeError("bloat not sampled; call sample_bloat first")
     p = cosets.params
     d = p.n - p.r - p.ell
     stream = SeededStream(seed, b"bloat", y.to_bytes((p.r + 7) // 8, "big"))

@@ -1,5 +1,6 @@
 """Distribution lab: chain samplers, exact laws, the distinguisher."""
 
+import gc
 import hashlib
 import itertools
 import math
@@ -13,6 +14,7 @@ from osslab.distlab import (
     ExperimentReport,
     Metric,
     _hash_only_acceptance,
+    _invertible_rows,
     _trial_seed,
     chain_by_basis,
     chain_by_matrix,
@@ -25,9 +27,10 @@ from osslab.distlab import (
     run_collapse_distinguisher,
     signature_set_census,
     tv_distance,
+    validate_collapse_shortcut,
 )
-from osslab.gf2 import BitMatrix, BitVec, sample_full_column_rank
-from osslab.oracles import Params, SeededStream, build_oracles
+from osslab.gf2 import BitMatrix, BitVec, Subspace, sample_full_column_rank
+from osslab.oracles import Params, SeededStream, build_oracles, metered
 from osslab.suites import _world_seed, default_seed
 
 SEED = bytes(range(32))
@@ -173,6 +176,25 @@ def validate_chain(tpl, n, r, extra):
             raise AssertionError("levels must be nested")
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_invertible_rows_scan_every_word_in_order(d):
+    words = range(1 << (d * d))
+    rows = [tuple((w >> (d * (d - 1 - t))) & ((1 << d) - 1) for t in range(d)) for w in words]
+    assert _invertible_rows(d) == [m for m in rows if BitMatrix(d, d, m).rank() == d]
+
+
+def test_invertible_rows_leave_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        rows = _invertible_rows(3)
+        assert len(rows) == 168  # |GL(3, 2)|
+        del rows
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_sampler_chains_have_the_right_shape():
     # single-vector chains widen each dual level by one dimension
     mat = toy_matrix(5, 1)
@@ -305,6 +327,32 @@ def test_distinguisher_hash_only_is_exactly_one():
     assert rep.passed
     (metric,) = [m for m in rep.metrics if m.id == "acceptance_always_one"]
     assert metric.estimate == 1.0
+
+
+def test_distinguisher_query_profiles_are_pinned():
+    with metered() as spent:
+        run_collapse_distinguisher(6, 2, "hash-only", 50, SEED)
+    assert spent == {"D": 200}  # the 2^r dual points of each world
+    with metered() as spent:
+        validate_collapse_shortcut(6, 2, SEED)
+    assert spent == {"P": 80, "D": 320}  # per world: 2^(n-r) preimages, 2^n dual points
+
+
+def test_a_wrong_dual_basis_fails_the_hash_only_check(monkeypatch):
+    # one basis vector moved off the dual: half of each world's points
+    # must fail the bulk dual check, so no world accepts surely
+    real = BitMatrix.left_kernel
+
+    def skewed(self):
+        dual = real(self)
+        off = next(1 << i for i in range(self.rows) if not dual.contains_word(1 << i))
+        return Subspace.from_words(dual.ambient, dual.basis[:-1] + (dual.basis[-1] ^ off,))
+
+    monkeypatch.setattr(BitMatrix, "left_kernel", skewed)
+    rep = run_collapse_distinguisher(6, 2, "hash-only", 20, SEED)
+    (metric,) = rep.metrics
+    assert metric.id == "acceptance_always_one"
+    assert not metric.passed and metric.estimate == 0.0
 
 
 def test_distinguisher_first_bit_matches_closed_form():

@@ -6,7 +6,7 @@ import itertools
 import operator
 import pickle
 from collections import Counter
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -49,6 +49,19 @@ def test_bitvec_basics():
     assert v.prefix(2) == BitVec.from_str("10")
     assert v.concat(BitVec.from_str("01")) == BitVec.from_str("1011001")
     assert v ^ BitVec.from_str("11111") == BitVec.from_str("01001")
+
+
+def test_bitvec_checks_its_width_and_stays_frozen():
+    refused = [(-1, 0, "negative length"), (2, 4, "0x4 does not fit in 2 bits"), (2, -1, "does not fit")]
+    for n, bits, message in refused:
+        with pytest.raises(ValueError, match=message):
+            BitVec(n, bits)
+    v = BitVec(n=5, bits=3)
+    assert (v.n, v.bits) == (5, 3) and BitVec(3) == BitVec(3, 0)
+    assert replace(v, bits=4) == BitVec(5, 4)
+    assert pickle.loads(pickle.dumps(v)) == v and hash(v) == hash(BitVec(5, 3))
+    with pytest.raises(FrozenInstanceError):
+        v.bits = 1
 
 
 def test_bitvec_bit_one_is_most_significant():

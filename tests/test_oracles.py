@@ -115,6 +115,33 @@ def test_stream_matrix_matches_a_byte_by_byte_replay():
         assert stream.read(3) == bytes(itertools.islice(source, 3))
 
 
+@settings(max_examples=150)
+@given(
+    st.lists(st.integers(0, 130), max_size=8),
+    st.sampled_from(["bits", "below"]),
+    st.integers(1, 70),
+    st.binary(min_size=1, max_size=8),
+)
+@example([64], "bits", 8, b"edge")  # a fresh stream's first read is one whole block
+@example([10, 54, 64], "below", 3, b"edge")  # reads that end on the first two edges
+@example([63, 1, 0, 64], "bits", 64, b"edge")
+@example([1, 127], "below", 70, b"edge")  # a whole new block, ending on its edge
+@example([1, 128], "bits", 9, b"edge")  # two new blocks in one read
+@example([130, 62], "bits", 17, b"edge")  # a long read, then one to the edge
+def test_short_reads_on_fresh_streams_match_the_replay(sizes, draw, arg, label):
+    stream = SeededStream(SEED, label)
+    source = replay_bytes(SEED, label)
+    for size in sizes:
+        assert stream.read(size) == bytes(itertools.islice(source, size))
+    if draw == "bits":
+        width = (arg + 7) // 8
+        expect = int.from_bytes(bytes(itertools.islice(source, width)), "big") >> (8 * width - arg)
+        assert stream.bits(arg) == expect
+    else:
+        assert stream.below(arg) == replay_below(source, arg)
+    assert stream.read(3) == bytes(itertools.islice(source, 3))
+
+
 # -- parameters ---------------------------------------------------------
 
 
@@ -663,6 +690,54 @@ def test_spend_walk_counts_l_queries_at_once_and_refuses_uncounted():
     assert inner == outer == {"D": 2}  # l = 2
     assert o.query_counts() == {"P": 0, "Pinv": 0, "D": 2, "D0": 0, "Dprime": 0}
     assert o.dual_chain.cache_info().currsize == 0  # a spend builds no chain
+
+
+@st.composite
+def dual_check_worlds(draw):
+    variant = draw(st.sampled_from(VARIANTS))
+    structured = variant != "original"
+    n = draw(st.integers(1 + structured, 9))
+    r = draw(st.integers(1, n - structured))
+    ell = draw(st.integers(1, n - r)) if structured else 0
+    p = Params(n=n, r=r, ell=ell, variant=variant)
+    j = draw(st.integers(0, ell + 2))
+    y = draw(st.integers(0, (1 << r) - 1))
+    words = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=20))
+    return p, j, y, words
+
+
+@settings(max_examples=150)
+@given(dual_check_worlds(), st.binary(min_size=32, max_size=32))
+@example((Params(n=6, r=2, ell=0, variant="original"), 1, 3, list(range(64))), SEED)
+@example((Params(n=8, r=3, ell=2), 3, 5, [0, 255, 17]), SEED)
+def test_dual_checks_is_dual_check_per_word(world, seed):
+    p, j, y, words = world
+    bulk, single = build_oracles(p, seed), build_oracles(p, seed)
+    yv = BitVec(p.r, y)
+    with metered() as spent:
+        answers = bulk.dual_checks(j, yv, words)
+    assert answers == [single.dual_check(j, yv, BitVec(p.n, w)) for w in words]
+    # and both are membership in level j of the dual chain, built uncounted
+    level = build_oracles(p, seed).dual_chain(y)[j - 1] if 1 <= j <= p.ell + 1 else None
+    assert answers == [int(level is not None and level.contains_word(w)) for w in words]
+    counts = {"P": 0, "Pinv": 0, "D": len(words), "D0": 0, "Dprime": 0}
+    assert bulk.query_counts() == single.query_counts() == counts
+    assert spent == ({"D": len(words)} if words else {})
+
+
+def test_dual_checks_refuses_a_wrong_width_uncounted():
+    o = small_world()  # n = 8, r = 3
+    y = BitVec(3, 1)
+    refused = [(1, y, [0, 256]), (1, y, [-1]), (4, y, [1 << 9]), (1, BitVec(4, 1), [0]), (1, BitVec(2, 1), [])]
+    for j, yy, words in refused:
+        with metered() as spent, pytest.raises(ValueError):
+            o.dual_checks(j, yy, words)
+        assert spent == {}
+    with pytest.raises(ValueError), metered() as spent:
+        o.dual_check(1, y, BitVec(9, 0))
+    assert spent == {}
+    assert o.query_counts()["D"] == 0
+    assert o.cosets.derive_cache.cache_info().currsize == 0  # nothing derived either
 
 
 def test_dual_levels_nest():
