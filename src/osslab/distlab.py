@@ -18,6 +18,8 @@ The first three induce one distribution, the last two another; checking
 those equalities exactly (by enumerating the finite randomness domains)
 is the point of this module.  Subspaces canonicalize to RREF bases, so
 distributions are plain dictionaries keyed by tuples of subspaces.
+Every matrix here is built from its columns, and every level is a left
+kernel, so the samplers transpose and solve nothing.
 
 The collapse distinguisher estimates the acceptance probability of the
 dual-check test applied after a decode round trip, either with the full
@@ -76,6 +78,18 @@ def _outside_words(span: Subspace) -> list[int]:
     return [w for w in range(1 << span.ambient) if w not in inside]
 
 
+def _syndrome_level(sub: BitMatrix, target: int) -> Subspace:
+    """{w : w^T sub in {0, target}} for a nonzero target packed over sub's
+    columns: the left kernel of sub with target as one more, last row,
+    with that coordinate dropped (no dimension is lost, as t != 0)."""
+    k = sub.cols
+    words = tuple((c << 1) | ((target >> (k - 1 - i)) & 1) for i, c in enumerate(sub.col_words))
+    basis = BitMatrix._from_columns(sub.rows + 1, k, words).left_kernel().basis
+    if not any(b & 1 for b in basis):
+        raise AssertionError("target must be attainable")
+    return Subspace(sub.rows, tuple(b >> 1 for b in basis))
+
+
 class ChainSampler:
     """Base for tuple samplers with an enumerable randomness domain.
 
@@ -124,31 +138,28 @@ class chain_by_syndrome(chain_by_vector):
     """Same v domain, but each level is rebuilt from the image y = v^T A:
     T_j collects the w with w^T A^{(j..)} equal to zero or to y's suffix.
 
-    The construction deliberately forgets v and recovers a witness by
-    solving, so agreement with chain_by_vector is a real check rather
-    than shared code.
+    The construction forgets v and takes each level as one left kernel
+    of the syndrome alone (_syndrome_level), so agreement with
+    chain_by_vector is a real check rather than shared code.
     """
 
     def tuple_at(self, index: int) -> SubspaceTuple:
         v = BitVec(self.n, self._outside[index])
-        y = self.mat.rmatvec(v)
-        width = self.mat.cols
-        out = []
-        for j in range(1, self.ell + 2):
-            sub = self.mat.col_range(j, width)
-            witness = sub.transpose().solve(y.sub(j, width))
-            if witness is None:
-                raise AssertionError("syndrome suffix must be attainable")
-            out.append(self.levels[j - 1].extend([witness]))
-        return tuple(out)
+        y, width = self.mat.rmatvec(v), self.mat.cols
+        return tuple(
+            _syndrome_level(self.mat.col_range(j, width), y.sub(j, width).bits)
+            for j in range(1, self.ell + 2)
+        )
 
 
 class chain_by_shear(ChainSampler):
     """Shear the tail columns by a random block and aim at a nonzero tail
     target: C = A [[I, 0], [B, I]], T_j = {w : w^T C^{(j..)} in {0, 0..0||z}}.
 
-    Each level takes its own left_kernel rather than a dual_chain, so this
-    sampler stays an independent reference for the chain routine."""
+    index = b_bits * (2^d - 1) + z - 1, with B's columns packed into b_bits.
+    Each level is its own _syndrome_level rather than a cut of a
+    dual_chain, so this sampler stays an independent reference for the
+    chain routine."""
 
     def __init__(self, mat: BitMatrix, n: int, r: int, ell: int) -> None:
         super().__init__(mat, n, r, ell)
@@ -160,25 +171,16 @@ class chain_by_shear(ChainSampler):
 
     def tuple_at(self, index: int) -> SubspaceTuple:
         d, ell = self._d, self.ell
-        z_count = (1 << d) - 1
-        b_bits, z_index = divmod(index, z_count)
-        z = BitVec(d, z_index + 1)
-        rows = [(b_bits >> (ell * (d - 1 - i))) & ((1 << ell) - 1) for i in range(d)]
-        shear_block = BitMatrix(d, ell, tuple(rows))
-        top = BitMatrix.identity(ell).hstack(BitMatrix.zeros(ell, d))
-        factor = top.vstack(shear_block.hstack(BitMatrix.identity(d)))
+        mask = (1 << d) - 1  # also the count of nonzero z
+        b_bits, z_index = divmod(index, mask)
+        # [[I, 0], [B, I]] by columns: I's columns, with B's below the first l
+        b_cols = [(b_bits >> (d * (ell - 1 - i))) & mask for i in range(ell)] + [0] * d
+        eye = BitMatrix.identity(ell + d).col_words
+        factor = BitMatrix._from_columns(ell + d, ell + d, tuple(e | b for e, b in zip(eye, b_cols)))
         sheared = self.mat @ factor
-        width = sheared.cols
-        out = []
-        for j in range(1, ell + 2):
-            sub = sheared.col_range(j, width)
-            kernel = sub.left_kernel()
-            target = BitVec.zeros(ell - j + 1).concat(z) if j <= ell else z
-            witness = sub.transpose().solve(target)
-            if witness is None:
-                raise AssertionError("tail target must be attainable")
-            out.append(kernel.extend([witness]))
-        return tuple(out)
+        # z's zero-padded suffix is the same word at every level
+        levels = range(1, ell + 2)
+        return tuple(_syndrome_level(sheared.col_range(j, ell + d), z_index + 1) for j in levels)
 
 
 class chain_by_basis(ChainSampler):
@@ -243,24 +245,24 @@ class chain_by_matrix(ChainSampler):
         if d * d > 24:
             raise ValueError("matrix-chain enumeration capped at d^2 <= 24")
         self._mp_count = 1 << (d * ell)
-        row_mask = (1 << ell) - 1
+        col_mask = (1 << d) - 1
         normals = []
         for mp_bits in range(self._mp_count):
-            # M' packs its rows first to last into mp_bits, ell bits a row
-            rows = tuple((mp_bits >> (ell * (d - 1 - t))) & row_mask for t in range(d))
-            normals.append(widened_normals(mat, ell, BitMatrix(d, ell, rows)))
+            # M' packs its columns first to last into mp_bits, d bits a column
+            cols = tuple((mp_bits >> (d * (ell - 1 - t))) & col_mask for t in range(ell))
+            normals.append(widened_normals(mat, ell, BitMatrix._from_columns(d, ell, cols)))
         # one chain list per m_index; equal kept columns, and equal tops,
         # share one list
-        kept_mask = (1 << (d - s)) - 1
         by_kept: dict[tuple[int, ...], list[SubspaceTuple]] = {}
         by_top: dict[Subspace, list[SubspaceTuple]] = {}
         interned: dict[SubspaceTuple, SubspaceTuple] = {}
         self._entries = []
-        for rows in _invertible_rows(d):
-            kept = tuple(row & kept_mask for row in rows)
+        for cols in _invertible_rows(d):
+            # each tuple is M's columns; columns s+1..d survive the drop
+            kept = cols[s:]
             chains = by_kept.get(kept)
             if chains is None:
-                top = widened_top(mat, ell, BitMatrix(d, d - s, kept))
+                top = widened_top(mat, ell, BitMatrix._from_columns(d, d - s, kept))
                 chains = by_top.get(top)
                 if chains is None:
                     chains = by_top[top] = [
@@ -280,11 +282,12 @@ class chain_by_matrix(ChainSampler):
 
 
 def _invertible_rows(d: int) -> list[tuple[int, ...]]:
-    """Row words of every invertible d x d matrix, in ascending order of
-    the d*d-bit word that packs the rows first to last.
+    """Every ordered basis of Z2^d, which chain_by_matrix reads as the
+    columns of an invertible d x d matrix, in ascending order of the
+    d*d-bit word that packs its words first to last.
 
-    Rows are chosen first to last, each in ascending order among the
-    words outside the span of the rows above it, so the order matches a
+    Words are chosen first to last, each in ascending order among the
+    words outside the span of those before it, so the order matches a
     scan of all 2^(d*d) words and no rank is ever tested.
     """
     out: list[tuple[int, ...]] = []

@@ -603,15 +603,6 @@ class OracleSet:
             out.append(accept)
         return out
 
-    def spend_dual(self, j: int, y: BitVec) -> None:
-        """One D query at level j on y that reads no level, so builds nothing.
-        Refuses, uncounted, what dual_support refuses."""
-        if not 1 <= j <= self.params.ell + 1:
-            raise ValueError("a D query needs 1 <= j <= l + 1")
-        if y.n != self.params.r:
-            raise ValueError("y must have r bits")
-        self._count("D")
-
     def spend_walk(self, y: BitVec) -> None:
         """The signing walk's l D queries on y, one at each level 1..l, counted
         at once; none reads a level, so nothing is built.  Refuses, uncounted,
@@ -627,8 +618,13 @@ class OracleSet:
         apply the check across a whole register use it once per logical
         query, and it counts as one D query.  Every level comes from the
         chain for y, which is built once and shared by all l + 1 levels.
+        Refuses, uncounted, a j outside 1..l+1 and a y that is not r bits.
         """
-        self.spend_dual(j, y)
+        if not 1 <= j <= self.params.ell + 1:
+            raise ValueError("a D query needs 1 <= j <= l + 1")
+        if y.n != self.params.r:
+            raise ValueError("y must have r bits")
+        self._count("D")
         return self.dual_chain(y.bits)[j - 1]
 
     def coset_check(self, y: BitVec, u: BitVec) -> int:

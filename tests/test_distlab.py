@@ -10,11 +10,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from osslab import gf2
 from osslab.distlab import (
     ExperimentReport,
     Metric,
     _hash_only_acceptance,
     _invertible_rows,
+    _syndrome_level,
     _trial_seed,
     chain_by_basis,
     chain_by_matrix,
@@ -31,7 +33,7 @@ from osslab.distlab import (
 )
 from osslab.gf2 import BitMatrix, BitVec, Subspace, sample_full_column_rank
 from osslab.oracles import Params, SeededStream, build_oracles, metered
-from osslab.suites import _world_seed, default_seed
+from osslab.suites import SUITES, _world_seed, default_seed
 
 SEED = bytes(range(32))
 
@@ -60,18 +62,20 @@ def test_widened_samplers_share_one_exact_law():
     assert len(db) == (1 << 3) - (1 << 1)  # 2^(n-r) - 2^l tuples at s = 1
 
 
-def packed_rows(bits, rows, width):
-    return tuple((bits >> (width * (rows - 1 - i))) & ((1 << width) - 1) for i in range(rows))
+def packed_words(bits, count, width):
+    """The ``count`` words of ``width`` bits packed first to last into ``bits``."""
+    return tuple((bits >> (width * (count - 1 - i))) & ((1 << width) - 1) for i in range(count))
 
 
 def widened_chain_reference(mat, n, r, ell, s, invertible, index):
     """chain_by_matrix's tuple at index, computed directly: decode M and
-    M' from the index, widen A to A [[I, 0], [M', M]], drop columns
-    l+1..l+s and take a fresh left kernel at every level."""
+    M' from the index, each by its columns, widen A to
+    A [[I, 0], [M', M]], drop columns l+1..l+s and take a fresh left
+    kernel at every level."""
     d = n - r - ell
     m_index, mp_bits = divmod(index, 1 << (d * ell))
-    m = BitMatrix(d, d, packed_rows(invertible[m_index], d, d))
-    m_prime = BitMatrix(d, ell, packed_rows(mp_bits, d, ell))
+    m = BitMatrix._from_columns(d, d, packed_words(invertible[m_index], d, d))
+    m_prime = BitMatrix._from_columns(d, ell, packed_words(mp_bits, ell, d))
     upper = BitMatrix.identity(ell).hstack(BitMatrix.zeros(ell, d))
     wide = mat @ upper.vstack(m_prime.hstack(m))
     tail = wide.col_range(ell + s + 1, n - r)
@@ -91,7 +95,7 @@ def test_memoized_matrix_chain_matches_direct_widening(shape, picks):
     invertible = [
         bits
         for bits in range(1 << (d * d))
-        if BitMatrix(d, d, packed_rows(bits, d, d)).rank() == d
+        if BitMatrix._from_columns(d, d, packed_words(bits, d, d)).rank() == d
     ]
     assert sampler.domain_size == len(invertible) << (d * ell)
     if picks is None:
@@ -101,6 +105,76 @@ def test_memoized_matrix_chain_matches_direct_widening(shape, picks):
     for index in indices:
         expect = widened_chain_reference(mat, n, r, ell, s, invertible, index)
         assert sampler.tuple_at(index) == expect
+
+
+def witness_level(kernel, sub, target):
+    """{w : w^T sub in {0, target}} as ``kernel``, sub's left kernel,
+    extended by one solution of w^T sub = target found through sub's
+    transpose."""
+    witness = sub.transpose().solve(target)
+    assert witness is not None, "target must be attainable"
+    return kernel.extend([witness])
+
+
+def syndrome_chain_reference(sampler, index):
+    """chain_by_syndrome's tuple at index, each level the dual level
+    S_j extended by a witness of y's suffix."""
+    mat = sampler.mat
+    y = mat.rmatvec(BitVec(sampler.n, sampler._outside[index]))
+    width = mat.cols
+    return tuple(
+        witness_level(sampler.levels[j - 1], mat.col_range(j, width), y.sub(j, width))
+        for j in range(1, sampler.ell + 2)
+    )
+
+
+def shear_chain_reference(sampler, index):
+    """chain_by_shear's tuple at index: B decoded by its columns, the
+    shear factor assembled from blocks, and each level a fresh left
+    kernel extended by a witness of the zero-padded target z."""
+    d, ell = sampler._d, sampler.ell
+    b_bits, z_index = divmod(index, (1 << d) - 1)
+    z = BitVec(d, z_index + 1)
+    shear_block = BitMatrix._from_columns(d, ell, packed_words(b_bits, ell, d))
+    top = BitMatrix.identity(ell).hstack(BitMatrix.zeros(ell, d))
+    sheared = sampler.mat @ top.vstack(shear_block.hstack(BitMatrix.identity(d)))
+    width = sheared.cols
+    out = []
+    for j in range(1, ell + 2):
+        sub = sheared.col_range(j, width)
+        target = BitVec.zeros(ell - j + 1).concat(z) if j <= ell else z
+        out.append(witness_level(sub.left_kernel(), sub, target))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("shape", [(4, 1, 1), (5, 1, 2), (6, 2, 2)])
+@pytest.mark.parametrize(
+    "sampler_cls, reference",
+    [(chain_by_syndrome, syndrome_chain_reference), (chain_by_shear, shear_chain_reference)],
+)
+def test_kernel_levels_match_witness_extension(shape, sampler_cls, reference):
+    n, r, ell = shape
+    sampler = sampler_cls(toy_matrix(n, r, b"witness"), n, r, ell)
+    for index in range(sampler.domain_size):
+        assert sampler.tuple_at(index) == reference(sampler, index)
+
+
+def test_syndrome_level_refuses_an_unattainable_target():
+    # two equal columns: w^T sub always has equal bits, so 10 is never hit
+    sub = BitMatrix._from_columns(3, 2, (0b101, 0b101))
+    assert _syndrome_level(sub, 0b11) == Subspace.full(3)
+    with pytest.raises(AssertionError, match="target must be attainable"):
+        _syndrome_level(sub, 0b10)
+
+
+def test_distributions_battery_transposes_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a matrix was transposed or built from rows")
+
+    monkeypatch.setattr(gf2, "_transpose_words", refuse)
+    monkeypatch.setattr(gf2.BitMatrix, "__init__", refuse)
+    report = SUITES["distributions"](default_seed())
+    assert report.passed, report.render()
 
 
 def test_matrix_chains_are_interned():

@@ -662,19 +662,18 @@ def test_dual_check_out_of_range_rejects():
         o.dual_support(4, y)
 
 
-def test_spend_dual_counts_one_query_and_refuses_uncounted():
+def test_dual_support_counts_one_query_and_refuses_uncounted():
     o = small_world()
     y = BitVec(3, 1)
     for j, yy in ((0, y), (4, y), (1, BitVec(4, 1)), (1, BitVec(2, 1))):  # l + 2 = 4
         with metered() as spent, pytest.raises(ValueError):
-            o.spend_dual(j, yy)
+            o.dual_support(j, yy)
         assert spent == {}
     assert o.query_counts()["D"] == 0
     with metered() as spent:
         for j in range(1, 4):  # j = 1 .. l + 1
-            assert o.spend_dual(j, y) is None
+            o.dual_support(j, y)
     assert spent == {"D": 3}
-    assert o.dual_chain.cache_info().currsize == 0  # a spend builds no chain
 
 
 def test_spend_walk_counts_l_queries_at_once_and_refuses_uncounted():
