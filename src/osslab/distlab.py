@@ -31,12 +31,11 @@ separates the hash from a compressing one.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -94,8 +93,10 @@ class ChainSampler:
     """Base for tuple samplers with an enumerable randomness domain.
 
     Subclasses define domain_size and tuple_at(index), the tuple that
-    each point of the domain yields; exact_distribution counts tuples(),
-    which a subclass may stream faster than one tuple_at per index.
+    each point of the domain yields; exact_distribution reads counts(),
+    how many points yield each tuple.  The base class counts tuple_at
+    over the whole domain; chain_by_matrix counts each list of chains
+    that several points share once, weighted by how many share it.
     """
 
     domain_size: int
@@ -116,9 +117,9 @@ class ChainSampler:
     def tuple_at(self, index: int) -> SubspaceTuple:
         raise NotImplementedError
 
-    def tuples(self) -> Iterator[SubspaceTuple]:
-        """Every index's tuple, in index order."""
-        return map(self.tuple_at, range(self.domain_size))
+    def counts(self) -> Counter[SubspaceTuple]:
+        """How many points of the domain yield each tuple."""
+        return Counter(map(self.tuple_at, range(self.domain_size)))
 
 
 class chain_by_vector(ChainSampler):
@@ -198,6 +199,7 @@ class chain_by_basis(ChainSampler):
             size *= c
         self.domain_size = size
         self._outside: dict[tuple[int, ...], list[int]] = {}
+        self._prefix: dict[tuple[int, ...], SubspaceTuple] = {(): self.levels}
 
     def _pick(self, span: Subspace, position: int) -> BitVec:
         """The position-th word outside span, counting up from zero.  Each
@@ -207,20 +209,28 @@ class chain_by_basis(ChainSampler):
             outside = self._outside[span.basis] = _outside_words(span)
         return BitVec(self.n, outside[position])
 
+    def _extended(self, levels: SubspaceTuple, digit: int) -> SubspaceTuple:
+        """Every level extended by the digit-th vector outside the top."""
+        v = self._pick(levels[-1], digit)
+        return tuple(level.extend([v]) for level in levels)
+
+    def _levels_after(self, prefix: tuple[int, ...]) -> SubspaceTuple:
+        """Every level extended by the vectors that the digits of
+        ``prefix`` pick in turn.  Each prefix's levels are built once and
+        kept, so an index extends its prefix's levels by one vector."""
+        levels = self._prefix.get(prefix)
+        if levels is None:
+            below = self._levels_after(prefix[:-1])
+            levels = self._prefix[prefix] = self._extended(below, prefix[-1])
+        return levels
+
     def tuple_at(self, index: int) -> SubspaceTuple:
         digits = []
         for c in reversed(self._radix):
             index, digit = divmod(index, c)
             digits.append(digit)
         digits.reverse()
-        span = self.levels[-1]
-        chosen: list[BitVec] = []
-        for digit in digits:
-            v = self._pick(span, digit)
-            chosen.append(v)
-            span = span.extend([v])
-        # the last span is the top level extended by every v
-        return tuple(level.extend(chosen) for level in self.levels[:-1]) + (span,)
+        return self._extended(self._levels_after(tuple(digits[:-1])), digits[-1])
 
 
 class chain_by_matrix(ChainSampler):
@@ -232,8 +242,9 @@ class chain_by_matrix(ChainSampler):
     through the l cut normals.  So each distinct top is built once, the
     normals once per mp_bits, and each chain once per (top, mp_bits),
     all in the constructor: index m_index's chains are one list, indexed
-    by mp_bits, shared by every M with the same top.  Equal chains are
-    one interned object, so counting them compares by identity.
+    by mp_bits, shared by every M with the same top, and counts() counts
+    each list once, weighted by that number of M.  Equal chains are one
+    interned object, so counting them compares by identity.
     """
 
     def __init__(self, mat: BitMatrix, n: int, r: int, ell: int, s: int) -> None:
@@ -251,40 +262,48 @@ class chain_by_matrix(ChainSampler):
             # M' packs its columns first to last into mp_bits, d bits a column
             cols = tuple((mp_bits >> (d * (ell - 1 - t))) & col_mask for t in range(ell))
             normals.append(widened_normals(mat, ell, BitMatrix._from_columns(d, ell, cols)))
-        # one chain list per m_index; equal kept columns, and equal tops,
-        # share one list
-        by_kept: dict[tuple[int, ...], list[SubspaceTuple]] = {}
-        by_top: dict[Subspace, list[SubspaceTuple]] = {}
+        # one chain list per distinct top; _entries holds each m_index's
+        # list number, the same for equal kept columns and equal tops
+        by_kept: dict[tuple[int, ...], int] = {}
+        by_top: dict[Subspace, int] = {}
         interned: dict[SubspaceTuple, SubspaceTuple] = {}
-        self._entries = []
+        self._lists: list[list[SubspaceTuple]] = []
+        self._entries: list[int] = []
         for cols in _invertible_rows(d):
             # each tuple is M's columns; columns s+1..d survive the drop
             kept = cols[s:]
-            chains = by_kept.get(kept)
-            if chains is None:
+            at = by_kept.get(kept)
+            if at is None:
                 top = widened_top(mat, ell, BitMatrix._from_columns(d, d - s, kept))
-                chains = by_top.get(top)
-                if chains is None:
-                    chains = by_top[top] = [
-                        interned.setdefault(chain, chain)
-                        for chain in (chain_from_top(top, nm) for nm in normals)
-                    ]
-                by_kept[kept] = chains
-            self._entries.append(chains)
+                at = by_top.get(top)
+                if at is None:
+                    at = by_top[top] = len(self._lists)
+                    self._lists.append(
+                        [interned.setdefault(chain, chain) for chain in (chain_from_top(top, nm) for nm in normals)]
+                    )
+                by_kept[kept] = at
+            self._entries.append(at)
         self.domain_size = len(self._entries) * self._mp_count
 
     def tuple_at(self, index: int) -> SubspaceTuple:
         m_index, mp_bits = divmod(index, self._mp_count)
-        return self._entries[m_index][mp_bits]
+        return self._lists[self._entries[m_index]][mp_bits]
 
-    def tuples(self) -> Iterator[SubspaceTuple]:
-        return itertools.chain.from_iterable(self._entries)
+    def counts(self) -> Counter[SubspaceTuple]:
+        """The tuple at (m_index, mp_bits) is entry mp_bits of m_index's
+        list, so each distinct list's chains are counted once, weighted by
+        the number of M that share the list."""
+        counts: Counter[SubspaceTuple] = Counter()
+        for at, weight in Counter(self._entries).items():
+            for chain in self._lists[at]:
+                counts[chain] += weight
+        return counts
 
 
 def _invertible_rows(d: int) -> list[tuple[int, ...]]:
     """Every ordered basis of Z2^d, which chain_by_matrix reads as the
     columns of an invertible d x d matrix, in ascending order of the
-    d*d-bit word that packs its words first to last.
+    d*d-bit word that packs its words first to last (d >= 1).
 
     Words are chosen first to last, each in ascending order among the
     words outside the span of those before it, so the order matches a
@@ -299,8 +318,9 @@ def _grow_invertible_rows(d: int, rows: tuple[int, ...], span: set[int], out: li
     """Append to ``out`` every completion of ``rows``, whose span is
     ``span``, in _invertible_rows' order.  A module function rather than a
     closure, so the recursion leaves no reference cycle behind."""
-    if len(rows) == d:
-        out.append(rows)
+    if len(rows) == d - 1:
+        # the last word completes the basis, so its span is never needed
+        out.extend(rows + (w,) for w in range(1 << d) if w not in span)
         return
     for w in range(1 << d):
         if w not in span:
@@ -311,12 +331,12 @@ Distribution = dict[SubspaceTuple, Fraction]
 
 
 def exact_distribution(sampler: ChainSampler) -> Distribution:
-    """Exhaust the randomness domain and return exact probabilities."""
+    """Exhaust the randomness domain and return exact probabilities: each
+    tuple's share of the domain, as the sampler's counts() gives it."""
     size = sampler.domain_size
     if size > _EXACT_LIMIT:
         raise ValueError(f"domain of {size} points exceeds exact-mode cap {_EXACT_LIMIT}")
-    counts = Counter(sampler.tuples())
-    return {k: Fraction(c, size) for k, c in counts.items()}
+    return {k: Fraction(c, size) for k, c in sampler.counts().items()}
 
 
 def tv_distance(p: Distribution, q: Distribution) -> Fraction:

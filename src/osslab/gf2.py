@@ -473,6 +473,12 @@ def _rref_words(words: Iterable[int]) -> list[int]:
     return [basis[p] for p in sorted(basis, reverse=True)]
 
 
+def _check_width(ambient: int, basis: tuple[int, ...]) -> None:
+    """Refuse an RREF basis whose lead row is wider than ``ambient``."""
+    if basis and basis[0] >> ambient:
+        raise ValueError("ambient mismatch")
+
+
 @dataclass(frozen=True, slots=True)
 class Subspace:
     """Linear subspace of Z2^ambient in canonical (RREF) basis form.
@@ -490,6 +496,7 @@ class Subspace:
     def __post_init__(self) -> None:
         if tuple(_rref_words(self.basis)) != self.basis:
             raise ValueError("basis is not in canonical form; use from_words")
+        _check_width(self.ambient, self.basis)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -508,7 +515,9 @@ class Subspace:
 
     @classmethod
     def from_words(cls, ambient: int, words: Iterable[int]) -> "Subspace":
-        return cls._trusted(ambient, tuple(_rref_words(words)))
+        basis = tuple(_rref_words(words))
+        _check_width(ambient, basis)
+        return cls._trusted(ambient, basis)
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
@@ -533,8 +542,36 @@ class Subspace:
         return all(other.contains_word(b) for b in self.basis)
 
     def extend(self, vectors: Iterable[BitVec]) -> "Subspace":
-        words = list(self.basis) + [v.bits for v in vectors]
-        return Subspace.from_words(self.ambient, words)
+        """The span of this subspace and ``vectors``, grown one vector at
+        a time without a row reduction.
+
+        A vector is reduced by each row whose pivot bit it holds; as no
+        row has a bit in another row's pivot column, one pass clears every
+        pivot column.  A nonzero remainder leads at a new pivot below the
+        lead of every row holding that bit, so clearing it from those rows
+        keeps their pivots, and inserting it among the rows in descending
+        order keeps the basis in RREF.
+        """
+        basis = list(self.basis)
+        for v in vectors:
+            if v.n != self.ambient:
+                raise ValueError("ambient mismatch")
+            w = v.bits
+            for b in basis:
+                if w >> (b.bit_length() - 1) & 1:
+                    w ^= b
+            if not w:
+                continue
+            lead = 1 << (w.bit_length() - 1)
+            basis = [b ^ w if b & lead else b for b in basis]
+            # rows lead at distinct bits, so descending words are descending pivots
+            at = 0
+            while at < len(basis) and basis[at] > w:
+                at += 1
+            basis.insert(at, w)
+        if len(basis) == len(self.basis):
+            return self
+        return Subspace._trusted(self.ambient, tuple(basis))
 
     def element_ints(self) -> list[int]:
         """All 2^dim elements as packed ints (doubling order)."""

@@ -177,6 +177,15 @@ def test_distributions_battery_transposes_nothing(monkeypatch):
     assert report.passed, report.render()
 
 
+def test_distributions_battery_reduces_no_span_from_its_words(monkeypatch):
+    def refuse(cls, ambient, words):
+        raise AssertionError("a span was row-reduced from its words")
+
+    monkeypatch.setattr(gf2.Subspace, "from_words", classmethod(refuse))
+    report = SUITES["distributions"](default_seed())
+    assert report.passed, report.render()
+
+
 def test_matrix_chains_are_interned():
     n, r, ell, s = 6, 1, 1, 2
     sampler = chain_by_matrix(toy_matrix(n, r, b"intern"), n, r, ell, s)
@@ -188,12 +197,17 @@ def test_matrix_chains_are_interned():
 
 
 @pytest.mark.parametrize("shape", [(4, 1, 1, 1), (5, 1, 2, 2), (6, 1, 1, 2)])
-def test_matrix_chain_stream_is_every_index_in_order(shape):
+def test_counts_are_every_index_tuple_counted(shape):
+    # chain_by_matrix counts each shared chain list once, weighted by its
+    # number of M; every sampler must agree with counting index by index
     n, r, ell, s = shape
-    sampler = chain_by_matrix(toy_matrix(n, r, b"stream"), n, r, ell, s)
-    streamed = list(sampler.tuples())
-    assert len(streamed) == sampler.domain_size
-    assert streamed == [sampler.tuple_at(i) for i in range(sampler.domain_size)]
+    mat = toy_matrix(n, r, b"counts")
+    samplers = [cls(mat, n, r, ell) for cls in (chain_by_vector, chain_by_syndrome, chain_by_shear)]
+    samplers += [cls(mat, n, r, ell, s) for cls in (chain_by_basis, chain_by_matrix)]
+    for sampler in samplers:
+        counts = sampler.counts()
+        assert counts == Counter(sampler.tuple_at(i) for i in range(sampler.domain_size))
+        assert sum(counts.values()) == sampler.domain_size
 
 
 def distribution_digest(dist):

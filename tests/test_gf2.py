@@ -707,6 +707,62 @@ def test_dual_chain_matches_per_level_left_kernels(a, ell):
         a.dual_chain(5)
 
 
+def all_subspaces(ambient):
+    """Every subspace of Z2^ambient, grown from {0} one word at a time."""
+    found = {Subspace.from_words(ambient, [])}
+    frontier = found
+    while frontier:
+        grown = {Subspace.from_words(ambient, sub.basis + (w,)) for sub in frontier for w in range(1 << ambient)}
+        frontier = grown - found
+        found |= frontier
+    return found
+
+
+def check_extend(sub, words):
+    grown = sub.extend([BitVec(sub.ambient, w) for w in words])
+    assert grown == Subspace.from_words(sub.ambient, sub.basis + tuple(words))
+    assert Subspace(grown.ambient, grown.basis) == grown  # the validating constructor agrees
+
+
+@pytest.mark.parametrize("ambient", range(5))
+def test_extend_matches_a_row_reduction_exhaustively(ambient):
+    subspaces = all_subspaces(ambient)
+    assert len(subspaces) == [1, 2, 5, 16, 67][ambient]
+    for sub in subspaces:
+        for count in range(3):
+            # zero, dependent and repeated words among them
+            for words in itertools.product(range(1 << ambient), repeat=count):
+                check_extend(sub, words)
+
+
+@st.composite
+def extensions(draw):
+    ambient = draw(st.integers(5, 20))
+    words = st.integers(0, (1 << ambient) - 1)
+    sub = Subspace.from_words(ambient, draw(st.lists(words, max_size=ambient)))
+    fresh = draw(st.lists(words, max_size=4))
+    pool = list(sub.basis) + fresh
+    masks = draw(st.lists(st.integers(0, (1 << len(pool)) - 1), max_size=3))
+    dependent = [functools.reduce(operator.xor, (p for i, p in enumerate(pool) if m >> i & 1), 0) for m in masks]
+    return sub, draw(st.permutations(fresh + dependent + [0]))
+
+
+@given(extensions())
+def test_extend_matches_a_row_reduction(case):
+    check_extend(*case)
+
+
+def test_subspaces_refuse_words_wider_than_their_ambient():
+    for call in (
+        lambda: Subspace.from_words(4, [0b0011]).extend([BitVec(5, 0b10000)]),
+        lambda: Subspace.full(4).extend([BitVec(3, 0b001)]),
+        lambda: Subspace.from_words(4, [0b10000]),
+        lambda: Subspace(4, (0b10000,)),
+    ):
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            call()
+
+
 def test_subspace_nesting_and_extension():
     inner = Subspace.from_words(5, [0b10000])
     outer = inner.extend([BitVec(5, 0b01000)])
