@@ -97,18 +97,26 @@ def sign_with_coset(st: CosetState, m: BitVec, rng) -> BitVec:
     return BitVec(st.n, gen.matvec(BitVec(gen.cols, coeffs)).bits ^ shift)
 
 
-def enumerate_support(st: CosetState) -> list[BitVec]:
-    """All coset points matching the pinned prefix, sorted ascending."""
+def _support_span(st: CosetState) -> tuple[BitMatrix, int]:
+    """The free columns and the pinned start whose span is st's support:
+    every coset point matching the pinned prefix is start + ColSpan(free)."""
     free = st.gen.cols - st.matched
     if free > _ENUM_LIMIT:
         raise ValueError(f"support enumeration capped at 2^{_ENUM_LIMIT} points")
     pinned = st.prefix ^ st.shift.prefix(st.matched)
     start = st.gen.matvec(pinned.concat(BitVec.zeros(free))).bits ^ st.shift.bits
-    points = st.gen.col_range(st.matched + 1, st.gen.cols).span_ints(start)
-    return [BitVec(st.n, w) for w in sorted(points)]
+    return st.gen.col_range(st.matched + 1, st.gen.cols), start
+
+
+def enumerate_support(st: CosetState) -> list[BitVec]:
+    """All coset points matching the pinned prefix, sorted ascending."""
+    cols, start = _support_span(st)
+    return [BitVec(st.n, w) for w in sorted(cols.span_ints(start))]
 
 
 def to_statevector(st: CosetState) -> StateVector:
-    """Lower to a dense state (small n only), including the global phase."""
-    points = enumerate_support(st)
-    return StateVector.from_support(st.n, [p.bits for p in points], weight=st.phase)
+    """Lower to a dense state (small n only), including the global phase.
+
+    The support is scattered straight from span_array, in doubling order."""
+    cols, start = _support_span(st)
+    return StateVector.from_support(st.n, cols.span_array(start), weight=st.phase)

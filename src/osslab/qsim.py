@@ -13,7 +13,9 @@ built by scheme (draw_key, key_state, which calls coset_amplitudes); this
 module supplies the walk and the final draw.  The full-register functions
 (generate_keypair_state, coset_state, phase_prefix, phase_dual, measure)
 stay as the reference that the acceptance batteries check both signers
-against.
+against.  Their transform, walsh_hadamard, runs its butterfly passes in
+shuffle (Stockham) order between the state and one scratch buffer of
+the same size; it gives the same bits as the in-place radix-2 form.
 """
 
 from __future__ import annotations
@@ -64,11 +66,26 @@ class StateVector:
     @classmethod
     def from_support(cls, n: int, indices, weight: complex = 1.0) -> "StateVector":
         """Uniform superposition over the given basis indices, scaled by
-        a phase/weight factor of modulus 1."""
-        amp = np.zeros(1 << n, dtype=np.complex128)
-        idx = np.asarray(list(indices), dtype=np.int64)
-        amp[idx] = weight / np.sqrt(len(idx))
-        return cls(n, amp)
+        a phase/weight factor of modulus 1.
+
+        ``indices`` is any integer sequence or array, taken as is.
+        Refuses an empty support, a zero weight, an index outside
+        [0, 2^n) and a repeated index.
+        """
+        state = cls(n)  # refuses n outside [1, MAX_QUBITS] before allocating
+        amp = state.amp
+        amp[0] = 0.0
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size == 0:
+            raise ValueError("support must be non-empty")
+        if weight == 0:
+            raise ValueError("support weight must be nonzero")
+        if idx.min() < 0 or idx.max() >= amp.shape[0]:
+            raise ValueError(f"support index outside [0, 2^{n})")
+        amp[idx] = weight / np.sqrt(idx.size)
+        if np.count_nonzero(amp) != idx.size:
+            raise ValueError("support repeats an index")
+        return state
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amp) ** 2)))
@@ -131,18 +148,26 @@ def generate_keypair_state(o: OracleSet, rng) -> tuple[BitVec, StateVector]:
 def walsh_hadamard(state: StateVector) -> StateVector:
     """Normalized Walsh-Hadamard transform on all n qubits, in place.
 
-    Self-inverse.  O(n 2^n) butterfly passes over the dense array.
+    Self-inverse.  n butterfly passes in shuffle (Stockham) order: each
+    pass reads the even and odd entries of one buffer and writes their
+    sum to the first half of the other and their difference to the
+    second, so the current lowest index bit moves to the top.  Pass k
+    therefore pairs original bit k with the same operands as the radix-2
+    pass of stride 2^k, and the result equals the radix-2 butterfly bit
+    for bit.  The passes ping-pong between ``state.amp`` and one scratch
+    buffer of the same size, local to the call (256 MB beside a 256 MB
+    state at MAX_QUBITS); the final scale writes into ``state.amp``.
     """
     a = state.amp
     size = a.shape[0]
-    h = 1
-    while h < size:
-        view = a.reshape(size // (2 * h), 2, h)
-        top = view[:, 0, :].copy()
-        view[:, 0, :] += view[:, 1, :]
-        view[:, 1, :] = top - view[:, 1, :]
-        h *= 2
-    a *= 1.0 / np.sqrt(size)
+    half = size // 2
+    src, dst = a, np.empty_like(a)
+    for _ in range(size.bit_length() - 1):
+        pairs = src.reshape(half, 2)
+        np.add(pairs[:, 0], pairs[:, 1], out=dst[:half])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=dst[half:])
+        src, dst = dst, src
+    np.multiply(src, 1.0 / np.sqrt(size), out=a)
     return state
 
 

@@ -137,7 +137,7 @@ def _fresh_level_state(o, y, m, depth) -> _qsim.StateVector:
     if depth:
         cut = o.params.n - depth
         pts = pts[(pts >> cut) == m.prefix(depth).bits]
-    return _qsim.StateVector.from_support(o.params.n, pts.tolist())
+    return _qsim.StateVector.from_support(o.params.n, pts)
 
 
 @_battery("grover", "grover-identity", 30.0)

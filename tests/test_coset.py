@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from osslab import coset
 from osslab.coset import (
     STEP_PHASE,
     CosetState,
@@ -15,8 +16,9 @@ from osslab.coset import (
 )
 from osslab.gf2 import BitVec, split_draws
 from osslab.oracles import Params, build_oracles, metered
-from osslab.qsim import generate_keypair_state, phase_dual, phase_prefix
+from osslab.qsim import StateVector, generate_keypair_state, phase_dual, phase_prefix
 from osslab.scheme import draw_key, key_state
+from osslab.suites import SUITES, default_seed
 
 SEED = bytes(range(32))
 
@@ -135,6 +137,38 @@ def test_to_statevector_tracks_dense_backend(rng):
         phase_dual(sv, step, y, o)
         st = grover_step(st, step, m)
         assert np.max(np.abs(to_statevector(st).amp - sv.amp)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(8, 3, 2), (10, 4, 4), (12, 4, 6)])
+def test_to_statevector_equals_enumerated_support(shape):
+    """The array bridge scatters exactly the state that enumerate_support's
+    sorted points give, at every level of the walk."""
+    n, r, ell = shape
+    o = build_oracles(Params(n=n, r=r, ell=ell, perm_mode="feistel"), SEED)
+    rng = np.random.default_rng(n)
+    st = fresh_key(o, rng)
+    m = BitVec(ell, int(rng.integers(0, 1 << ell)))
+    for step in range(ell + 1):
+        if step:
+            st = grover_step(st, step, m)
+        points = [p.bits for p in enumerate_support(st)]
+        expect = StateVector.from_support(n, points, weight=st.phase)
+        got = to_statevector(st)
+        assert st.matched == step
+        assert np.array_equal(got.amp.view(np.uint64), expect.amp.view(np.uint64))
+
+
+@pytest.mark.parametrize("battery", ["grover", "backends"])
+def test_dense_batteries_build_no_support_list(battery, monkeypatch):
+    """The dense bridge scatters its support from an array: no battery
+    that lowers symbolic states enumerates them as BitVecs."""
+
+    def refuse(st):
+        raise AssertionError("a support was enumerated as a list of BitVecs")
+
+    monkeypatch.setattr(coset, "enumerate_support", refuse)
+    report = SUITES[battery](default_seed())
+    assert report.passed, report.render()
 
 
 def test_sign_with_coset_spends_no_queries(rng):

@@ -58,6 +58,57 @@ def test_wht_matches_naive_matrix(rng):
     assert np.allclose(st.amp, expect, atol=1e-12)
 
 
+def radix2_walsh_hadamard(state):
+    """The in-place radix-2 butterfly: the slow reference that
+    walsh_hadamard's shuffle-order passes must match bit for bit."""
+    a = state.amp
+    size = a.shape[0]
+    h = 1
+    while h < size:
+        view = a.reshape(size // (2 * h), 2, h)
+        top = view[:, 0, :].copy()
+        view[:, 0, :] += view[:, 1, :]
+        view[:, 1, :] = top - view[:, 1, :]
+        h *= 2
+    a *= 1.0 / np.sqrt(size)
+    return state
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_wht_equals_radix2_bit_for_bit(n):
+    rng = np.random.default_rng(1000 + n)
+    st = random_state(rng, n)
+    ref = radix2_walsh_hadamard(st.copy())
+    amp = st.amp
+    assert walsh_hadamard(st) is st
+    assert st.amp is amp  # mutated in place
+    assert np.array_equal(st.amp.view(np.uint64), ref.amp.view(np.uint64))
+
+
+def test_from_support_refuses_bad_indices():
+    with pytest.raises(ValueError, match="outside"):
+        StateVector.from_support(3, [-1])
+    with pytest.raises(ValueError, match="outside"):
+        StateVector.from_support(3, [8])
+    with pytest.raises(ValueError, match="outside"):
+        StateVector.from_support(3, np.array([1 << 63], dtype=np.uint64))
+    with pytest.raises(ValueError, match="repeats"):
+        StateVector.from_support(3, [2, 2])
+    with pytest.raises(ValueError, match="non-empty"):
+        StateVector.from_support(3, [])
+    with pytest.raises(ValueError, match="nonzero"):
+        StateVector.from_support(3, [1], weight=0)
+    with pytest.raises(ValueError, match="1 <= n <= 24"):
+        StateVector.from_support(40, [0])  # refused before 2^40 amplitudes are allocated
+
+
+def test_from_support_takes_arrays_as_they_are():
+    points = np.array([5, 1, 6], dtype=np.uint64)
+    st = StateVector.from_support(3, points, weight=1j)
+    assert np.array_equal(st.amp, StateVector.from_support(3, [1, 5, 6], weight=1j).amp)
+    assert np.count_nonzero(st.amp) == 3 and abs(st.norm() - 1.0) < 1e-12
+
+
 def test_keypair_state_is_uniform_coset(rng):
     o = small_world()
     with metered() as spent:
