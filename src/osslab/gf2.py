@@ -23,6 +23,7 @@ __all__ = [
     "Subspace",
     "chain_from_top",
     "sample_full_column_rank",
+    "span_arrays",
     "split_draws",
     "widened_normals",
     "widened_top",
@@ -274,13 +275,8 @@ class BitMatrix:
         points listed so far.  Refuses more than 64 rows."""
         if self.rows > 64:
             raise ValueError(f"a uint64 span holds at most 64 rows, not {self.rows}")
-        out = np.empty(1 << self.cols, dtype=np.uint64)
-        out[0] = shift
-        k = 1
-        for g in self.col_words:
-            np.bitwise_xor(out[:k], np.uint64(g), out=out[k : 2 * k])
-            k *= 2
-        return out
+        basis = np.array(self.col_words, dtype=np.uint64).reshape(1, self.cols)
+        return span_arrays(basis, shift)[0]
 
     def col_range(self, j: int, k: int) -> "BitMatrix":
         """Columns ``j..k`` inclusive (1-based); ``k = j - 1`` is the empty slice."""
@@ -390,6 +386,19 @@ class BitMatrix:
 
 
 _set_rows, _set_cols, _set_col_words = (vars(BitMatrix)[name].__set__ for name in BitMatrix.__slots__)
+
+
+def span_arrays(basis: np.ndarray, shifts) -> np.ndarray:
+    """The shifted span of each row of ``basis``, a (spans, dim) uint64
+    array, as a (spans, 2^dim) one, doubled in numpy: entry i is the
+    row's shift XOR the basis words at the set bits of i, span_ints'
+    order.  ``shifts`` is one word or one per row."""
+    spans, dim = basis.shape
+    out = np.empty((spans, 1 << dim), dtype=np.uint64)
+    out[:, 0] = shifts
+    for i in range(dim):
+        np.bitwise_xor(out[:, : 1 << i], basis[:, i, None], out=out[:, 1 << i : 2 << i])
+    return out
 
 
 def _transpose_words(words: Sequence[int], width: int) -> list[int]:

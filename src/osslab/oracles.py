@@ -86,6 +86,12 @@ def metered() -> Iterator[dict[str, int]]:
         spent.update({k: spent.pop(k) for k in QUERY_KEYS if k in spent})  # re-insert in order
 
 
+def _meter(key: str, k: int) -> None:
+    """Add k queries of kind key to each metered() block open in this context."""
+    for spent in _METERS.get():
+        spent[key] = spent.get(key, 0) + k
+
+
 class SeededStream:
     """Deterministic byte/bit stream: BLAKE2b in counter mode.
 
@@ -383,20 +389,25 @@ class PermutationEngine:
 _CosetEntry = tuple[tuple[BitMatrix, BitVec], ColumnDecoder]
 
 
+def _coset_stream(p: Params, seed: bytes, y: int) -> SeededStream:
+    """The stream that y's coset in the world (p, seed) is drawn from, in
+    the order CosetFamily gives: B, then C's candidates, then the shift.
+    Its label names the variant and y, not the permutation mode."""
+    return SeededStream(seed, b"coset", p.variant.encode(), y.to_bytes((p.r + 7) // 8, "big"))
+
+
 def _coset_deriver(p: Params, seed: bytes) -> Callable[[int], _CosetEntry]:
     """The derive of the world (p, seed): a plain function of y that
     returns y's (generator, shift) and the generator's ColumnDecoder,
     which the rank check of C's candidates fills."""
     n, r, ell = p.n, p.r, p.ell
     k = n - r
-    variant = p.variant.encode()
-    y_bytes = (r + 7) // 8
     forced = 1 << (n - ell) if p.variant == "incompressible" else 0  # bit l, 1-based from the top
 
     def derive(y: int) -> _CosetEntry:
         if not 0 <= y < 1 << r:
             raise ValueError(f"y = {y} is not an r = {r} bit hash value")
-        stream = SeededStream(seed, b"coset", variant, y.to_bytes(y_bytes, "big"))
+        stream = _coset_stream(p, seed, y)
         # Column j <= l is e_j over B's column j, so it leads at bit n - j and
         # the identity block is already in echelon form.  C's candidates have
         # no bits in the top l rows, so one depends on the columns kept before
@@ -489,8 +500,9 @@ class OracleSet:
     @functools.cached_property
     def perm(self) -> PermutationEngine:
         """The world's permutation, made on first read: the cosets and the
-        dual checks never read it, so a hash-only distinguisher world never
-        makes one.  Threads racing on the first read make equal engines."""
+        dual checks never read it, so a world that only derives cosets and
+        checks duals never makes one.  Threads racing on the first read
+        make equal engines."""
         return PermutationEngine(self.params.n, self.params.perm_mode, self.seed)
 
     # -- bookkeeping ----------------------------------------------------
@@ -502,8 +514,7 @@ class OracleSet:
             return
         with self._lock:
             self._counts[key] += k
-        for spent in _METERS.get():
-            spent[key] = spent.get(key, 0) + k
+        _meter(key, k)
 
     @functools.cached_property
     def dual_chain(self) -> Callable[[int], tuple[Subspace, ...]]:

@@ -130,14 +130,12 @@ def suite_correctness(seed: bytes) -> _Outcome:
 # -- 2: one-iteration identity and the 8-step phase cycle ---------------
 
 
-def _fresh_level_state(o, y, m, depth) -> _qsim.StateVector:
-    """Real uniform superposition over coset points whose first ``depth``
-    bits equal the message prefix (no phase)."""
-    pts = coset_points(o, y)
+def _fresh_level_state(n: int, pts: np.ndarray, m, depth) -> _qsim.StateVector:
+    """Real uniform superposition over the n-bit coset points ``pts`` whose
+    first ``depth`` bits equal the message prefix (no phase)."""
     if depth:
-        cut = o.params.n - depth
-        pts = pts[(pts >> cut) == m.prefix(depth).bits]
-    return _qsim.StateVector.from_support(o.params.n, pts)
+        pts = pts[(pts >> (n - depth)) == m.prefix(depth).bits]
+    return _qsim.StateVector.from_support(n, pts)
 
 
 @_battery("grover", "grover-identity", 30.0)
@@ -155,11 +153,12 @@ def suite_grover(seed: bytes) -> _Outcome:
         rng = _rng(seed, "grover", t)
         y = BitVec(r, int(rng.integers(0, 1 << r)))
         m = BitVec(ell, int(rng.integers(0, 1 << ell)))
+        pts = coset_points(o, y)  # every level of the walk is a slice of it
         for step in range(1, ell + 1):
-            state = _fresh_level_state(o, y, m, step - 1)
+            state = _fresh_level_state(n, pts, m, step - 1)
             _qsim.phase_prefix(state, step, m)
             _qsim.phase_dual(state, step, y, o)
-            target = _fresh_level_state(o, y, m, step)
+            target = _fresh_level_state(n, pts, m, step)
             target.amp *= _coset.STEP_PHASE
             worst = max(worst, float(np.max(np.abs(state.amp - target.amp))))
     metrics = [
@@ -177,11 +176,12 @@ def suite_grover(seed: bytes) -> _Outcome:
     rng = _rng(seed, "grover-cycle", 0)
     y = BitVec(4, int(rng.integers(0, 16)))
     m = BitVec(8, int(rng.integers(0, 256)))
-    state = _fresh_level_state(o, y, m, 0)
+    pts = coset_points(o, y)
+    state = _fresh_level_state(params.n, pts, m, 0)
     for step in range(1, 9):
         _qsim.phase_prefix(state, step, m)
         _qsim.phase_dual(state, step, y, o)
-    target = _fresh_level_state(o, y, m, 8)
+    target = _fresh_level_state(params.n, pts, m, 8)
     phase = complex(np.vdot(target.amp, state.amp))
     phase_err = abs(phase - 1.0)
     metrics.append(

@@ -10,11 +10,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from osslab import gf2
+from osslab import distlab, gf2
 from osslab.distlab import (
     ExperimentReport,
     Metric,
-    _hash_only_acceptance,
+    _hash_only_worlds,
     _invertible_rows,
     _syndrome_level,
     _trial_seed,
@@ -427,20 +427,97 @@ def test_distinguisher_query_profiles_are_pinned():
 
 
 def test_a_wrong_dual_basis_fails_the_hash_only_check(monkeypatch):
-    # one basis vector moved off the dual: half of each world's points
-    # must fail the bulk dual check, so no world accepts surely
-    real = BitMatrix.left_kernel
+    # one basis vector of the bulk kernel moved off the dual: half of each
+    # world's points must fail the bulk dual check, so no world accepts surely
+    real = distlab._kernel_bases
 
-    def skewed(self):
-        dual = real(self)
-        off = next(1 << i for i in range(self.rows) if not dual.contains_word(1 << i))
-        return Subspace.from_words(dual.ambient, dual.basis[:-1] + (dual.basis[-1] ^ off,))
+    def skewed(rows, n):
+        basis = real(rows, n)
+        held = np.bitwise_or.reduce(rows, axis=1)  # e_i is off the dual iff some row holds i
+        basis[:, -1] ^= held & -held
+        return basis
 
-    monkeypatch.setattr(BitMatrix, "left_kernel", skewed)
+    monkeypatch.setattr(distlab, "_kernel_bases", skewed)
     rep = run_collapse_distinguisher(6, 2, "hash-only", 20, SEED)
     (metric,) = rep.metrics
     assert metric.id == "acceptance_always_one"
     assert not metric.passed and metric.estimate == 0.0
+
+
+def test_a_dual_check_that_skips_the_last_column_fails_the_hash_only_check(monkeypatch):
+    # _dual_hits with its column loop one short: a point can no longer
+    # show an even parity with every column, so no world accepts surely
+    def skipping(points, cols):
+        even = np.zeros(points.shape, np.uint8)
+        for col in cols.T[:-1]:
+            even += (np.bitwise_count(points & col[:, None]) & 1) ^ 1
+        return np.count_nonzero(even == cols.shape[1], axis=1)
+
+    monkeypatch.setattr(distlab, "_dual_hits", skipping)
+    rep = run_collapse_distinguisher(6, 2, "hash-only", 20, SEED)
+    (metric,) = rep.metrics
+    assert not metric.passed and metric.estimate == 0.0
+
+
+def _reference_world(o, y):
+    """One hash-only world, checked on its own OracleSet: the generator's
+    columns, the points of its left kernel and how many pass the dual
+    check, in one dual_checks call."""
+    gen, _ = o.coset_of(y)
+    points = gen.left_kernel().element_ints()
+    return gen.col_words, points, sum(o.dual_checks(1, y, points))
+
+
+def _hash_only_acceptance(o, y):
+    """Acceptance with the coset register intact: the dual check averaged
+    over the dual of the generator, which the transformed state is
+    uniform over."""
+    _, points, hits = _reference_world(o, y)
+    return hits / len(points)
+
+
+def _reference_worlds(n, r, trials, seed):
+    """The per-world reference for the bulk hash-only pass: for each
+    trial, its world built on its own, as run_collapse_distinguisher did
+    before the bulk pass, with the world's points sorted."""
+    params = Params(n=n, r=r, ell=0, variant="original", perm_mode="feistel")
+    for t in range(trials):
+        world_seed = _trial_seed(seed, t)
+        o = build_oracles(params, world_seed)
+        cols, points, hits = _reference_world(o, SeededStream(world_seed, b"pick-y").bitvec(r))
+        yield cols, sorted(points), hits
+
+
+def _bulk_worlds(n, r, trials, seed):
+    """The bulk pass's worlds in the reference's form."""
+    params = Params(n=n, r=r, ell=0, variant="original", perm_mode="feistel")
+    for cols, points, hits in _hash_only_worlds(params, trials, seed):
+        for c, p, h in zip(cols.tolist(), points, hits.tolist()):
+            yield tuple(c), sorted(p.tolist()), h
+
+
+@pytest.mark.parametrize("n, r, trials", [(6, 2, 2000), (20, 8, 200), (64, 16, 2)])
+def test_bulk_hash_only_worlds_match_the_per_world_reference(n, r, trials):
+    bulk = list(_bulk_worlds(n, r, trials, SEED))
+    assert bulk == list(_reference_worlds(n, r, trials, SEED))
+    assert all(len(points) == hits == 1 << r for _, points, hits in bulk)
+
+
+def test_worlds_whose_slab_runs_out_take_the_derived_columns(monkeypatch):
+    # with one-byte blocks a (6, 2) world's slab holds 5 candidates, so a
+    # world that rejects two of them runs out and derives (68 of 2,000)
+    derived = []
+    real = distlab._coset_deriver
+
+    def counted(params, seed):
+        derived.append(seed)
+        return real(params, seed)
+
+    monkeypatch.setattr(distlab, "_SLAB_BLOCK", 1)
+    monkeypatch.setattr(distlab, "_coset_deriver", counted)
+    bulk = list(_bulk_worlds(6, 2, 2000, SEED))
+    assert 0 < len(derived) < 2000
+    assert bulk == list(_reference_worlds(6, 2, 2000, SEED))
 
 
 def test_distinguisher_first_bit_matches_closed_form():
