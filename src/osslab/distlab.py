@@ -269,8 +269,7 @@ class chain_by_matrix(ChainSampler):
     normals once per mp_bits, and each chain once per (top, mp_bits),
     all in the constructor: index m_index's chains are one list, indexed
     by mp_bits, shared by every M with the same top, and counts() counts
-    each list once, weighted by that number of M.  Equal chains are one
-    interned object, so counting them compares by identity.
+    each list once, weighted by that number of M.
     """
 
     def __init__(self, mat: BitMatrix, n: int, r: int, ell: int, s: int) -> None:
@@ -292,7 +291,6 @@ class chain_by_matrix(ChainSampler):
         # list number, the same for equal kept columns and equal tops
         by_kept: dict[tuple[int, ...], int] = {}
         by_top: dict[Subspace, int] = {}
-        interned: dict[SubspaceTuple, SubspaceTuple] = {}
         self._lists: list[list[SubspaceTuple]] = []
         self._entries: list[int] = []
         for cols in _invertible_rows(d):
@@ -304,9 +302,7 @@ class chain_by_matrix(ChainSampler):
                 at = by_top.get(top)
                 if at is None:
                     at = by_top[top] = len(self._lists)
-                    self._lists.append(
-                        [interned.setdefault(chain, chain) for chain in (chain_from_top(top, nm) for nm in normals)]
-                    )
+                    self._lists.append([chain_from_top(top, nm) for nm in normals])
                 by_kept[kept] = at
             self._entries.append(at)
         self.domain_size = len(self._entries) * self._mp_count
@@ -326,31 +322,25 @@ class chain_by_matrix(ChainSampler):
         return counts
 
 
-def _invertible_rows(d: int) -> list[tuple[int, ...]]:
-    """Every ordered basis of Z2^d, which chain_by_matrix reads as the
-    columns of an invertible d x d matrix, in ascending order of the
-    d*d-bit word that packs its words first to last (d >= 1).
+def _invertible_rows(
+    d: int, rows: tuple[int, ...] = (), span: frozenset[int] = frozenset({0})
+) -> Iterator[tuple[int, ...]]:
+    """Every ordered basis of Z2^d that completes ``rows`` (whose span is
+    ``span``), which chain_by_matrix reads as the columns of an invertible
+    d x d matrix, in ascending order of the d*d-bit word that packs its
+    words first to last (d >= 1).
 
     Words are chosen first to last, each in ascending order among the
     words outside the span of those before it, so the order matches a
     scan of all 2^(d*d) words and no rank is ever tested.
     """
-    out: list[tuple[int, ...]] = []
-    _grow_invertible_rows(d, (), {0}, out)
-    return out
-
-
-def _grow_invertible_rows(d: int, rows: tuple[int, ...], span: set[int], out: list) -> None:
-    """Append to ``out`` every completion of ``rows``, whose span is
-    ``span``, in _invertible_rows' order.  A module function rather than a
-    closure, so the recursion leaves no reference cycle behind."""
-    if len(rows) == d - 1:
-        # the last word completes the basis, so its span is never needed
-        out.extend(rows + (w,) for w in range(1 << d) if w not in span)
-        return
     for w in range(1 << d):
-        if w not in span:
-            _grow_invertible_rows(d, rows + (w,), span | {w ^ x for x in span}, out)
+        if w in span:
+            continue
+        if len(rows) == d - 1:  # the last word completes the basis
+            yield rows + (w,)
+        else:
+            yield from _invertible_rows(d, rows + (w,), span | {w ^ x for x in span})
 
 
 Distribution = dict[SubspaceTuple, Fraction]
@@ -397,8 +387,7 @@ def _hash_only_worlds(
     stream and one slab read of y's coset stream, whose C candidates come
     first as the world has l = 0.  C's draw, the kernel, its points and
     the dual check then run across the chunk in numpy.  Each chunk spends
-    its 2^r D queries per world at once, as one dual_checks call per world
-    would.
+    its 2^r D queries per world at once, one for each point checked.
     """
     params.check_buildable()
     n, r = params.n, params.r
@@ -539,6 +528,8 @@ def run_collapse_distinguisher(
         # At r = 16 a world holds 2^16 points, 512 KB, and takes about 0.7 ms
         # at n = 20 and 3.5 ms at n = 64.
         raise ValueError("hash-only needs r <= 16: each trial lists all 2^r dual points")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if case == "hash-first-bit" and trials < 2:
         raise ValueError("hash-first-bit needs at least 2 trials for its standard error")
     report_params = {"n": n, "r": r, "case": case}
@@ -628,8 +619,7 @@ def validate_collapse_shortcut(n: int, r: int, seed: bytes) -> float:
         o = build_oracles(params, _trial_seed(seed, 1000 + t))
         stream = SeededStream(_trial_seed(seed, 1000 + t), b"pick-y")
         y = stream.bitvec(r)
-        accept = o.dual_checks(1, y, range(1 << n))
-        accept_idx = [w for w, hit in enumerate(accept) if hit]
+        accept_idx = [w for w in range(1 << n) if o.dual_check(1, y, BitVec(n, w))]
         # intact coset state
         state = coset_state(o, y)
         walsh_hadamard(state)

@@ -11,7 +11,7 @@ operations return fresh objects.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -494,23 +494,16 @@ class Subspace:
 
     Two subspaces are equal as sets iff their dataclass fields compare
     equal, because the constructor always reduces the generating set to
-    the unique RREF basis.  The hash of those fields is computed on first
-    use and kept in ``_hash``, as chains of subspaces key dict lookups.
+    the unique RREF basis, and the dataclass hashes those same fields.
     """
 
     ambient: int
     basis: tuple[int, ...]
-    _hash: Optional[int] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if tuple(_rref_words(self.basis)) != self.basis:
             raise ValueError("basis is not in canonical form; use from_words")
         _check_width(self.ambient, self.basis)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.ambient, self.basis)))
-        return self._hash
 
     @classmethod
     def _trusted(cls, ambient: int, basis: tuple[int, ...]) -> "Subspace":
@@ -519,7 +512,6 @@ class Subspace:
         obj = object.__new__(cls)
         _set_ambient(obj, ambient)
         _set_basis(obj, basis)
-        _set_hash(obj, None)
         return obj
 
     @classmethod
@@ -612,7 +604,7 @@ class Subspace:
         return Subspace._trusted(self.ambient, tuple(cut) + basis[k + 1 :])
 
 
-_set_ambient, _set_basis, _set_hash = (vars(Subspace)[name].__set__ for name in Subspace.__slots__)
+_set_ambient, _set_basis = (vars(Subspace)[name].__set__ for name in Subspace.__slots__)
 
 
 def chain_from_top(top: Subspace, normals: Sequence[BitVec]) -> tuple[Subspace, ...]:

@@ -20,7 +20,7 @@ import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -447,9 +447,7 @@ class CosetFamily:
     [0, 2^r) is refused with ``ValueError``.
 
     ``derive_cache``, a ``functools.lru_cache`` wrapper around the plain
-    function that ``_coset_deriver`` builds for the world (a
-    ``functools.partial`` would make every new world pay for the
-    ``AttributeError``s of copying its metadata), keeps the last
+    function that ``_coset_deriver`` builds for the world, keeps the last
     COSET_CACHE_SIZE entries ``((generator, shift), decoder)``; its
     ``cache_info()`` reports hits and misses.  ``derive`` returns the
     entry's ``(generator, shift)``, the same object on every hit.
@@ -481,29 +479,28 @@ class OracleSet:
     decode/encode speak BitVec on the outside; y is r bits, coset points
     are n bits.  query_counts() is the monotone total over all users of
     the instance; wrap an operation in metered() to profile it.  The
-    inverse and membership queries read y's ColumnDecoder from the coset
-    cache, where derive put it.  The chain caches build from
-    ``self.cosets`` and never refer back to their owner, so a dropped
-    world is freed at once rather than by the cycle collector.
+    constructor makes the world's PermutationEngine, whose round states
+    or table are built on the first query that reads the permutation, and
+    ``dual_chain``, a one-slot ``functools.lru_cache`` of y's dual levels
+    (y an int).  The inverse and membership queries read y's
+    ColumnDecoder from the coset cache, where derive put it.  The chain
+    caches build from ``self.cosets`` and never refer back to their
+    owner, so a dropped world is freed at once rather than by the cycle
+    collector.
     """
 
     def __init__(self, params: Params, seed: bytes) -> None:
         if len(seed) != 32:
             raise ValueError("seed must be exactly 32 bytes")
-        params.check_buildable()  # refuses a width first
+        self.perm = PermutationEngine(params.n, params.perm_mode, seed)  # refuses a width first
         self.params = params
         self.seed = seed
-        self.cosets = CosetFamily(params, seed)
+        cosets = self.cosets = CosetFamily(params, seed)
+        # phase_dual's walks in the grover and backends batteries read one y l
+        # times; a closure, as update_wrapper copies a partial's metadata slowly
+        self.dual_chain = functools.lru_cache(maxsize=1)(lambda y: _dual_chain(cosets, y))
         self._counts = dict.fromkeys(QUERY_KEYS, 0)
         self._lock = threading.Lock()
-
-    @functools.cached_property
-    def perm(self) -> PermutationEngine:
-        """The world's permutation, made on first read: the cosets and the
-        dual checks never read it, so a world that only derives cosets and
-        checks duals never makes one.  Threads racing on the first read
-        make equal engines."""
-        return PermutationEngine(self.params.n, self.params.perm_mode, self.seed)
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -515,12 +512,6 @@ class OracleSet:
         with self._lock:
             self._counts[key] += k
         _meter(key, k)
-
-    @functools.cached_property
-    def dual_chain(self) -> Callable[[int], tuple[Subspace, ...]]:
-        """One-slot ``lru_cache`` of y's dual levels (y an int), made on first read;
-        phase_dual's walks in the grover and backends batteries read one y l times."""
-        return functools.lru_cache(maxsize=1)(functools.partial(_dual_chain, self.cosets))
 
     def query_counts(self) -> dict[str, int]:
         with self._lock:
@@ -584,35 +575,17 @@ class OracleSet:
 
     def dual_check(self, j: int, y: BitVec, v: BitVec) -> int:
         """1 iff v is orthogonal to columns j..n-r of the generator for y
-        and 1 <= j <= l + 1; otherwise 0.  One D query."""
-        if v.n != self.params.n:
-            raise ValueError("dual_check expects r-bit y and n-bit v")
-        return self.dual_checks(j, y, (v.bits,))[0]
-
-    def dual_checks(self, j: int, y: BitVec, words: Sequence[int]) -> list[int]:
-        """dual_check(j, y, v) for the n-bit v of each packed word, in order:
-        one D query per word, counted at once, on one derive of y.  Refuses,
-        uncounted, a y that is not r bits and a word that is not n bits."""
+        and 1 <= j <= l + 1; otherwise 0.  One D query; refuses, uncounted,
+        a y that is not r bits and a v that is not n bits."""
         p = self.params
-        if y.n != p.r:
+        if y.n != p.r or v.n != p.n:
             raise ValueError("dual_check expects r-bit y and n-bit v")
-        limit = 1 << p.n
-        for w in words:
-            if not 0 <= w < limit:
-                raise ValueError(f"dual_check expects n = {p.n} bit words, got {w}")
-        self._count("D", len(words))
+        self._count("D")
         if not 1 <= j <= p.ell + 1:
-            return [0] * len(words)
+            return 0
+        w = v.bits
         cols = self.cosets.derive(y.bits)[0].col_words[j - 1 :]
-        out = []
-        for w in words:
-            accept = 1
-            for c in cols:
-                if (c & w).bit_count() & 1:
-                    accept = 0
-                    break
-            out.append(accept)
-        return out
+        return 0 if any((c & w).bit_count() & 1 for c in cols) else 1
 
     def spend_walk(self, y: BitVec) -> None:
         """The signing walk's l D queries on y, one at each level 1..l, counted

@@ -151,7 +151,7 @@ def suite_grover(seed: bytes) -> _Outcome:
         params = Params(n=n, r=r, ell=ell, perm_mode="feistel")
         o = build_oracles(params, _world_seed(seed, "grover", t))
         rng = _rng(seed, "grover", t)
-        y = BitVec(r, int(rng.integers(0, 1 << r)))
+        y = _scheme.draw_key(o, rng)
         m = BitVec(ell, int(rng.integers(0, 1 << ell)))
         pts = coset_points(o, y)  # every level of the walk is a slice of it
         for step in range(1, ell + 1):
@@ -174,7 +174,7 @@ def suite_grover(seed: bytes) -> _Outcome:
     params = Params(n=14, r=4, ell=8, perm_mode="feistel")
     o = build_oracles(params, _world_seed(seed, "grover-cycle", 0))
     rng = _rng(seed, "grover-cycle", 0)
-    y = BitVec(4, int(rng.integers(0, 16)))
+    y = _scheme.draw_key(o, rng)
     m = BitVec(8, int(rng.integers(0, 256)))
     pts = coset_points(o, y)
     state = _fresh_level_state(params.n, pts, m, 0)
@@ -244,7 +244,7 @@ def suite_census(seed: bytes) -> _Outcome:
     for t in range(worlds):
         o = build_oracles(params, _world_seed(seed, "census", t))
         rng = _rng(seed, "census", t)
-        y = BitVec(16, int(rng.integers(0, 1 << 16)))
+        y = _scheme.draw_key(o, rng)
         ms = [BitVec(8, int(rng.integers(0, 256))) for _ in range(messages)]
         for counts in signature_set_census(o, y, ms):
             for j, c in enumerate(counts):

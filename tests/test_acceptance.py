@@ -10,6 +10,7 @@ runtime budget are pinned.
 
 import inspect
 
+from osslab import gf2
 from osslab.suites import SUITES, default_seed
 
 SEED = default_seed()
@@ -81,6 +82,17 @@ def test_c09_hash_and_sign():
 
 def test_c10_query_profiles():
     check(10, "queries", "query-profiles", 5.0, {"n": 8, "r": 3, "l": 2}, 2)
+
+
+def test_no_battery_transposes_or_builds_a_matrix_from_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a matrix was transposed or built from rows")
+
+    monkeypatch.setattr(gf2, "_transpose_words", refuse)
+    monkeypatch.setattr(gf2.BitMatrix, "__init__", refuse)
+    for key, suite in SUITES.items():
+        report = suite(SEED)
+        assert report.passed, f"{key}:\n{report.render()}"
 
 
 def test_every_battery_takes_only_the_seed():

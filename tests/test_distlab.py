@@ -12,6 +12,7 @@ import pytest
 
 from osslab import distlab, gf2
 from osslab.distlab import (
+    DISTINGUISHER_TRIALS,
     ExperimentReport,
     Metric,
     _hash_only_worlds,
@@ -32,7 +33,7 @@ from osslab.distlab import (
     validate_collapse_shortcut,
 )
 from osslab.gf2 import BitMatrix, BitVec, Subspace, sample_full_column_rank
-from osslab.oracles import Params, SeededStream, build_oracles, metered
+from osslab.oracles import OracleSet, Params, SeededStream, build_oracles, metered
 from osslab.suites import SUITES, _world_seed, default_seed
 
 SEED = bytes(range(32))
@@ -186,14 +187,13 @@ def test_distributions_battery_reduces_no_span_from_its_words(monkeypatch):
     assert report.passed, report.render()
 
 
-def test_matrix_chains_are_interned():
-    n, r, ell, s = 6, 1, 1, 2
-    sampler = chain_by_matrix(toy_matrix(n, r, b"intern"), n, r, ell, s)
-    first: dict = {}
-    for index in range(0, sampler.domain_size, 7):
-        chain = sampler.tuple_at(index)
-        assert first.setdefault(chain, chain) is chain
-    assert len(first) < sampler.domain_size // 7
+def test_distributions_battery_counts_matrix_chains_without_tuple_at(monkeypatch):
+    def refuse(self, index):
+        raise AssertionError("a matrix chain was looked up one index at a time")
+
+    monkeypatch.setattr(chain_by_matrix, "tuple_at", refuse)
+    report = SUITES["distributions"](default_seed())
+    assert report.passed, report.render()
 
 
 @pytest.mark.parametrize("shape", [(4, 1, 1, 1), (5, 1, 2, 2), (6, 1, 1, 2)])
@@ -268,14 +268,14 @@ def validate_chain(tpl, n, r, extra):
 def test_invertible_rows_scan_every_word_in_order(d):
     words = range(1 << (d * d))
     rows = [tuple((w >> (d * (d - 1 - t))) & ((1 << d) - 1) for t in range(d)) for w in words]
-    assert _invertible_rows(d) == [m for m in rows if BitMatrix(d, d, m).rank() == d]
+    assert list(_invertible_rows(d)) == [m for m in rows if BitMatrix(d, d, m).rank() == d]
 
 
 def test_invertible_rows_leave_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        rows = _invertible_rows(3)
+        rows = list(_invertible_rows(3))
         assert len(rows) == 168  # |GL(3, 2)|
         del rows
         assert gc.collect() == 0
@@ -364,6 +364,15 @@ def test_census_matches_one_enumeration_per_message(params):
     assert signature_set_census(o, y, messages) == expect
 
 
+def test_census_battery_enumerates_no_coset_through_xor_span_ints(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a census coset was enumerated through xor_span_ints")
+
+    monkeypatch.setattr(gf2, "xor_span_ints", refuse)
+    report = SUITES["census"](default_seed())
+    assert report.passed, report.render()
+
+
 def test_census_guard_on_huge_cosets():
     o = build_oracles(Params(n=40, r=10, ell=2, perm_mode="feistel"), SEED)
     with pytest.raises(ValueError):
@@ -417,6 +426,24 @@ def test_distinguisher_hash_only_is_exactly_one():
     assert metric.estimate == 1.0
 
 
+def test_hash_only_distinguisher_builds_no_world_and_takes_no_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a hash-only world was built or reduced on its own")
+
+    monkeypatch.setattr(OracleSet, "__init__", refuse)
+    monkeypatch.setattr(BitMatrix, "left_kernel", refuse)
+    rep = run_collapse_distinguisher(6, 2, "hash-only", 10_000, default_seed())
+    (metric,) = rep.metrics
+    assert metric.id == "acceptance_always_one" and metric.estimate == 1.0
+
+
+@pytest.mark.parametrize("case", sorted(DISTINGUISHER_TRIALS))
+@pytest.mark.parametrize("trials", [0, -3])
+def test_distinguisher_refuses_fewer_than_one_trial(case, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_collapse_distinguisher(6, 2, case, trials, SEED)
+
+
 def test_distinguisher_query_profiles_are_pinned():
     with metered() as spent:
         run_collapse_distinguisher(6, 2, "hash-only", 50, SEED)
@@ -462,10 +489,11 @@ def test_a_dual_check_that_skips_the_last_column_fails_the_hash_only_check(monke
 def _reference_world(o, y):
     """One hash-only world, checked on its own OracleSet: the generator's
     columns, the points of its left kernel and how many pass the dual
-    check, in one dual_checks call."""
+    check, asked of dual_check one point at a time."""
     gen, _ = o.coset_of(y)
     points = gen.left_kernel().element_ints()
-    return gen.col_words, points, sum(o.dual_checks(1, y, points))
+    n = o.params.n
+    return gen.col_words, points, sum(o.dual_check(1, y, BitVec(n, w)) for w in points)
 
 
 def _hash_only_acceptance(o, y):

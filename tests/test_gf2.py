@@ -685,12 +685,10 @@ def test_public_constructor_rejects_non_canonical_basis():
     assert Subspace(4, (0b1100, 0b0011)) == Subspace.from_words(4, [0b0011, 0b1111])
 
 
-def test_subspace_hash_is_cached_and_follows_equality():
+def test_subspace_hash_follows_equality():
     public = Subspace(4, (0b1100, 0b0011))
     trusted = Subspace.from_words(4, [0b0011, 0b1111])
-    assert public._hash is None and trusted._hash is None  # filled on first use
     assert hash(public) == hash(trusted) == hash((4, (0b1100, 0b0011)))
-    assert trusted._hash == hash(trusted)
     assert public == trusted and {public: 1}[trusted] == 1
     assert repr(public) == "Subspace(ambient=4, basis=(12, 3))"
 

@@ -709,32 +709,28 @@ def dual_check_worlds(draw):
 @given(dual_check_worlds(), st.binary(min_size=32, max_size=32))
 @example((Params(n=6, r=2, ell=0, variant="original"), 1, 3, list(range(64))), SEED)
 @example((Params(n=8, r=3, ell=2), 3, 5, [0, 255, 17]), SEED)
-def test_dual_checks_is_dual_check_per_word(world, seed):
+def test_dual_check_is_membership_in_its_dual_level(world, seed):
     p, j, y, words = world
-    bulk, single = build_oracles(p, seed), build_oracles(p, seed)
+    o = build_oracles(p, seed)
     yv = BitVec(p.r, y)
     with metered() as spent:
-        answers = bulk.dual_checks(j, yv, words)
-    assert answers == [single.dual_check(j, yv, BitVec(p.n, w)) for w in words]
-    # and both are membership in level j of the dual chain, built uncounted
+        answers = [o.dual_check(j, yv, BitVec(p.n, w)) for w in words]
+    # level j of the dual chain, built uncounted; no level outside 1..l+1
     level = build_oracles(p, seed).dual_chain(y)[j - 1] if 1 <= j <= p.ell + 1 else None
     assert answers == [int(level is not None and level.contains_word(w)) for w in words]
-    counts = {"P": 0, "Pinv": 0, "D": len(words), "D0": 0, "Dprime": 0}
-    assert bulk.query_counts() == single.query_counts() == counts
+    assert o.query_counts() == {"P": 0, "Pinv": 0, "D": len(words), "D0": 0, "Dprime": 0}
     assert spent == ({"D": len(words)} if words else {})
 
 
-def test_dual_checks_refuses_a_wrong_width_uncounted():
+def test_dual_check_refuses_a_wrong_width_uncounted():
     o = small_world()  # n = 8, r = 3
     y = BitVec(3, 1)
-    refused = [(1, y, [0, 256]), (1, y, [-1]), (4, y, [1 << 9]), (1, BitVec(4, 1), [0]), (1, BitVec(2, 1), [])]
-    for j, yy, words in refused:
+    v = BitVec(8, 0)
+    refused = [(1, y, BitVec(9, 0)), (1, y, BitVec(7, 0)), (4, y, BitVec(9, 1)), (1, BitVec(4, 1), v), (1, BitVec(2, 1), v)]
+    for j, yy, vv in refused:
         with metered() as spent, pytest.raises(ValueError):
-            o.dual_checks(j, yy, words)
+            o.dual_check(j, yy, vv)
         assert spent == {}
-    with pytest.raises(ValueError), metered() as spent:
-        o.dual_check(1, y, BitVec(9, 0))
-    assert spent == {}
     assert o.query_counts()["D"] == 0
     assert o.cosets.derive_cache.cache_info().currsize == 0  # nothing derived either
 
