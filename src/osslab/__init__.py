@@ -27,7 +27,6 @@ from .scheme import (
     PublicKey,
     SecretKey,
     Signature,
-    allow_test_cloning,
     extract_collision,
     generate,
     hs_sign,
@@ -54,7 +53,6 @@ __all__ = [
     "PublicKey",
     "SecretKey",
     "Signature",
-    "allow_test_cloning",
     "generate",
     "sign",
     "verify",

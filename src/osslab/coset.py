@@ -60,10 +60,6 @@ class CosetState:
     def n(self) -> int:
         return self.gen.rows
 
-    def copy(self) -> "CosetState":
-        """Frozen, so a copy is the state itself."""
-        return self
-
 
 def grover_step(st: CosetState, step: int, m: BitVec) -> CosetState:
     """One signing iteration: pin message bit ``step`` and rotate the phase.

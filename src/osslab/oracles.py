@@ -111,6 +111,8 @@ class SeededStream:
         self._pos = 0
 
     def read(self, nbytes: int) -> bytes:
+        if nbytes < 0:  # a negative count would move the position back
+            raise ValueError(f"cannot read {nbytes} bytes")
         pos = self._pos
         end = pos + nbytes
         buf = self._buf
@@ -148,8 +150,8 @@ class SeededStream:
 
     def bits(self, k: int) -> int:
         """Next k bits as an int, MSB first."""
-        if k == 0:
-            return 0
+        if k < 0:
+            raise ValueError(f"cannot read {k} bits")
         data = self.read((k + 7) // 8)
         return int.from_bytes(data, "big") >> (8 * len(data) - k)
 
@@ -595,6 +597,16 @@ class OracleSet:
             raise ValueError("y must have r bits")
         self._count("D", self.params.ell)
 
+    def _level(self, key: str, chain, j: int, y: BitVec) -> Subspace:
+        """One ``key`` query's accepted set: level j of ``chain(y)``.
+        Refuses, uncounted, a j outside 1..l+1 and a y that is not r bits."""
+        if not 1 <= j <= self.params.ell + 1:
+            raise ValueError(f"a {key} query needs 1 <= j <= l + 1")
+        if y.n != self.params.r:
+            raise ValueError("y must have r bits")
+        self._count(key)
+        return chain(y.bits)[j - 1]
+
     def dual_support(self, j: int, y: BitVec) -> Subspace:
         """Accepted set of dual_check(j, y, .) as a subspace.
 
@@ -602,14 +614,8 @@ class OracleSet:
         apply the check across a whole register use it once per logical
         query, and it counts as one D query.  Every level comes from the
         chain for y, which is built once and shared by all l + 1 levels.
-        Refuses, uncounted, a j outside 1..l+1 and a y that is not r bits.
         """
-        if not 1 <= j <= self.params.ell + 1:
-            raise ValueError("a D query needs 1 <= j <= l + 1")
-        if y.n != self.params.r:
-            raise ValueError("y must have r bits")
-        self._count("D")
-        return self.dual_chain(y.bits)[j - 1]
+        return self._level("D", self.dual_chain, j, y)
 
     def coset_check(self, y: BitVec, u: BitVec) -> int:
         """Membership oracle: 1 iff u lands in the shifted column span for y."""
@@ -656,13 +662,7 @@ class OracleSet:
 
     def bloated_support(self, j: int, y: BitVec) -> Subspace:
         """Accepted set of dual_check_bloated at level j (one Dprime query)."""
-        p = self.params
-        if not 1 <= j <= p.ell + 1:
-            raise ValueError("bloated_support needs 1 <= j <= l + 1")
-        if y.n != p.r:
-            raise ValueError("y must have r bits")
-        self._count("Dprime")
-        return self._bloat_for(y.bits)[j - 1]
+        return self._level("Dprime", self._bloat_for, j, y)
 
 
 def _bloat_chain(cosets: CosetFamily, seed: bytes, y: int) -> tuple[Subspace, ...]:

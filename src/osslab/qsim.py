@@ -21,7 +21,7 @@ the same size; it gives the same bits as the in-place radix-2 form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,17 +69,20 @@ class StateVector:
         a phase/weight factor of modulus 1.
 
         ``indices`` is any integer sequence or array, taken as is.
-        Refuses an empty support, a zero weight, an index outside
-        [0, 2^n) and a repeated index.
+        Refuses an empty support, indices of a non-integer dtype (floats
+        or a bool mask), a weight of modulus other than 1, an index
+        outside [0, 2^n) and a repeated index.
         """
         state = cls(n)  # refuses n outside [1, MAX_QUBITS] before allocating
         amp = state.amp
         amp[0] = 0.0
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size == 0:
+        idx = np.asarray(indices)
+        if idx.size == 0:  # checked first: np.asarray([]) is a float array
             raise ValueError("support must be non-empty")
-        if weight == 0:
-            raise ValueError("support weight must be nonzero")
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"support indices must be integers, got dtype {idx.dtype}")
+        if abs(abs(weight) - 1.0) > _NORM_TOL:
+            raise ValueError(f"support weight must be nonzero and of modulus 1, got {weight!r}")
         if idx.min() < 0 or idx.max() >= amp.shape[0]:
             raise ValueError(f"support index outside [0, 2^{n})")
         amp[idx] = weight / np.sqrt(idx.size)
@@ -109,9 +112,6 @@ class CosetAmplitudes:
     shift: BitVec
     points: np.ndarray
     amp: np.ndarray
-
-    def copy(self) -> "CosetAmplitudes":
-        return replace(self, amp=self.amp.copy())
 
 
 def coset_state(o: OracleSet, y: BitVec) -> StateVector:

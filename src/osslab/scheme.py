@@ -10,8 +10,10 @@ coset.sign_with_coset).
 
 A secret key is consumable.  Signing atomically claims it before doing
 any work; a second sign attempt on the same key object raises
-OneShotViolation.  There is deliberately no way to copy a live key
-outside of tests (see allow_test_cloning).
+OneShotViolation.  There is no way to copy a live key.  sign takes a key
+whole, so every live key is fresh, and a second key for the same y is the
+rebuild SecretKey(backend, key_state(o, backend, y)), which the CLI makes
+for every key token.
 
 sign and verify serve every world that can sign.  An incompressible
 world takes (l-1)-bit messages, signs m || 0, and verifies with a single
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Union
 
@@ -38,7 +39,6 @@ __all__ = [
     "PublicKey",
     "SecretKey",
     "Signature",
-    "allow_test_cloning",
     "draw_key",
     "key_state",
     "generate",
@@ -55,8 +55,6 @@ __all__ = [
 BACKENDS = ("statevector", "symbolic")
 
 KeyState = Union[_qsim.CosetAmplitudes, _coset.CosetState]
-
-_clone_flag = threading.local()
 
 
 class OneShotViolation(RuntimeError):
@@ -113,27 +111,6 @@ class SecretKey:
             self._consumed = True
             state, self._state = self._state, None
         return state
-
-    def clone_for_tests(self) -> "SecretKey":
-        """Copy a live key.  Physically impossible for the real object;
-        only allowed inside an allow_test_cloning() block so that tests
-        can compare backends or forge honest collisions."""
-        if not getattr(_clone_flag, "on", False):
-            raise RuntimeError("secret keys cannot be cloned outside allow_test_cloning()")
-        with self._lock:
-            if self._consumed:
-                raise OneShotViolation("secret key already consumed")
-            state = self._state
-        return SecretKey(self.backend, state.copy())
-
-
-@contextmanager
-def allow_test_cloning():
-    _clone_flag.on = True
-    try:
-        yield
-    finally:
-        _clone_flag.on = False
 
 
 def _check_world(o: OracleSet, pk: PublicKey) -> None:

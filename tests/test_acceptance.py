@@ -10,7 +10,9 @@ runtime budget are pinned.
 
 import inspect
 
-from osslab import gf2
+import pytest
+
+from osslab import coset, distlab, gf2
 from osslab.suites import SUITES, default_seed
 
 SEED = default_seed()
@@ -84,15 +86,40 @@ def test_c10_query_profiles():
     check(10, "queries", "query-profiles", 5.0, {"n": 8, "r": 3, "l": 2}, 2)
 
 
-def test_no_battery_transposes_or_builds_a_matrix_from_rows(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a matrix was transposed or built from rows")
+# The per-element paths a battery must not take.  No battery transposes a
+# matrix or builds one from rows; the rest are paths that one battery
+# replaced with a bulk one.
+NO_BATTERY_TAKES = [
+    (gf2, "_transpose_words", "a matrix was transposed"),
+    (gf2.BitMatrix, "__init__", "a matrix was built from rows"),
+]
+SUPPORT_LIST = (coset, "enumerate_support", "a support was enumerated as a list of BitVecs")
+REFUSED = {
+    "census": [(gf2, "xor_span_ints", "a census coset was enumerated through xor_span_ints")],
+    "distributions": [
+        (gf2.Subspace, "from_words", "a span was row-reduced from its words"),
+        (distlab.chain_by_matrix, "tuple_at", "a matrix chain was looked up one index at a time"),
+    ],
+    "grover": [SUPPORT_LIST],
+    "backends": [SUPPORT_LIST],
+}
 
-    monkeypatch.setattr(gf2, "_transpose_words", refuse)
-    monkeypatch.setattr(gf2.BitMatrix, "__init__", refuse)
-    for key, suite in SUITES.items():
-        report = suite(SEED)
-        assert report.passed, f"{key}:\n{report.render()}"
+
+@pytest.mark.parametrize("key", list(SUITES))
+def test_battery_takes_no_refused_path(key, monkeypatch):
+    """The hash-only distinguisher's refusals are a test of their own
+    (tests/test_distlab.py): the distinguisher battery's dense
+    cross-check builds worlds on purpose."""
+    for owner, name, what in NO_BATTERY_TAKES + REFUSED.get(key, []):
+
+        def refuse(*args, what=what):
+            raise AssertionError(what)
+
+        if isinstance(inspect.getattr_static(owner, name), classmethod):
+            refuse = classmethod(refuse)
+        monkeypatch.setattr(owner, name, refuse)
+    report = SUITES[key](SEED)
+    assert report.passed, report.render()
 
 
 def test_every_battery_takes_only_the_seed():

@@ -457,12 +457,30 @@ def test_distinguisher_subcommand(capsys):
     assert all(m["pass"] for m in doc["metrics"])
 
 
-def test_bench_subcommand(world, capsys):
+def test_bench_subcommand(world, tmp_path, capsys):
     assert run("bench", "--world", str(world), "--ops", "5", "--json") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ops"] == 5
     # l = 2 dual queries per sign, one decode per verify, zeros listed
     assert doc["query_delta"] == {"P": 0, "Pinv": 5, "D": 10, "D0": 0, "Dprime": 0}
+    # the same profile on the dense backend, on a dense key of 2^12 points,
+    # and on symbolic keys of 2^24 and 2^32 points in Feistel worlds
+    shapes = [
+        ("12", "4", "3", "table", "statevector"),
+        ("20", "8", "6", "table", "statevector"),
+        ("32", "8", "8", "feistel", "symbolic"),
+        ("64", "32", "16", "feistel", "symbolic"),
+    ]
+    for n, r, l, perm_mode, backend in shapes:
+        path = tmp_path / f"bench-{n}.json"
+        assert run("world", "new", "--n", n, "--r", r, "--l", l, "--perm-mode", perm_mode,
+                   "--seed", WORLD_SEED, "--out", str(path)) == 0
+        capsys.readouterr()
+        assert run("bench", "--world", str(path), "--backend", backend,
+                   "--ops", "20", "--rng-seed", "01", "--json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["backend"], doc["ops"]) == (backend, 20)
+        assert doc["query_delta"] == {"P": 0, "Pinv": 20, "D": 20 * int(l), "D0": 0, "Dprime": 0}
 
 
 @pytest.mark.parametrize(
@@ -474,12 +492,15 @@ def test_bench_on_a_bloated_world(tmp_path, capsys, variant, verify_queries):
     world = tmp_path / f"{variant}.json"
     assert run("world", "new", "--n", "12", "--r", "4", "--l", "3", "--s", "2",
                "--variant", variant, "--seed", WORLD_SEED, "--out", str(world)) == 0
-    capsys.readouterr()
-    assert run("bench", "--world", str(world), "--ops", "3", "--rng-seed", "01", "--json") == 0
-    spent = json.loads(capsys.readouterr().out)["query_delta"]
-    # l = 3 dual queries per sign; one decode, or one membership query and no decode, per verify
-    assert spent["D"] == 9
-    assert {k: spent[k] for k in verify_queries} == verify_queries
+    # both backends spend the same queries
+    for backend in ("symbolic", "statevector"):
+        capsys.readouterr()
+        assert run("bench", "--world", str(world), "--backend", backend,
+                   "--ops", "3", "--rng-seed", "01", "--json") == 0
+        spent = json.loads(capsys.readouterr().out)["query_delta"]
+        # l = 3 dual queries per sign; one decode, or one membership query and no decode, per verify
+        assert spent["D"] == 9
+        assert {k: spent[k] for k in verify_queries} == verify_queries
 
 
 @pytest.mark.parametrize(

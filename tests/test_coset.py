@@ -5,7 +5,6 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from osslab import coset
 from osslab.coset import (
     STEP_PHASE,
     CosetState,
@@ -18,7 +17,6 @@ from osslab.gf2 import BitVec, split_draws
 from osslab.oracles import Params, build_oracles, metered
 from osslab.qsim import StateVector, generate_keypair_state, phase_dual, phase_prefix
 from osslab.scheme import draw_key, key_state
-from osslab.suites import SUITES, default_seed
 
 SEED = bytes(range(32))
 
@@ -156,19 +154,6 @@ def test_to_statevector_equals_enumerated_support(shape):
         got = to_statevector(st)
         assert st.matched == step
         assert np.array_equal(got.amp.view(np.uint64), expect.amp.view(np.uint64))
-
-
-@pytest.mark.parametrize("battery", ["grover", "backends"])
-def test_dense_batteries_build_no_support_list(battery, monkeypatch):
-    """The dense bridge scatters its support from an array: no battery
-    that lowers symbolic states enumerates them as BitVecs."""
-
-    def refuse(st):
-        raise AssertionError("a support was enumerated as a list of BitVecs")
-
-    monkeypatch.setattr(coset, "enumerate_support", refuse)
-    report = SUITES[battery](default_seed())
-    assert report.passed, report.render()
 
 
 def test_sign_with_coset_spends_no_queries(rng):

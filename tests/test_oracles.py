@@ -81,6 +81,12 @@ def test_stream_read_and_below_match_a_byte_at_a_time_replay():
             assert stream.below(arg) == replay_below(source, arg)
         else:
             assert stream.read(arg) == bytes(itertools.islice(source, arg))
+    # a negative count is refused and moves the stream neither way
+    for draw in (lambda: stream.read(-3), lambda: stream.bits(-5), lambda: stream.matrix(-2, 8)):
+        with pytest.raises(ValueError, match="cannot read -"):
+            draw()
+    assert stream.bits(0) == 0
+    assert stream.read(3) == bytes(itertools.islice(source, 3))
 
 
 @pytest.mark.parametrize("n", [9, 13, 16])
@@ -525,13 +531,18 @@ def test_permutation_refuses_a_width_past_its_limit(mode, limit, monkeypatch):
 # -- a table is shuffled on its first query ---------------------------
 
 
-@pytest.mark.parametrize("variant", ["standard", "incompressible"])
-def test_table_worlds_sign_verify_and_check_without_a_shuffle(variant, monkeypatch):
+@pytest.mark.parametrize(
+    "variant, n, r, ell",
+    [("standard", 12, 4, 3), ("incompressible", 12, 4, 3), ("standard", 24, 8, 8)],
+    ids=["standard", "incompressible", "standard-24"],
+)
+def test_table_worlds_sign_verify_and_check_without_a_shuffle(variant, n, r, ell, monkeypatch):
+    # at n = 24 a shuffle would draw 2^24 entries
     def refuse(self, size):
         raise AssertionError("a table was shuffled")
 
     monkeypatch.setattr(SeededStream, "shuffle", refuse)
-    o = build_oracles(Params(n=12, r=4, ell=3, variant=variant), SEED)
+    o = build_oracles(Params(n=n, r=r, ell=ell, variant=variant), SEED)
     rng = np.random.default_rng(3)
     m = BitVec(scheme.message_bits(o.params), 0b10)
     for backend in ("symbolic", "statevector"):
@@ -539,7 +550,7 @@ def test_table_worlds_sign_verify_and_check_without_a_shuffle(variant, monkeypat
         sig = scheme.sign(o, pk, sk, m, rng)
         assert scheme.verify(o, pk, m, sig)
         assert o.decodes(pk.y, sig.sigma) and o.coset_check(pk.y, sig.sigma) == 1
-        assert o.dual_check(1, pk.y, BitVec(12, 0)) == 1
+        assert o.dual_check(1, pk.y, BitVec(n, 0)) == 1
 
 
 @pytest.mark.parametrize("first", ["hash_bits", "encode", "decode"])

@@ -98,6 +98,12 @@ def test_from_support_refuses_bad_indices():
         StateVector.from_support(3, [])
     with pytest.raises(ValueError, match="nonzero"):
         StateVector.from_support(3, [1], weight=0)
+    for weight in (2.0, 0.5j, 1 + 1e-6):
+        with pytest.raises(ValueError, match="modulus 1"):
+            StateVector.from_support(3, [1], weight=weight)
+    for indices in ([1.7, 2.2], [True, False], np.array([1.0, 2.0]), [1 << 64]):
+        with pytest.raises(ValueError, match="must be integers"):
+            StateVector.from_support(3, indices)
     with pytest.raises(ValueError, match="1 <= n <= 24"):
         StateVector.from_support(40, [0])  # refused before 2^40 amplitudes are allocated
 

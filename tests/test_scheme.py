@@ -16,12 +16,13 @@ from osslab.oracles import Params, PermutationEngine, build_oracles, metered
 from osslab.scheme import (
     OneShotViolation,
     PublicKey,
+    SecretKey,
     Signature,
-    allow_test_cloning,
     extract_collision,
     generate,
     hs_sign,
     hs_verify,
+    key_state,
     rom_hash,
     message_bits,
     sign,
@@ -84,43 +85,10 @@ def test_second_sign_raises(backend, rng):
         sign(o, pk, sk, BitVec.from_str("10"), rng)
 
 
-def test_clone_is_gated(rng):
-    o = world()
-    pk, sk = generate(o, "symbolic", rng)
-    with pytest.raises(RuntimeError):
-        sk.clone_for_tests()
-    with allow_test_cloning():
-        dup = sk.clone_for_tests()
-    assert not dup.consumed
-    # consuming the original does not touch the clone
-    sign(o, pk, sk, BitVec.from_str("00"), rng)
-    with allow_test_cloning(), pytest.raises(OneShotViolation):
-        sk.clone_for_tests()
-    sign(o, pk, dup, BitVec.from_str("00"), rng)
-
-
-def test_dense_clone_copies_the_amplitudes(rng):
-    o = world()
-    pk, sk = generate(o, "statevector", rng)
-    fresh = sk._state.amp.copy()
-    with allow_test_cloning():
-        dup = sk.clone_for_tests()
-    assert dup._state.amp is not sk._state.amp
-    m = BitVec.from_str("10")
-    sign(o, pk, sk, m, rng)
-    assert np.array_equal(dup._state.amp, fresh)  # the walk on sk left the clone alone
-    with pytest.raises(OneShotViolation):
-        sign(o, pk, sk, m, rng)
-    with allow_test_cloning(), pytest.raises(OneShotViolation):
-        sk.clone_for_tests()
-    assert sign(o, pk, dup, m, rng).sigma.prefix(2) == m
-
-
 def test_two_signatures_give_a_hash_collision(rng):
     o = world()
     pk, sk = generate(o, "symbolic", rng)
-    with allow_test_cloning():
-        dup = sk.clone_for_tests()
+    dup = SecretKey("symbolic", key_state(o, "symbolic", pk.y))
     m0, m1 = BitVec.from_str("00"), BitVec.from_str("11")
     s0 = sign(o, pk, sk, m0, rng)
     s1 = sign(o, pk, dup, m1, rng)
