@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from osslab import distlab
+from osslab import distlab, gf2
 from osslab.distlab import (
     DISTINGUISHER_TRIALS,
     ExperimentReport,
@@ -34,7 +34,7 @@ from osslab.distlab import (
 )
 from osslab.gf2 import BitMatrix, BitVec, Subspace, sample_full_column_rank
 from osslab.oracles import OracleSet, Params, SeededStream, build_oracles, metered
-from osslab.suites import _world_seed, default_seed
+from osslab.suites import SUITES, _world_seed, default_seed
 
 SEED = bytes(range(32))
 
@@ -166,6 +166,34 @@ def test_syndrome_level_refuses_an_unattainable_target():
     assert _syndrome_level(sub, 0b11) == Subspace.full(3)
     with pytest.raises(AssertionError, match="target must be attainable"):
         _syndrome_level(sub, 0b10)
+
+
+def test_distributions_battery_transposes_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a matrix was transposed or built from rows")
+
+    monkeypatch.setattr(gf2, "_transpose_words", refuse)
+    monkeypatch.setattr(gf2.BitMatrix, "__init__", refuse)
+    report = SUITES["distributions"](default_seed())
+    assert report.passed, report.render()
+
+
+def test_distributions_battery_reduces_no_span_from_its_words(monkeypatch):
+    def refuse(cls, ambient, words):
+        raise AssertionError("a span was row-reduced from its words")
+
+    monkeypatch.setattr(gf2.Subspace, "from_words", classmethod(refuse))
+    report = SUITES["distributions"](default_seed())
+    assert report.passed, report.render()
+
+
+def test_distributions_battery_counts_matrix_chains_without_tuple_at(monkeypatch):
+    def refuse(self, index):
+        raise AssertionError("a matrix chain was looked up one index at a time")
+
+    monkeypatch.setattr(chain_by_matrix, "tuple_at", refuse)
+    report = SUITES["distributions"](default_seed())
+    assert report.passed, report.render()
 
 
 @pytest.mark.parametrize("shape", [(4, 1, 1, 1), (5, 1, 2, 2), (6, 1, 1, 2)])
