@@ -239,6 +239,8 @@ class BitMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
+        if rows < 0 or cols < 0:
+            raise ValueError("negative shape")
         return cls._from_columns(rows, cols, (0,) * cols)
 
     @classmethod
@@ -743,10 +745,11 @@ class ColumnDecoder:
     def solve_word(self, target: int) -> Optional[int]:
         """The x with ``M @ x = target`` as a packed int, or None if none exists."""
         k = self._width
-        basis = self._basis
+        get = self._basis.get
         x = target << k
-        while x >> k:
-            b = basis.get(x.bit_length() - 1)
+        top = 1 << k
+        while x >= top:
+            b = get(x.bit_length() - 1)
             if b is None:
                 return None
             x ^= b

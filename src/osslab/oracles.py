@@ -88,7 +88,10 @@ def metered() -> Iterator[dict[str, int]]:
 
 def _meter(key: str, k: int) -> None:
     """Add k queries of kind key to each metered() block open in this context."""
-    for spent in _METERS.get():
+    meters = _METERS.get()
+    if not meters:
+        return
+    for spent in meters:
         spent[key] = spent.get(key, 0) + k
 
 
@@ -167,6 +170,8 @@ class SeededStream:
 
     def shuffle(self, size: int) -> list[int]:
         """A permutation of range(size) by Fisher-Yates over below draws."""
+        if size < 0:
+            raise ValueError(f"cannot shuffle {size} items")
         perm = list(range(size))
         for i in range(size - 1, 0, -1):
             j = self.below(i + 1)
@@ -185,6 +190,8 @@ class SeededStream:
         leading zeros) column j is the slice from j - 1 at the row stride,
         and the matrix is built by columns.
         """
+        if rows < 0 or cols < 0:
+            raise ValueError(f"cannot read {rows} rows of {cols} bits")
         stride = 8 * ((cols + 7) // 8)
         if not rows or not cols:
             return BitMatrix.zeros(rows, cols)

@@ -74,7 +74,9 @@ class PublicKey:
         }
 
     def matches(self, o: OracleSet) -> bool:
-        return self.params == o.params and self.seed == o.seed
+        # generate hands the key the world's own Params; a key read back
+        # from JSON holds an equal copy, compared field by field.
+        return (self.params is o.params or self.params == o.params) and self.seed == o.seed
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,7 @@ def verify(o: OracleSet, pk: PublicKey, m: BitVec, sig: Signature) -> bool:
         found = o.coset_check(pk.y, sig.sigma) == 1
     else:
         found = o.decodes(pk.y, sig.sigma)
-    prefix_ok = sig.sigma.prefix(p.ell) == _pinned(p, m)
+    prefix_ok = sig.sigma.bits >> (p.n - p.ell) == _pinned(p, m).bits
     return prefix_ok and found
 
 

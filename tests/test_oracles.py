@@ -85,6 +85,15 @@ def test_stream_read_and_below_match_a_byte_at_a_time_replay():
     for draw in (lambda: stream.read(-3), lambda: stream.bits(-5), lambda: stream.matrix(-2, 8)):
         with pytest.raises(ValueError, match="cannot read -"):
             draw()
+    # so is a negative shape beside an empty side, which reads nothing
+    for draw, message in [
+        (lambda: stream.matrix(0, -8), "cannot read 0 rows of -8 bits"),
+        (lambda: stream.matrix(-3, 0), "cannot read -3 rows"),
+        (lambda: stream.shuffle(-4), "cannot shuffle -4"),
+        (lambda: BitMatrix.zeros(-2, 3), "negative shape"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            draw()
     assert stream.bits(0) == 0
     assert stream.read(3) == bytes(itertools.islice(source, 3))
 

@@ -120,6 +120,23 @@ def test_verify_always_costs_one_decode(rng):
         assert spent == {"Pinv": 1}
 
 
+def read_back(pk: PublicKey) -> PublicKey:
+    """pk with its Params rebuilt through JSON: equal, not the world's own."""
+    params = Params.from_json(json.loads(json.dumps(pk.params.to_json())))
+    assert params == pk.params and params is not pk.params
+    return PublicKey(y=pk.y, params=params, seed=pk.seed)
+
+
+def off_coset(o, pk: PublicKey, sig: Signature) -> Signature:
+    """sig with one bit below the pinned prefix flipped so that it leaves
+    pk's coset: the n - l low unit vectors cannot all lie in the
+    (n - r)-dimensional column span."""
+    gen, shift = o.coset_of(pk.y)
+    p = o.params
+    flips = [sig.sigma ^ BitVec(p.n, 1 << i) for i in range(p.n - p.ell)]
+    return Signature(next(u for u in flips if gen.solve(u ^ shift) is None))
+
+
 @pytest.mark.parametrize("backend", ["statevector", "symbolic"])
 def test_verify_never_inverts_the_permutation(backend, rng, monkeypatch):
     """On a Feistel world verify accepts the signature and rejects a wrong
@@ -129,14 +146,10 @@ def test_verify_never_inverts_the_permutation(backend, rng, monkeypatch):
     pk, sk = generate(o, backend, rng)
     m = BitVec.from_str("101")
     sig = sign(o, pk, sk, m, rng)
-    # One bit flipped below the pinned prefix that leaves y's coset: the
-    # 13 low unit vectors cannot all lie in a 12-dimensional span.
-    flips = [sig.sigma ^ BitVec(16, 1 << i) for i in range(13)]
-    off = next(u for u in flips if o.decode(pk.y, u) is None)
     probes = [
         (m, sig, True),
         (BitVec.from_str("011"), sig, False),
-        (m, Signature(off), False),
+        (m, off_coset(o, pk, sig), False),
         (m, Signature(sig.sigma ^ BitVec(16, 1 << 15)), False),
     ]
 
@@ -148,6 +161,58 @@ def test_verify_never_inverts_the_permutation(backend, rng, monkeypatch):
         with metered() as spent:
             assert verify(o, pk, msg, probe) is accepted
         assert spent == {"Pinv": 1}
+
+
+@pytest.mark.parametrize("backend", ["statevector", "symbolic"])
+@pytest.mark.parametrize("variant", ["standard", "bloated", "incompressible"])
+def test_verify_answers_every_variant_for_one_query(variant, backend, rng):
+    """verify accepts the signature, rejects every one-bit flip of the
+    message and a sigma with the right prefix off the coset, answers alike
+    for a key whose Params was read back from JSON, and refuses a key of a
+    world with another seed.  Each call spends its one query."""
+    p = Params(n=10, r=4, ell=3, s=1 if variant == "bloated" else 0, variant=variant)
+    o = build_oracles(p, SEED)
+    pk, sk = generate(o, backend, rng)
+    width = message_bits(p)
+    m = BitVec(width, 0b101 & ((1 << width) - 1))
+    sig = sign(o, pk, sk, m, rng)
+    probes = [(m, sig, True), (m, off_coset(o, pk, sig), False)]
+    probes += [(m ^ BitVec(width, 1 << i), sig, False) for i in range(width)]
+    cost = {"D0": 1} if variant == "incompressible" else {"Pinv": 1}
+    for key in (pk, read_back(pk)):
+        for msg, probe, accepted in probes:
+            with metered() as spent:
+                assert verify(o, key, msg, probe) is accepted
+            assert spent == cost
+    stranger, _ = generate(build_oracles(p, bytes(32)), backend, rng)
+    with pytest.raises(ValueError, match="different world"):
+        verify(o, stranger, m, sig)
+
+
+def test_verify_builds_no_bitvec(rng, monkeypatch):
+    """A warm verify compares the pinned prefix as ints and the world by
+    identity: with the key generate made it builds no BitVec and compares no
+    Params, while a key whose Params was read back from JSON takes the full
+    comparison."""
+    o = world()
+    pk, sk = generate(o, "symbolic", rng)
+    m = BitVec.from_str("10")
+    sig = sign(o, pk, sk, m, rng)
+    probes = [(m, sig, True), (BitVec.from_str("11"), sig, False), (m, off_coset(o, pk, sig), False)]
+    copy = read_back(pk)
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"verify called {name}")
+
+        return call
+
+    monkeypatch.setattr(BitVec, "__init__", refuse("BitVec.__init__"))
+    monkeypatch.setattr(Params, "__eq__", refuse("Params.__eq__"))
+    for msg, probe, accepted in probes:
+        assert verify(o, pk, msg, probe) is accepted
+    with pytest.raises(AssertionError, match="Params.__eq__"):
+        verify(o, copy, m, sig)
 
 
 def test_generate_query_free(rng):
