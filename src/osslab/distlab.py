@@ -83,9 +83,9 @@ __all__ = [
 
 _EXACT_LIMIT = 1 << 24
 _CENSUS_LIMIT = 20
-# A hash-only world reads its coset stream up front as one slab of whole
-# blocks of this size: those that hold its n - r candidates, and one more
-# for candidates that are rejected.  A world whose slab runs out derives.
+# A hash-only world reads its coset stream up front as one slab: the fewest
+# whole blocks of this size that hold n - r + 1 candidates, so a world may
+# reject one and often more.  A world whose slab runs out derives.
 _SLAB_BLOCK = _BLOCK_BYTES
 # Dual points per chunk of hash-only worlds (a chunk holds at least one
 # world): 1024 worlds at r = 2, one world from r = 12 on.
@@ -393,7 +393,7 @@ def _hash_only_worlds(
     n, r = params.n, params.r
     k = n - r
     nbytes = (n + 7) // 8
-    slab = (-(-k * nbytes // _SLAB_BLOCK) + 1) * _SLAB_BLOCK
+    slab = -(-(k + 1) * nbytes // _SLAB_BLOCK) * _SLAB_BLOCK
     per_chunk = max(1, _CHUNK_POINTS >> r)
     for start in range(0, trials, per_chunk):
         seeds, ys, slabs = [], [], []

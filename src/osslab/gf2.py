@@ -24,6 +24,7 @@ __all__ = [
     "chain_from_top",
     "sample_full_column_rank",
     "span_arrays",
+    "split_columns",
     "split_draws",
     "widened_normals",
     "widened_top",
@@ -45,13 +46,30 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 def split_draws(data: bytes, k: int) -> list[int]:
     """The k-bit draws (k >= 1) packed back to back in ``data``, each the
     top k bits of its own ceil(k/8) bytes read big-endian, as one
-    ``SeededStream.bits`` call reads a draw."""
+    ``SeededStream.bits`` call reads a draw.  Draws wider than a byte are
+    cut from one int of all the bytes."""
     nbytes = (k + 7) // 8
     drop = 8 * nbytes - k
     if nbytes == 1:
         return [b >> drop for b in data]
-    from_bytes = int.from_bytes
-    return [from_bytes(data[i : i + nbytes], "big") >> drop for i in range(0, len(data), nbytes)]
+    stride = 8 * nbytes
+    whole = int.from_bytes(data, "big")
+    mask = _mask(k)
+    return [(whole >> s) & mask for s in range(8 * len(data) - stride + drop, drop - 1, -stride)]
+
+
+def split_columns(data: bytes, k: int) -> list[int]:
+    """The k columns of the matrix whose rows are ``split_draws(data, k)``,
+    each packed with row 1 the most significant bit.
+
+    In the bit text of data (behind a 0x01 byte that keeps its leading
+    zeros) column j is the slice from j - 1 at the row stride, so each
+    column is parsed from its slice and nothing is transposed.  With
+    k >= 1, data must hold at least one draw.
+    """
+    stride = 8 * ((k + 7) // 8)
+    text = bin(int.from_bytes(b"\x01" + data, "big"))[3:]
+    return [int(text[j::stride], 2) for j in range(k)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -671,8 +689,8 @@ class ColumnDecoder:
     ``rank`` read the same elimination that ``ColumnDecoder(m)`` refuses
     a rank deficit from.  The same test, with tags in admission order
     (``_admit``), is the rank check of ``sample_full_column_rank``, and a
-    derived coset's decoder is the one its draw of ``C`` fills
-    (``_draw_columns``).
+    derived coset's decoder is the one its draw of ``C`` fills: ``_seeded``
+    with the identity-headed columns, then ``_admit`` over the candidates.
     """
 
     __slots__ = ("_basis", "_width")
@@ -709,21 +727,15 @@ class ColumnDecoder:
         return skipped
 
     @classmethod
-    def _of_echelon(cls, width: int, cols: Sequence[int]) -> "ColumnDecoder":
-        """The decoder of ``width`` columns with ``cols`` admitted first.
-
-        Their leading bits must strictly descend: then no column reduces
-        against an earlier one, and column j enters at its own lead as
-        ``(column << width)`` tagged by bit width - j.
-        """
+    def _seeded(cls, width: int, basis: dict[int, int]) -> "ColumnDecoder":
+        """The decoder of ``width`` columns whose first ones are already
+        eliminated into ``basis``, which it takes over: the i-th column as
+        ``(column << width) | tag`` with tag bit width - i, keyed by its
+        leading bit.  Columns whose leading bits strictly descend reduce
+        against none before them, so they enter as they are."""
         obj = object.__new__(cls)
         obj._width = width
-        obj._basis = basis = {}
-        tag = 1 << width
-        for c in cols:
-            tag >>= 1
-            w = (c << width) | tag
-            basis[w.bit_length() - 1] = w
+        obj._basis = basis
         return obj
 
     def _admit(self, cands: Iterable[int]) -> list[int]:
@@ -732,10 +744,15 @@ class ColumnDecoder:
         No more may be offered than the decoder has columns left."""
         k = self._width
         basis = self._basis
-        tag = 1 << (k - 1 - len(basis))
+        get = basis.get
+        tag = (1 << k) >> (len(basis) + 1)  # 0 on a full decoder, offered nothing
         kept = []
         for col in cands:
-            w = _reduce_word((col << k) | tag, basis)
+            # every entry leads at or above k, so the reduction stops on the
+            # tag bit at the latest
+            w = (col << k) | tag
+            while (b := get(w.bit_length() - 1)) is not None:
+                w ^= b
             if w >> k:
                 basis[w.bit_length() - 1] = w
                 kept.append(col)
@@ -785,5 +802,5 @@ def sample_full_column_rank(stream, rows: int, cols: int) -> BitMatrix:
     """
     if cols > rows:
         raise ValueError("cannot have more independent columns than rows")
-    kept = _draw_columns(stream, rows, cols, ColumnDecoder._of_echelon(cols, ()))
+    kept = _draw_columns(stream, rows, cols, ColumnDecoder._seeded(cols, {}))
     return BitMatrix._from_columns(rows, cols, tuple(kept))

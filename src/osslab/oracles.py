@@ -31,6 +31,8 @@ from .gf2 import (
     Subspace,
     _draw_columns,
     chain_from_top,
+    split_columns,
+    split_draws,
     widened_normals,
     widened_top,
 )
@@ -183,21 +185,14 @@ class SeededStream:
 
     def matrix(self, rows: int, cols: int) -> BitMatrix:
         """rows x cols matrix whose rows are ``rows`` successive bits(cols)
-        draws, taken from one read of all their bytes.
-
-        Each row is the top cols bits of its own ceil(cols/8) bytes, so in
-        the bit text of those bytes (behind a 0x01 byte that keeps their
-        leading zeros) column j is the slice from j - 1 at the row stride,
-        and the matrix is built by columns.
-        """
+        draws, taken from one read of all their bytes and built by columns
+        (``split_columns``)."""
         if rows < 0 or cols < 0:
             raise ValueError(f"cannot read {rows} rows of {cols} bits")
-        stride = 8 * ((cols + 7) // 8)
         if not rows or not cols:
             return BitMatrix.zeros(rows, cols)
-        text = bin(int.from_bytes(b"\x01" + self.read(rows * stride // 8), "big"))[3:]
-        col_words = tuple(int(text[j::stride], 2) for j in range(cols))
-        return BitMatrix._from_columns(rows, cols, col_words)
+        data = self.read(rows * ((cols + 7) // 8))
+        return BitMatrix._from_columns(rows, cols, tuple(split_columns(data, cols)))
 
 
 @dataclass(frozen=True)
@@ -411,22 +406,29 @@ def _coset_deriver(p: Params, seed: bytes) -> Callable[[int], _CosetEntry]:
     which the rank check of C's candidates fills."""
     n, r, ell = p.n, p.r, p.ell
     k = n - r
+    rows = n - ell
+    b_bytes = rows * ((ell + 7) // 8)
+    first = b_bytes + (k - ell) * ((rows + 7) // 8)  # B, then C's first candidates
     forced = 1 << (n - ell) if p.variant == "incompressible" else 0  # bit l, 1-based from the top
+    # Column j <= l is e_j over B's column j: it has head bit n - j, and in
+    # the decoder it leads at bit n - j + k with tag bit k - j.  Their leads
+    # strictly descend, so the identity block is already in echelon form.
+    heads = [1 << (n - 1 - j) for j in range(ell)]
+    entries = [(n - 1 - j + k, 1 << (k - 1 - j)) for j in range(ell)]
 
     def derive(y: int) -> _CosetEntry:
         if not 0 <= y < 1 << r:
             raise ValueError(f"y = {y} is not an r = {r} bit hash value")
         stream = _coset_stream(p, seed, y)
-        # Column j <= l is e_j over B's column j, so it leads at bit n - j and
-        # the identity block is already in echelon form.  C's candidates have
-        # no bits in the top l rows, so one depends on the columns kept before
-        # it iff it depends on C's alone.  With l = 0 there is no B to read.
-        cols = []
-        if ell:
-            b_cols = stream.matrix(n - ell, ell).col_words
-            cols = [(1 << (n - 1 - j)) | c for j, c in enumerate(b_cols)]
-        decoder = ColumnDecoder._of_echelon(k, cols)
-        cols += _draw_columns(stream, n - ell, k - ell, decoder)
+        data = stream.read(first)
+        cols = [h | c for h, c in zip(heads, split_columns(data[:b_bytes], ell))]
+        basis = {lead: (c << k) | tag for (lead, tag), c in zip(entries, cols)}
+        decoder = ColumnDecoder._seeded(k, basis)
+        # C's candidates have no bits in the top l rows, so one depends on
+        # the columns kept before it iff it depends on C's alone; more are
+        # read only when one is rejected.
+        cols += decoder._admit(split_draws(data[b_bytes:], rows))
+        cols += _draw_columns(stream, rows, k - len(cols), decoder)
         shift = stream.bits(n) | forced
         return (BitMatrix._from_columns(n, k, tuple(cols)), BitVec(n, shift)), decoder
 
@@ -446,14 +448,17 @@ class CosetFamily:
     changes a world.  The incompressible variant then forces bit l of the
     shift to 1.  With l = 0 the identity block vanishes and the generator
     is just C, a uniform full-column-rank matrix (the unstructured flavor).
-    The generator is assembled by columns from the same bytes: column
-    j <= l is e_j over B's column j, as SeededStream.matrix reads B by
-    columns, and the columns after it are C's kept candidates, so neither
-    block is transposed.  C's rank check reduces each candidate into the
-    generator's ColumnDecoder, seeded with the identity-headed columns, so
-    the one elimination of a coset's columns both picks C and builds the
-    decoder that decode, decodes and coset_check read.  A y outside
-    [0, 2^r) is refused with ``ValueError``.
+    A derive reads B and C's first n - r - l candidates in one read, more
+    candidates only when one is rejected, and then the shift.  The
+    generator is assembled by columns from those bytes: column j <= l is
+    e_j over B's column j, parsed off B's bytes by ``split_columns`` as
+    SeededStream.matrix parses a matrix, and the columns after it are C's
+    kept candidates, so neither block is transposed and no matrix but the
+    generator is built.  C's rank check reduces each candidate into the
+    generator's ColumnDecoder, seeded with the identity-headed columns'
+    entries, so the one elimination of a coset's columns both picks C and
+    builds the decoder that decode, decodes and coset_check read.  A y
+    outside [0, 2^r) is refused with ``ValueError``.
 
     ``derive_cache``, a ``functools.lru_cache`` wrapper around the plain
     function that ``_coset_deriver`` builds for the world, keeps the last

@@ -172,9 +172,10 @@ def check_signable(params: Params, m: BitVec) -> None:
         raise ValueError(f"message must have {width} bits ({rule}), got {m.n}")
 
 
-def _pinned(params: Params, m: BitVec) -> BitVec:
-    """The l bits the signing walk pins for m."""
-    return m.concat(BitVec.zeros(1)) if params.variant == "incompressible" else m
+def _pinned(params: Params, m: BitVec) -> int:
+    """The l bits the signing walk pins for m, as an int: m || 0 on an
+    incompressible world, m on any other."""
+    return m.bits << 1 if params.variant == "incompressible" else m.bits
 
 
 def sign(o: OracleSet, pk: PublicKey, sk: SecretKey, m: BitVec, rng) -> Signature:
@@ -183,7 +184,8 @@ def sign(o: OracleSet, pk: PublicKey, sk: SecretKey, m: BitVec, rng) -> Signatur
     _check_world(o, pk)
     state = sk._claim()
     o.spend_walk(state.y)
-    m = _pinned(o.params, m)
+    if m.n != o.params.ell:  # an incompressible world pins m || 0
+        m = BitVec(o.params.ell, _pinned(o.params, m))
     if sk.backend == "statevector":
         sigma = _qsim.sign_with_amplitudes(state, m, rng)
     else:
@@ -212,7 +214,7 @@ def verify(o: OracleSet, pk: PublicKey, m: BitVec, sig: Signature) -> bool:
         found = o.coset_check(pk.y, sig.sigma) == 1
     else:
         found = o.decodes(pk.y, sig.sigma)
-    prefix_ok = sig.sigma.bits >> (p.n - p.ell) == _pinned(p, m).bits
+    prefix_ok = sig.sigma.bits >> (p.n - p.ell) == _pinned(p, m)
     return prefix_ok and found
 
 

@@ -315,6 +315,7 @@ def coset_worlds(draw):
 @example((Params(n=64, r=32, ell=16, perm_mode="feistel"), SEED, [0, (1 << 32) - 1]))
 @example((Params(n=6, r=2, ell=0, variant="original"), SEED, [0, 1, 2, 3]))
 @example((Params(n=8, r=3, ell=2, variant="incompressible"), SEED, [5]))
+@example((Params(n=6, r=2, ell=1), SEED, [0, 1, 2, 3]))  # y = 0 rejects a first-batch C candidate
 def test_derive_matches_a_byte_by_byte_replay(world):
     p, seed, ys = world
     o = build_oracles(p, seed)
@@ -333,6 +334,7 @@ def assert_decoder_of(decoder, gen):
 @example((Params(n=6, r=2, ell=0, variant="original"), SEED, [0, 1, 2, 3]))
 @example((Params(n=8, r=3, ell=5, variant="incompressible"), SEED, [0, 5]))  # r + l = n: no C
 @example((Params(n=40, r=30, ell=10, variant="bloated", perm_mode="feistel"), SEED, [7]))
+@example((Params(n=6, r=2, ell=1), SEED, [0, 1, 2, 3]))  # y = 0 rejects a first-batch C candidate
 def test_derive_caches_the_decoder_of_its_generator(world):
     """derive's rank check of C's candidates builds the decoder that a
     fresh ColumnDecoder of the generator would, entry for entry."""
@@ -371,15 +373,49 @@ def test_unstructured_cosets_are_pinned():
     )
 
 
-def test_unstructured_derive_reads_no_b_block(monkeypatch):
-    # with l = 0 there is no B block: derive never asks the stream for a matrix
-    def refuse(self, rows, cols):
-        raise AssertionError(f"read a {rows} x {cols} matrix")
+def recorded_reads(monkeypatch) -> list[int]:
+    """The byte count of every SeededStream.read from here on, in order."""
+    reads = []
+    real = SeededStream.read
+    monkeypatch.setattr(SeededStream, "read", lambda self, nbytes: reads.append(nbytes) or real(self, nbytes))
+    return reads
 
-    monkeypatch.setattr(SeededStream, "matrix", refuse)
+
+def test_unstructured_derive_reads_no_b_block(monkeypatch):
+    # with l = 0 there is no B block: a derive that rejects no candidate reads
+    # the n - r candidates' bytes in one call, then the shift's
+    reads = recorded_reads(monkeypatch)
     o = build_oracles(Params(n=6, r=2, ell=0, variant="original", perm_mode="feistel"), SEED)
     gen, _ = o.cosets.derive(3)
     assert (gen.rows, gen.cols) == (6, 4)
+    assert reads == [4, 1]
+
+
+def test_cold_wide_derive_reads_twice_and_builds_only_the_generator(monkeypatch):
+    """A cold derive at (64, 32, 16) whose C draw rejects nothing reads its
+    stream twice, B's 48 rows of 2 bytes with C's 16 candidates of 6 bytes
+    and then the shift, and builds one BitMatrix, the generator: B's
+    columns go straight into the generator and its decoder."""
+    reads = recorded_reads(monkeypatch)
+    built = []
+    real = BitMatrix._from_columns.__func__
+
+    def from_columns(cls, rows, cols, col_words):
+        built.append((rows, cols))
+        return real(cls, rows, cols, col_words)
+
+    def refuse(*args):
+        raise AssertionError("built a BitMatrix from rows")
+
+    monkeypatch.setattr(BitMatrix, "_from_columns", classmethod(from_columns))
+    monkeypatch.setattr(BitMatrix, "__init__", refuse)
+    o = build_oracles(Params(n=64, r=32, ell=16, perm_mode="feistel"), SEED)
+    for y in (0, (1 << 32) - 1):
+        reads.clear()
+        built.clear()
+        o.cosets.derive(y)
+        assert reads == [48 * 2 + 16 * 6, 8]
+        assert built == [(64, 32)]
 
 
 def test_derive_cache_wraps_a_plain_function():

@@ -192,13 +192,17 @@ def test_verify_answers_every_variant_for_one_query(variant, backend, rng):
 def test_verify_builds_no_bitvec(rng, monkeypatch):
     """A warm verify compares the pinned prefix as ints and the world by
     identity: with the key generate made it builds no BitVec and compares no
-    Params, while a key whose Params was read back from JSON takes the full
-    comparison."""
-    o = world()
-    pk, sk = generate(o, "symbolic", rng)
-    m = BitVec.from_str("10")
-    sig = sign(o, pk, sk, m, rng)
-    probes = [(m, sig, True), (BitVec.from_str("11"), sig, False), (m, off_coset(o, pk, sig), False)]
+    Params, on an incompressible world too, where m || 0 is pinned, while a
+    key whose Params was read back from JSON takes the full comparison."""
+    probes = []
+    for variant in ("standard", "incompressible"):
+        o = world(variant=variant)
+        pk, sk = generate(o, "symbolic", rng)
+        width = message_bits(o.params)
+        m = BitVec(width, 1 << (width - 1))
+        sig = sign(o, pk, sk, m, rng)
+        probes += [(o, pk, m, sig, True), (o, pk, BitVec(width, m.bits ^ 1), sig, False)]
+        probes.append((o, pk, m, off_coset(o, pk, sig), False))
     copy = read_back(pk)
 
     def refuse(name):
@@ -209,8 +213,8 @@ def test_verify_builds_no_bitvec(rng, monkeypatch):
 
     monkeypatch.setattr(BitVec, "__init__", refuse("BitVec.__init__"))
     monkeypatch.setattr(Params, "__eq__", refuse("Params.__eq__"))
-    for msg, probe, accepted in probes:
-        assert verify(o, pk, msg, probe) is accepted
+    for o, key, msg, probe, accepted in probes:
+        assert verify(o, key, msg, probe) is accepted
     with pytest.raises(AssertionError, match="Params.__eq__"):
         verify(o, copy, m, sig)
 
