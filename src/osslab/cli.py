@@ -204,24 +204,12 @@ def cmd_world_new(args) -> int:
             perm_mode=args.perm_mode or "table",
         )
     seed = _parse_seed(args.seed)
-    refusal = _build_refusal(params)
-    if refusal is not None:
-        print(f"warning: {refusal}; world written but not buildable here", file=sys.stderr)
     _write_doc(args.out, "world", {"params": params.to_json(), "seed": seed.hex()})
     if args.json:
-        print(json.dumps({"params": params.to_json(), "buildable": refusal is None}, indent=2))
+        print(json.dumps({"params": params.to_json()}, indent=2))
     else:
         print(f"wrote world {args.out}: {_describe(params)}")
     return EX_OK
-
-
-def _build_refusal(params: Params) -> str | None:
-    """Why params' world cannot be built here, or None when it can."""
-    try:
-        params.check_buildable()
-    except ValueError as exc:
-        return str(exc)
-    return None
 
 
 def _describe(params: Params) -> str:
@@ -236,18 +224,11 @@ def _describe(params: Params) -> str:
 def cmd_world_show(args) -> int:
     doc = _load_doc(args.world, "world")
     params, seed = _world_from_doc(doc, args.world)
-    buildable = _build_refusal(params) is None
     if args.json:
-        print(
-            json.dumps(
-                {"params": params.to_json(), "seed": seed.hex(), "buildable": buildable},
-                indent=2,
-            )
-        )
+        print(json.dumps({"params": params.to_json(), "seed": seed.hex()}, indent=2))
     else:
         print(_describe(params))
         print(f"seed      {seed.hex()}")
-        print(f"buildable {'yes' if buildable else 'no'}")
     return EX_OK
 
 
@@ -401,7 +382,7 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             pk, sk = scheme.generate(o, args.backend, rng)
             phases["gen"] += time.perf_counter() - t0
-            m = BitVec(mbits, int(rng.integers(0, 1 << mbits))) if mbits else BitVec(0, 0)
+            m = BitVec.random(rng, mbits)
             t0 = time.perf_counter()
             sig = scheme.sign(o, pk, sk, m, rng)
             phases["sign"] += time.perf_counter() - t0

@@ -389,7 +389,6 @@ def _hash_only_worlds(
     the dual check then run across the chunk in numpy.  Each chunk spends
     its 2^r D queries per world at once, one for each point checked.
     """
-    params.check_buildable()
     n, r = params.n, params.r
     k = n - r
     nbytes = (n + 7) // 8
@@ -528,6 +527,8 @@ def run_collapse_distinguisher(
         # At r = 16 a world holds 2^16 points, 512 KB, and takes about 0.7 ms
         # at n = 20 and 3.5 ms at n = 64.
         raise ValueError("hash-only needs r <= 16: each trial lists all 2^r dual points")
+    if case == "hash-only" and n > 64:
+        raise ValueError("hash-only needs n <= 64: its worlds are checked as uint64 words")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if case == "hash-first-bit" and trials < 2:

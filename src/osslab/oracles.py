@@ -61,9 +61,9 @@ COSET_CACHE_SIZE = 1024
 _per_world_cache = functools.lru_cache(maxsize=COSET_CACHE_SIZE)
 
 # Widest n each permutation backend builds: a table holds 2^n entries, and
-# Feistel worlds stop at 64 bits (a half is hashed as 8 bytes, so the round
-# itself would take up to 128).
-_PERM_MAX_N = {"table": 24, "feistel": 64}
+# a Feistel round hashes a half as 8 bytes and XORs in at most 64 digest
+# bits, so neither half may pass 64 bits.
+_PERM_MAX_N = {"table": 24, "feistel": 128}
 _FEISTEL_ROUNDS = 16
 # A stream block: one BLAKE2b digest of the counter.
 _BLOCK_BYTES = 64
@@ -198,7 +198,11 @@ class SeededStream:
 @dataclass(frozen=True)
 class Params:
     """Shape of a world: vector length n, hash width r, message length l,
-    bloat width s, sampling variant, and permutation backend."""
+    bloat width s, sampling variant, and permutation backend.
+
+    The one gate on a world's shape: a Params that constructs is a world
+    that builds, signs (unless 'original') and verifies; the constructor
+    raises ValueError for every other shape."""
 
     n: int
     r: int
@@ -237,15 +241,20 @@ class Params:
                     f"lambda = {self.lam} gives (n, r, l, s) = {shape} for variant "
                     f"{self.variant!r}, not {(self.n, self.r, self.ell, self.s)}"
                 )
+        if self.variant == "bloated":
+            if self.s < 1:
+                raise ValueError("bloat needs s >= 1")
+            if self.n - self.r - self.ell < self.s:
+                raise ValueError("bloat needs n - r - l >= s")
+        if self.r > 63:  # scheme.draw_key's rng.integers(0, 1 << r) stops at r = 63
+            raise ValueError(f"r = {self.r} exceeds the widest hash value, 63 bits")
+        _check_perm_width(self.n, self.perm_mode)
 
     @classmethod
     def from_lambda(cls, lam: int, variant: str = "standard", perm_mode: str = "feistel") -> "Params":
         """Scale parameters from a single security knob (see _lambda_shape)."""
         n, r, ell, s = _lambda_shape(lam, variant)
         return cls(n=n, r=r, ell=ell, s=s, variant=variant, perm_mode=perm_mode, lam=lam)
-
-    def check_buildable(self) -> None:
-        _check_perm_width(self.n, self.perm_mode)
 
     def to_json(self) -> dict:
         out = {
@@ -307,13 +316,14 @@ class PermutationEngine:
 
     Table mode (n <= 24) shuffles its table on the first query, by
     SeededStream.shuffle off the stream labelled b"perm-table" and n.
-    Feistel mode (n <= 64) splits x into a left half of n // 2 bits and a
-    right half of the rest, and runs 16 alternating rounds: even rounds i
-    XOR F_i(left) into right, odd rounds XOR F_i(right) into left.  With
-    K = BLAKE2b-256(seed || b"perm-feistel" || n as 1 byte), F_i(h) is the
-    top w bits of BLAKE2b(i as 2 bytes || h as 8 bytes, key=K,
-    digest_size=8) read big-endian, w the width of the half it is XORed
-    into (0 when w = 0).  Inverse replays the rounds backwards.
+    Feistel mode (n <= 128, so each half is at most 64 bits) splits x into
+    a left half of n // 2 bits and a right half of the rest, and runs 16
+    alternating rounds: even rounds i XOR F_i(left) into right, odd rounds
+    XOR F_i(right) into left.  With K = BLAKE2b-256(seed || b"perm-feistel"
+    || n as 1 byte), F_i(h) is the top w bits of BLAKE2b(i as 2 bytes || h
+    as 8 bytes, key=K, digest_size=8) read big-endian, w the width of the
+    half it is XORed into (0 when w = 0).  Inverse replays the rounds
+    backwards.
     """
 
     def __init__(self, n: int, mode: str, seed: bytes) -> None:
@@ -648,11 +658,8 @@ class OracleSet:
         A [[I_l, 0], [M', M]].  Level j accepts the dual of that matrix's
         columns j..l and l+s+1..n-r, with the s middle columns dropped.
         """
-        p = self.params
-        if p.s < 1:
-            raise ValueError("bloat needs s >= 1")
-        if p.n - p.r - p.ell < p.s:
-            raise ValueError("bloat needs n - r - l >= s")
+        if self.params.variant != "bloated":  # Params checks a bloated world's s
+            raise ValueError("bloat needs variant 'bloated'")
         sub = rng.bytes(32)
         self._bloat_for = _per_world_cache(functools.partial(_bloat_chain, self.cosets, sub))
 

@@ -135,9 +135,11 @@ def key_state(o: OracleSet, backend: str, y: BitVec) -> KeyState:
     uniform superposition over y's coset with nothing pinned, on
     ``backend``.  No oracle queries."""
     if backend == "statevector":
-        width = o.params.n - o.params.r  # the dense key's one limit: 2^width amplitudes
+        width = o.params.n - o.params.r  # 2^width amplitudes
         if width > _qsim.MAX_QUBITS:
             raise ValueError(f"statevector keys allow n - r <= {_qsim.MAX_QUBITS}, got {width}")
+        if o.params.n > 64:  # its points are held as uint64
+            raise ValueError(f"statevector keys allow n <= 64, got {o.params.n}")
         return _qsim.coset_amplitudes(o, y)
     if backend == "symbolic":
         gen, shift = o.coset_of(y)

@@ -82,6 +82,16 @@ def test_c09_hash_and_sign():
     check(9, "hashsign", "hash-and-sign", 30.0, params, 5)
 
 
+def test_hashsign_expects_rejections_only_of_tampers_that_move_the_digest():
+    # At this master seed one tamper msg + b"x" keeps its message's 8-bit
+    # digest, so the signature carries over to it and 3 of 4 are rejected.
+    seed = bytes.fromhex("bcab874911d6dfe4ba80fe0be4e0a369bbaa127d8733dd3bb0c371ba20b25255")
+    report = SUITES["hashsign"](seed)
+    tamper = next(m for m in report.metrics if m.id == "tamper_rejects")
+    assert (tamper.estimate, tamper.expected) == (3.0, 3.0)
+    assert report.passed, report.render()
+
+
 def test_c10_query_profiles():
     check(10, "queries", "query-profiles", 5.0, {"n": 8, "r": 3, "l": 2}, 2)
 

@@ -53,7 +53,7 @@ def test_world_file_shape_and_determinism(tmp_path):
 def test_world_show(world, capsys):
     assert run("world", "show", "--world", str(world), "--json") == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["buildable"] is True and doc["params"]["n"] == 8
+    assert list(doc) == ["params", "seed"] and doc["params"]["n"] == 8
 
 
 def test_sign_verify_round_trip(tmp_path, world):
@@ -351,18 +351,70 @@ def test_incompressible_cli_flow(tmp_path):
     assert run("verify", "--pk", str(pk), "--msg", "0", "--sig", str(sig)) == 1
 
 
-def test_lambda_world_written_with_warning(tmp_path, capsys):
-    out = tmp_path / "lam.json"
-    assert run("world", "new", "--lambda", "2", "--out", str(out)) == 0
-    err = capsys.readouterr().err
-    assert "not buildable" in err
-    doc = json.loads(out.read_text())
-    assert doc["params"] == {
-        "n": 82, "r": 32, "l": 2, "s": 32,
-        "variant": "standard", "perm_mode": "feistel", "lambda": 2,
-    }
-    # gen on an unbuildable world is a domain rejection
-    assert run("gen", "--world", str(out), "--pk-out", str(tmp_path / "p.json")) == 1
+def test_lambda_worlds_run_or_are_refused_at_world_new(tmp_path, capsys):
+    for variant in ("standard", "bloated"):
+        out = tmp_path / f"{variant}.json"
+        assert run("world", "new", "--lambda", "2", "--variant", variant,
+                   "--seed", WORLD_SEED, "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads(out.read_text())
+        assert doc["params"] == {
+            "n": 82, "r": 32, "l": 2, "s": 32,
+            "variant": variant, "perm_mode": "feistel", "lambda": 2,
+        }
+        pk, sk = keypair(tmp_path, out)
+        sig = tmp_path / "sig.json"
+        assert run("sign", "--sk", str(sk), "--msg", "10", "--out", str(sig), "--unsafe-test-io") == 0
+        assert run("verify", "--pk", str(pk), "--msg", "10", "--sig", str(sig)) == 0
+        assert run("verify", "--pk", str(pk), "--msg", "01", "--sig", str(sig)) == 1
+        capsys.readouterr()
+        assert run("bench", "--world", str(out), "--ops", "2", "--rng-seed", "01", "--json") == 0
+        # gen {}, sign {D: l} and verify {Pinv: 1} per cycle
+        spent = json.loads(capsys.readouterr().out)["query_delta"]
+        assert spent == {"P": 0, "Pinv": 2, "D": 4, "D0": 0, "Dprime": 0}
+    # lambda = 2 incompressible and lambda = 3 both have n = 171 and r = 96
+    for argv in (["--lambda", "2", "--variant", "incompressible"], ["--lambda", "3"]):
+        out = tmp_path / "refused.json"
+        assert run("world", "new", *argv, "--out", str(out)) == 1
+        assert "rejected: r = 96 exceeds the widest hash value" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "shape, refusal",
+    [
+        ({"n": 8, "r": 2, "l": 2, "variant": "bloated"}, "bloat needs s >= 1"),
+        ({"n": 8, "r": 2, "l": 2, "s": 9, "variant": "bloated"}, "bloat needs n - r - l >= s"),
+        ({"n": 25, "r": 2, "l": 2}, "n = 25 exceeds the 'table' permutation limit of 24"),
+        ({"n": 129, "r": 2, "l": 2, "perm-mode": "feistel"}, "limit of 128"),
+        ({"n": 80, "r": 64, "l": 2, "perm-mode": "feistel"}, "r = 64 exceeds"),
+    ],
+)
+def test_a_refused_shape_exits_1_at_world_new_and_64_from_a_file(tmp_path, world, capsys, shape, refusal):
+    out = tmp_path / "refused.json"
+    flags = [arg for key, value in shape.items() for arg in (f"--{key}", str(value))]
+    assert run("world", "new", *flags, "--seed", WORLD_SEED, "--out", str(out)) == 1
+    assert refusal in capsys.readouterr().err
+    assert not out.exists()
+    # the same shape in a stored document is a malformed input file
+    doc = json.loads(world.read_text())
+    doc["params"].update({key.replace("-", "_"): value for key, value in shape.items()})
+    world.write_text(json.dumps(doc))
+    for argv in (("world", "show"), ("gen", "--pk-out", str(tmp_path / "pk.json"))):
+        assert run(*argv, "--world", str(world)) == 64
+        err = capsys.readouterr().err
+        assert "bad world document" in err and refusal in err
+    assert not (tmp_path / "pk.json").exists()
+
+
+def test_bench_draws_messages_of_64_bits_and_more(tmp_path, capsys):
+    world = tmp_path / "w.json"
+    assert run("world", "new", "--n", "128", "--r", "1", "--l", "100", "--perm-mode", "feistel",
+               "--seed", WORLD_SEED, "--out", str(world)) == 0
+    capsys.readouterr()
+    assert run("bench", "--world", str(world), "--ops", "2", "--rng-seed", "01", "--json") == 0
+    spent = json.loads(capsys.readouterr().out)["query_delta"]
+    assert spent == {"P": 0, "Pinv": 2, "D": 200, "D0": 0, "Dprime": 0}
 
 
 def test_experiments_subcommand(tmp_path, capsys):
@@ -442,6 +494,8 @@ def test_distinguisher_refuses_fewer_than_one_trial(case, trials, capsys):
         (["--case", "hash-first-bit", "--trials", "1"], "needs at least 2 trials"),
         (["--case", "hash-only", "--n", "24", "--r", "17"], "hash-only needs r <= 16"),
         (["--case", "hash-only", "--n", "64", "--r", "30"], "hash-only needs r <= 16"),
+        # past 64 bits: refused, where numpy's uint64 cast would raise OverflowError
+        (["--case", "hash-only", "--n", "80", "--r", "4", "--trials", "10"], "hash-only needs n <= 64"),
     ],
 )
 def test_distinguisher_refuses_what_it_cannot_run(argv, refusal, capsys):

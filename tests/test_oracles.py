@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from osslab import gf2, scheme
 from osslab.gf2 import BitMatrix, BitVec, ColumnDecoder, Subspace, _rref_words
@@ -21,6 +21,7 @@ from osslab.oracles import (
     Params,
     PermutationEngine,
     SeededStream,
+    _lambda_shape,
     build_oracles,
     metered,
 )
@@ -194,21 +195,23 @@ def test_params_lambda_scaling():
     p = Params.from_lambda(2)
     assert (p.n, p.r, p.ell, p.s) == (82, 32, 2, 32)
     assert p.perm_mode == "feistel" and p.lam == 2
-    with pytest.raises(ValueError):
-        p.check_buildable()  # n = 82 exceeds every backend limit
-    q = Params.from_lambda(2, variant="incompressible")
-    assert (q.n, q.r, q.ell, q.s) == (171, 96, 3, 48)
+    assert _lambda_shape(2, "incompressible") == (171, 96, 3, 48)
+    with pytest.raises(ValueError, match="^r = 96 exceeds"):  # n = 171 is past the Feistel limit too
+        Params.from_lambda(2, variant="incompressible")
     with pytest.raises(ValueError):
         Params.from_lambda(1)
 
 
 @pytest.mark.parametrize("variant", ["standard", "incompressible", "bloated"])
 def test_params_refuse_a_lambda_that_contradicts_the_shape(variant):
-    p = Params.from_lambda(2, variant=variant)
-    assert Params.from_json(p.to_json()) == p  # the rule's own shape is kept
-    for shape in ({"n": p.n + 1}, {"r": p.r - 1, "n": p.n - 1}, {"s": 0}, {"lam": 3}):
+    n, r, ell, s = _lambda_shape(2, variant)
+    rule = {"n": n, "r": r, "ell": ell, "s": s, "variant": variant, "perm_mode": "feistel", "lam": 2}
+    if variant != "incompressible":  # whose n = 171 world Params refuses after the lambda check
+        p = Params(**rule)
+        assert Params.from_json(p.to_json()) == p  # the rule's own shape is kept
+    for shape in ({"n": n + 1}, {"r": r - 1, "n": n - 1}, {"s": 0}, {"lam": 3}):
         with pytest.raises(ValueError, match=r"^lambda = \d gives \(n, r, l, s\)"):
-            Params(**{**vars(p), **shape})
+            Params(**{**rule, **shape})
     with pytest.raises(ValueError, match=r"^lambda = 2 gives"):
         Params(n=8, r=3, ell=2, variant=variant, lam=2)
 
@@ -303,9 +306,11 @@ def coset_worlds(draw):
     perm_mode = draw(st.sampled_from(PERM_MODES))
     structured = variant != "original"
     n = draw(st.integers(1 + structured, 64 if perm_mode == "feistel" else 10))
-    r = draw(st.integers(1, n - structured))
+    r = draw(st.integers(1, min(n - structured, 63)))  # Params refuses r > 63
     ell = draw(st.integers(1, n - r)) if structured else 0
-    p = Params(n=n, r=r, ell=ell, variant=variant, perm_mode=perm_mode)
+    assume(variant != "bloated" or n - r - ell >= 1)  # a bloated world needs 1 <= s <= n - r - l
+    s = draw(st.integers(1, n - r - ell)) if variant == "bloated" else 0
+    p = Params(n=n, r=r, ell=ell, s=s, variant=variant, perm_mode=perm_mode)
     seed = draw(st.binary(min_size=32, max_size=32))
     return p, seed, draw(st.lists(st.integers(0, (1 << r) - 1), min_size=1, max_size=3))
 
@@ -333,7 +338,7 @@ def assert_decoder_of(decoder, gen):
 @example((Params(n=64, r=32, ell=16, perm_mode="feistel"), SEED, [0, (1 << 32) - 1]))
 @example((Params(n=6, r=2, ell=0, variant="original"), SEED, [0, 1, 2, 3]))
 @example((Params(n=8, r=3, ell=5, variant="incompressible"), SEED, [0, 5]))  # r + l = n: no C
-@example((Params(n=40, r=30, ell=10, variant="bloated", perm_mode="feistel"), SEED, [7]))
+@example((Params(n=40, r=30, ell=9, s=1, variant="bloated", perm_mode="feistel"), SEED, [7]))
 @example((Params(n=6, r=2, ell=1), SEED, [0, 1, 2, 3]))  # y = 0 rejects a first-batch C candidate
 def test_derive_caches_the_decoder_of_its_generator(world):
     """derive's rank check of C's candidates builds the decoder that a
@@ -511,9 +516,11 @@ def _reference_feistel(n, seed, x, rounds):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 64), st.binary(min_size=32, max_size=32), st.integers(0, (1 << 64) - 1))
+@given(st.integers(1, 128), st.binary(min_size=32, max_size=32), st.integers(0, (1 << 128) - 1))
 @example(1, SEED, 1)  # the left half has no bits
 @example(9, SEED, 0x1FF)
+@example(127, SEED, (1 << 127) - 1)
+@example(128, SEED, (1 << 128) - 1)  # both halves 64 bits wide
 def test_feistel_matches_the_one_shot_reference_round(n, seed, x):
     perm = PermutationEngine(n, "feistel", seed)
     x %= 1 << n
@@ -549,7 +556,7 @@ def test_threads_sharing_an_engine_get_the_single_thread_answers():
     assert results == [expected] * 4
 
 
-@pytest.mark.parametrize("mode, limit", [("table", 24), ("feistel", 64)])
+@pytest.mark.parametrize("mode, limit", [("table", 24), ("feistel", 128)])
 def test_permutation_refuses_a_width_past_its_limit(mode, limit, monkeypatch):
     def nothing_built(*args, **kwargs):
         raise AssertionError("a refused width started building its permutation")
@@ -560,12 +567,8 @@ def test_permutation_refuses_a_width_past_its_limit(mode, limit, monkeypatch):
     with pytest.raises(ValueError) as refused:
         PermutationEngine(limit + 1, mode, SEED)
     assert str(refused.value) == message
-    params = Params(n=limit + 1, r=1, ell=1, perm_mode=mode)
     with pytest.raises(ValueError) as refused:
-        params.check_buildable()
-    assert str(refused.value) == message
-    with pytest.raises(ValueError) as refused:
-        build_oracles(params, SEED)
+        Params(n=limit + 1, r=1, ell=1, perm_mode=mode)
     assert str(refused.value) == message
     with pytest.raises(ValueError, match="permutation limit"):
         PermutationEngine(130, mode, SEED)  # a half wider than the 8-byte encoding
@@ -754,7 +757,9 @@ def dual_check_worlds(draw):
     n = draw(st.integers(1 + structured, 9))
     r = draw(st.integers(1, n - structured))
     ell = draw(st.integers(1, n - r)) if structured else 0
-    p = Params(n=n, r=r, ell=ell, variant=variant)
+    assume(variant != "bloated" or n - r - ell >= 1)  # a bloated world needs 1 <= s <= n - r - l
+    s = draw(st.integers(1, n - r - ell)) if variant == "bloated" else 0
+    p = Params(n=n, r=r, ell=ell, s=s, variant=variant)
     j = draw(st.integers(0, ell + 2))
     y = draw(st.integers(0, (1 << r) - 1))
     words = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=20))
@@ -881,11 +886,12 @@ def test_column_decoder_agrees_with_solve_on_and_off_the_coset(variant, perm_mod
     coset and off it."""
     n = data.draw(st.integers(2, 12 if perm_mode == "table" else 64))
     if variant == "original":
-        r, ell = data.draw(st.integers(1, n)), 0
+        r, ell = data.draw(st.integers(1, min(n, 63))), 0  # Params refuses r > 63
     else:
         r = data.draw(st.integers(1, n - 1))
         ell = data.draw(st.integers(1, n - r))
-    s = data.draw(st.integers(0, n - r - ell)) if variant == "bloated" else 0
+    assume(variant != "bloated" or n - r - ell >= 1)  # a bloated world needs 1 <= s <= n - r - l
+    s = data.draw(st.integers(1, n - r - ell)) if variant == "bloated" else 0
     params = Params(n=n, r=r, ell=ell, s=s, variant=variant, perm_mode=perm_mode)
     o = build_oracles(params, data.draw(st.binary(min_size=32, max_size=32)))
     y = BitVec(r, data.draw(st.integers(0, (1 << r) - 1)))
@@ -1103,9 +1109,10 @@ def test_bloat_requires_sampling_and_room(rng):
     for width in (1, 5):  # y must have r = 2 bits
         with pytest.raises(ValueError):
             o.bloated_support(1, BitVec(width, 1))
-    narrow = build_oracles(Params(n=6, r=2, ell=2, s=3, variant="bloated"), SEED)
-    with pytest.raises(ValueError):
-        narrow.sample_bloat(rng)  # n - r - l < s
+    with pytest.raises(ValueError, match="^bloat needs n - r - l >= s$"):
+        Params(n=6, r=2, ell=2, s=3, variant="bloated")
+    with pytest.raises(ValueError, match="^bloat needs variant 'bloated'$"):
+        build_oracles(Params(n=9, r=2, ell=2, s=2), SEED).sample_bloat(rng)
 
 
 def test_a_fresh_bloat_chain_and_a_generator_solve_transpose_nothing(rng, monkeypatch):
@@ -1158,7 +1165,8 @@ def test_every_generator_has_the_unit_rows_on_top(variant, perm_mode, data):
     n = data.draw(st.integers(2, 12 if perm_mode == "table" else 64))
     r = data.draw(st.integers(1, n - 1))
     ell = data.draw(st.integers(1, n - r))
-    s = data.draw(st.integers(0, n - r - ell)) if variant == "bloated" else 0
+    assume(variant != "bloated" or n - r - ell >= 1)  # a bloated world needs 1 <= s <= n - r - l
+    s = data.draw(st.integers(1, n - r - ell)) if variant == "bloated" else 0
     params = Params(n=n, r=r, ell=ell, s=s, variant=variant, perm_mode=perm_mode)
     o = build_oracles(params, data.draw(st.binary(min_size=32, max_size=32)))
     gen, _ = o.coset_of(BitVec(r, data.draw(st.integers(0, (1 << r) - 1))))

@@ -1,6 +1,7 @@
 """Scheme layer: consumable keys, verification, collisions, wrappers."""
 
 import hashlib
+import itertools
 import json
 import sys
 import textwrap
@@ -12,8 +13,9 @@ import pytest
 import osslab
 from osslab import gf2
 from osslab.gf2 import BitMatrix, BitVec
-from osslab.oracles import Params, PermutationEngine, build_oracles, metered
+from osslab.oracles import PERM_MODES, VARIANTS, Params, PermutationEngine, build_oracles, metered
 from osslab.scheme import (
+    BACKENDS,
     OneShotViolation,
     PublicKey,
     SecretKey,
@@ -426,6 +428,52 @@ def test_statevector_key_is_bounded_by_its_width(rng):
         generate(o, "statevector", rng)
     pk, sk = generate(o, "symbolic", rng)  # the symbolic key has no such bound
     assert verify(o, pk, m, sign(o, pk, sk, m, rng))
+    # n = 70 fits the dense key's width but not its uint64 points: a
+    # ValueError, not numpy's OverflowError
+    o = build_oracles(Params(n=70, r=50, ell=8, perm_mode="feistel"), SEED)
+    with pytest.raises(ValueError, match="^statevector keys allow n <= 64, got 70$"):
+        generate(o, "statevector", rng)
+    pk, sk = generate(o, "symbolic", rng)
+    assert verify(o, pk, m, sign(o, pk, sk, m, rng))
+
+
+def test_every_shape_params_accepts_is_a_world_that_runs(rng):
+    """Params is the one gate on a world's shape.  Every shape with n <= 8
+    (r >= 1, l >= 0, 0 <= s <= n, each variant and permutation mode)
+    either raises ValueError as it is constructed or generates, signs and
+    verifies on both backends with the pinned query profiles; generate
+    refuses an 'original' world by design.  A bloated world also samples
+    its bloat, and its widened level j has dimension r + s + j - 1."""
+    accepted = round_trips = bloat_levels = 0
+    for n, variant, perm_mode in itertools.product(range(1, 9), VARIANTS, PERM_MODES):
+        for r, ell, s in itertools.product(range(1, n + 1), range(n + 1), range(n + 1)):
+            try:
+                p = Params(n=n, r=r, ell=ell, s=s, variant=variant, perm_mode=perm_mode)
+            except ValueError:
+                continue
+            accepted += 1
+            o = build_oracles(p, SEED)
+            for backend in BACKENDS:
+                if variant == "original":
+                    with pytest.raises(ValueError, match="cannot generate signing keys"):
+                        generate(o, backend, rng)
+                    continue
+                with metered() as gen_spent:
+                    pk, sk = generate(o, backend, rng)
+                m = BitVec.random(rng, message_bits(p))
+                with metered() as sign_spent:
+                    sig = sign(o, pk, sk, m, rng)
+                with metered() as verify_spent:
+                    assert verify(o, pk, m, sig)
+                verify_query = "D0" if variant == "incompressible" else "Pinv"
+                assert (gen_spent, sign_spent, verify_spent) == ({}, {"D": ell}, {verify_query: 1})
+                round_trips += 1
+            if variant == "bloated":
+                o.sample_bloat(rng)
+                for j in range(1, ell + 2):
+                    assert o.bloated_support(j, pk.y).dim == r + s + j - 1
+                    bloat_levels += 1
+    assert (accepted, round_trips, bloat_levels) == (3252, 5544, 756)
 
 
 # -- serialization ------------------------------------------------------
