@@ -97,7 +97,7 @@ def _load_doc(path: str, kind: str) -> dict:
         raise UsageError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise UsageError(f"{path}: expected a JSON object")
-    if obj.get("v") != FORMAT_VERSION:
+    if type(obj.get("v")) is not int or obj["v"] != FORMAT_VERSION:  # True == 1.0 == 1
         raise UsageError(f"{path}: unsupported format version {obj.get('v')!r}")
     if obj.get("kind") != kind:
         raise UsageError(f"{path}: expected a {kind!r} document, found {obj.get('kind')!r}")

@@ -541,16 +541,8 @@ def run_collapse_distinguisher(
         exact_ones = 0
         for _, points, hits in _hash_only_worlds(params, trials, seed):
             exact_ones += int(np.count_nonzero(hits == points.shape[1]))
-        metrics.append(
-            Metric(
-                id="acceptance_always_one",
-                estimate=exact_ones / trials,
-                expected=1.0,
-                source="theory",
-                passed=exact_ones == trials,
-                detail=f"{exact_ones}/{trials} worlds accepted with probability exactly 1",
-            )
-        )
+        detail = f"{exact_ones}/{trials} worlds accepted with probability exactly 1"
+        metrics.append(Metric.exact("acceptance_always_one", exact_ones / trials, 1, detail))
     else:
         k_coset = 1 << (n - r)
         half = 1 << (n - 1)
@@ -567,6 +559,7 @@ def run_collapse_distinguisher(
         mean = float(np.mean(accs))
         se = float(np.std(accs, ddof=1) / math.sqrt(trials))
         expected = float(expected_exact)
+        # two-sided: within 3 standard errors of the closed form
         metrics.append(
             Metric(
                 id="acceptance_mean",
@@ -581,6 +574,7 @@ def run_collapse_distinguisher(
         )
         adv = 1.0 - mean
         z99 = 2.3263478740408408  # one-sided 99% normal quantile
+        # one-sided: the 99% lower confidence bound clears 1/4
         metrics.append(
             Metric(
                 id="advantage_over_quarter",
@@ -686,7 +680,8 @@ class Metric:
     """One checked quantity: what was measured, what was expected, where
     the expectation comes from ("theory" for closed-form analysis,
     "oracle" for an independent computation), and whether the check
-    passed."""
+    passed.  An equality is built by ``exact`` and an error that should
+    be 0 by ``residual``, so each pass rule is written once."""
 
     id: str
     estimate: float
@@ -696,6 +691,17 @@ class Metric:
     ci_low: Optional[float] = None
     ci_high: Optional[float] = None
     detail: str = ""
+
+    @classmethod
+    def exact(cls, id: str, got, want, detail: str = "", source: str = "theory") -> "Metric":
+        """A check that ``got`` equals ``want``, compared before either is
+        rounded to a float, so a Fraction or an int count is held exactly."""
+        return cls(id, float(got), float(want), source, bool(got == want), detail=detail)
+
+    @classmethod
+    def residual(cls, id: str, error: float, bound: float, detail: str, source: str = "theory") -> "Metric":
+        """A check that an error which should be 0 is below ``bound``."""
+        return cls(id, error, 0.0, source, error < bound, detail=detail)
 
     def to_json(self) -> dict:
         out = {

@@ -88,6 +88,8 @@ class Signature:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Signature":
+        if type(obj["n"]) is not int:  # JSON true or 8.0 is no width
+            raise ValueError(f"n must be an integer, got {obj['n']!r}")
         return cls(sigma=BitVec.from_hex(obj["sigma"], obj["n"]))
 
 

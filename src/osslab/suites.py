@@ -78,6 +78,7 @@ def _battery(key: str, name: str, budget: float):
             started = time.perf_counter()
             params, metrics, trials = body(seed)
             elapsed = time.perf_counter() - started
+            # a budget on wall time, not a residual that should be 0
             runtime = Metric(
                 id="runtime_seconds",
                 estimate=elapsed,
@@ -114,14 +115,7 @@ def suite_correctness(seed: bytes) -> _Outcome:
             if _scheme.verify(o, pk, m, sig):
                 ok[backend] += 1
     metrics = [
-        Metric(
-            id=f"accept_rate_{backend}",
-            estimate=ok[backend] / trials,
-            expected=1.0,
-            source="theory",
-            passed=ok[backend] == trials,
-            detail="sign-then-verify must never fail",
-        )
+        Metric.exact(f"accept_rate_{backend}", ok[backend] / trials, 1, "sign-then-verify must never fail")
         for backend in ("statevector", "symbolic")
     ]
     return {"n": 8, "r": 3, "l": 2, "backends": 2}, metrics, trials
@@ -161,16 +155,8 @@ def suite_grover(seed: bytes) -> _Outcome:
             target = _fresh_level_state(n, pts, m, step)
             target.amp *= _coset.STEP_PHASE
             worst = max(worst, float(np.max(np.abs(state.amp - target.amp))))
-    metrics = [
-        Metric(
-            id="single_iteration_error",
-            estimate=worst,
-            expected=0.0,
-            source="theory",
-            passed=worst < 1e-10,
-            detail="one walk iteration maps level j-1 to ((i-1)/sqrt2) x level j",
-        )
-    ]
+    detail = "one walk iteration maps level j-1 to ((i-1)/sqrt2) x level j"
+    metrics = [Metric.residual("single_iteration_error", worst, 1e-10, detail)]
     params = Params(n=14, r=4, ell=8, perm_mode="feistel")
     o = build_oracles(params, _world_seed(seed, "grover-cycle", 0))
     rng = _rng(seed, "grover-cycle", 0)
@@ -184,16 +170,8 @@ def suite_grover(seed: bytes) -> _Outcome:
     target = _fresh_level_state(params.n, pts, m, 8)
     phase = complex(np.vdot(target.amp, state.amp))
     phase_err = abs(phase - 1.0)
-    metrics.append(
-        Metric(
-            id="eight_step_phase",
-            estimate=phase_err,
-            expected=0.0,
-            source="theory",
-            passed=phase_err < 1e-9,
-            detail="((i-1)/sqrt2)^8 = 1: full 8-step walk at l=8 carries phase 1",
-        )
-    )
+    detail = "((i-1)/sqrt2)^8 = 1: full 8-step walk at l=8 carries phase 1"
+    metrics.append(Metric.residual("eight_step_phase", phase_err, 1e-9, detail))
     return {"worlds": worlds, "cycle_world": {"n": 14, "r": 4, "l": 8}}, metrics, worlds
 
 
@@ -219,16 +197,8 @@ def suite_backends(seed: bytes) -> _Outcome:
             cst = _coset.grover_step(cst, step, m)
             bridge = _coset.to_statevector(cst)
             worst = max(worst, float(np.max(np.abs(sv.amp - bridge.amp))))
-    metrics = [
-        Metric(
-            id="bridge_error",
-            estimate=worst,
-            expected=0.0,
-            source="oracle",
-            passed=worst < 1e-10,
-            detail="symbolic lowering equals dense evolution at every iteration",
-        ),
-    ]
+    detail = "symbolic lowering equals dense evolution at every iteration"
+    metrics = [Metric.residual("bridge_error", worst, 1e-10, detail, source="oracle")]
     return {"pairs": pairs}, metrics, pairs
 
 
@@ -251,16 +221,8 @@ def suite_census(seed: bytes) -> _Outcome:
                 checked += 1
                 if c != 1 << (32 - 16 - j):
                     deviations += 1
-    metrics = [
-        Metric(
-            id="census_deviations",
-            estimate=float(deviations),
-            expected=0.0,
-            source="theory",
-            passed=deviations == 0,
-            detail=f"levels checked: {checked}; each must hold exactly 2^(n-r-j) points",
-        ),
-    ]
+    detail = f"levels checked: {checked}; each must hold exactly 2^(n-r-j) points"
+    metrics = [Metric.exact("census_deviations", deviations, 0, detail)]
     return {"n": 32, "r": 16, "l": 8, "worlds": worlds, "messages": messages}, metrics, worlds * messages
 
 
@@ -281,42 +243,17 @@ def suite_distributions(seed: bytes) -> _Outcome:
         d3 = exact_distribution(chain_by_shear(mat, n, r, ell))
         for other, name in [(d2, "syndrome"), (d3, "shear")]:
             tv = tv_distance(d1, other)
-            metrics.append(
-                Metric(
-                    id=f"tv_vector_vs_{name}_{n}_{r}_{ell}",
-                    estimate=float(tv),
-                    expected=0.0,
-                    source="theory",
-                    passed=tv == 0,
-                    detail="exact enumeration over the full randomness domain",
-                )
-            )
+            detail = "exact enumeration over the full randomness domain"
+            metrics.append(Metric.exact(f"tv_vector_vs_{name}_{n}_{r}_{ell}", tv, 0, detail))
     for n, r, ell, s in [(4, 1, 1, 1), (6, 1, 1, 2)]:
         mat = toy(n, r, f"m{n}{r}{ell}{s}")
         db = exact_distribution(chain_by_basis(mat, n, r, ell, s))
         dm = exact_distribution(chain_by_matrix(mat, n, r, ell, s))
         tv = tv_distance(db, dm)
-        metrics.append(
-            Metric(
-                id=f"tv_basis_vs_matrix_s{s}",
-                estimate=float(tv),
-                expected=0.0,
-                source="theory",
-                passed=tv == 0,
-                detail=f"exact at (n={n}, r={r}, l={ell})",
-            )
-        )
+        metrics.append(Metric.exact(f"tv_basis_vs_matrix_s{s}", tv, 0, f"exact at (n={n}, r={r}, l={ell})"))
         if s == 1:
-            metrics.append(
-                Metric(
-                    id="support_size_s1",
-                    estimate=float(len(db)),
-                    expected=float((1 << (n - r)) - (1 << ell)),
-                    source="theory",
-                    passed=len(db) == (1 << (n - r)) - (1 << ell),
-                    detail="2^(n-r) - 2^l distinct tuples at s = 1",
-                )
-            )
+            detail = "2^(n-r) - 2^l distinct tuples at s = 1"
+            metrics.append(Metric.exact("support_size_s1", len(db), (1 << (n - r)) - (1 << ell), detail))
     return {"single": [[4, 1, 1], [5, 1, 2]], "widened": [[4, 1, 1, 1], [6, 1, 1, 2]]}, metrics, 0
 
 
@@ -331,16 +268,8 @@ def suite_distinguisher(seed: bytes) -> _Outcome:
     first = run_collapse_distinguisher(6, 2, "hash-first-bit", trials, seed)
     shortcut_err = validate_collapse_shortcut(6, 2, seed)
     metrics = list(only.metrics) + list(first.metrics)
-    metrics.append(
-        Metric(
-            id="census_shortcut_vs_dense",
-            estimate=shortcut_err,
-            expected=0.0,
-            source="oracle",
-            passed=shortcut_err < 1e-10,
-            detail="per-world census acceptance equals dense simulation",
-        )
-    )
+    detail = "per-world census acceptance equals dense simulation"
+    metrics.append(Metric.residual("census_shortcut_vs_dense", shortcut_err, 1e-10, detail, source="oracle"))
     params = {"n": 6, "r": 2, "mc_trials": trials, "hash_only_trials": hash_only_trials}
     return params, metrics, trials + hash_only_trials
 
@@ -367,16 +296,8 @@ def suite_collisions(seed: bytes) -> _Outcome:
                 same_hash = o.hash_bits(x0) == o.hash_bits(x1) == pk.y
                 if x0 == x1 or not same_hash:
                     failures += 1
-    metrics = [
-        Metric(
-            id="collision_failures",
-            estimate=float(failures),
-            expected=0.0,
-            source="theory",
-            passed=failures == 0,
-            detail=f"all {pairs_checked} distinct valid pairs yield x0 != x1 with equal hash",
-        ),
-    ]
+    detail = f"all {pairs_checked} distinct valid pairs yield x0 != x1 with equal hash"
+    metrics = [Metric.exact("collision_failures", failures, 0, detail)]
     return {"n": 8, "r": 3, "l": 2, "worlds": worlds}, metrics, pairs_checked
 
 
@@ -409,28 +330,18 @@ def suite_incompressible(seed: bytes) -> _Outcome:
         if in_span and diff.bits != 0 and shift.bit(2) == 1 and sig.sigma.bit(2) == 0:
             structural += 1
     metrics = [
-        Metric(
-            id="accept_rate",
-            estimate=ok / runs,
-            expected=1.0,
-            source="theory",
-            passed=ok == runs,
+        Metric.exact("accept_rate", ok / runs, 1),
+        Metric.exact(
+            "decode_free_verifies",
+            decode_free / runs,
+            1,
+            "verification spends one membership query and zero decode queries",
         ),
-        Metric(
-            id="decode_free_verifies",
-            estimate=decode_free / runs,
-            expected=1.0,
-            source="theory",
-            passed=decode_free == runs,
-            detail="verification spends one membership query and zero decode queries",
-        ),
-        Metric(
-            id="structural_signatures",
-            estimate=structural / runs,
-            expected=1.0,
-            source="theory",
-            passed=structural == runs,
-            detail="sigma - shift is a nonzero column-span point; forced shift bit holds",
+        Metric.exact(
+            "structural_signatures",
+            structural / runs,
+            1,
+            "sigma - shift is a nonzero column-span point; forced shift bit holds",
         ),
     ]
     return {"n": 8, "r": 3, "l": 2, "runs": runs}, metrics, runs
@@ -475,28 +386,15 @@ def suite_hashsign(seed: bytes) -> _Outcome:
     sig = _scheme.hs_sign(o, pk, sk, target, rng)
     transferred = partner is not None and _scheme.hs_verify(o, pk, partner, sig)
     metrics = [
-        Metric(
-            id="round_trips",
-            estimate=float(round_trips),
-            expected=float(len(lengths)),
-            source="theory",
-            passed=round_trips == len(lengths),
-            detail="lengths 0 B, 1 B, 1 KiB, 1 MiB",
-        ),
-        Metric(
-            id="tamper_rejects",
-            estimate=float(rejects),
-            expected=float(moved),
+        Metric.exact("round_trips", round_trips, len(lengths), "lengths 0 B, 1 B, 1 KiB, 1 MiB"),
+        # stronger than rejects == moved: no tamper may be answered against its digest
+        Metric("tamper_rejects", float(rejects), float(moved), "oracle", passed=wrong == 0),
+        Metric.exact(
+            "digest_collision_transfers",
+            transferred,
+            True,
+            "8-bit digests collide by birthday; the signature follows the digest",
             source="oracle",
-            passed=wrong == 0,
-        ),
-        Metric(
-            id="digest_collision_transfers",
-            estimate=1.0 if transferred else 0.0,
-            expected=1.0,
-            source="oracle",
-            passed=transferred,
-            detail="8-bit digests collide by birthday; the signature follows the digest",
         ),
     ]
     return {"n": 40, "r": 20, "l": 8, "lengths": lengths}, metrics, len(lengths) + 1
@@ -520,16 +418,8 @@ def suite_queries(seed: bytes) -> _Outcome:
         with metered() as verify_spent:
             _scheme.verify(o, pk, m, sig)
         profile_ok = gen_spent == {} and sign_spent == {"D": 2} and verify_spent == {"Pinv": 1}
-        metrics.append(
-            Metric(
-                id=f"profile_{backend}",
-                estimate=1.0 if profile_ok else 0.0,
-                expected=1.0,
-                source="theory",
-                passed=profile_ok,
-                detail=f"gen={gen_spent} sign={sign_spent} verify={verify_spent}",
-            )
-        )
+        detail = f"gen={gen_spent} sign={sign_spent} verify={verify_spent}"
+        metrics.append(Metric.exact(f"profile_{backend}", profile_ok, True, detail))
     return {"n": 8, "r": 3, "l": 2}, metrics, 2
 
 

@@ -12,7 +12,7 @@ import inspect
 
 import pytest
 
-from osslab import coset, distlab, gf2
+from osslab import coset, distlab, gf2, scheme
 from osslab.suites import SUITES, default_seed
 
 SEED = default_seed()
@@ -90,6 +90,26 @@ def test_hashsign_expects_rejections_only_of_tampers_that_move_the_digest():
     tamper = next(m for m in report.metrics if m.id == "tamper_rejects")
     assert (tamper.estimate, tamper.expected) == (3.0, 3.0)
     assert report.passed, report.render()
+
+
+def test_tamper_rejects_fails_when_a_wrong_accept_and_a_wrong_reject_cancel(monkeypatch):
+    """tamper_rejects is not Metric.exact(rejects, moved).  At the seed
+    above, a verifier that rejects the 1 KiB message's kept tamper (call
+    5) and accepts message 0's moved tamper (call 1) leaves rejects equal
+    to moved (3 = 3), and the battery must fail all the same."""
+    seed = bytes.fromhex("bcab874911d6dfe4ba80fe0be4e0a369bbaa127d8733dd3bb0c371ba20b25255")
+    honest = scheme.verify
+    calls = []
+
+    def inverted(*args):
+        calls.append(args)
+        return honest(*args) != (len(calls) - 1 in (1, 5))
+
+    monkeypatch.setattr(scheme, "verify", inverted)
+    report = SUITES["hashsign"](seed)
+    tamper = next(m for m in report.metrics if m.id == "tamper_rejects")
+    assert (tamper.estimate, tamper.expected) == (3.0, 3.0)
+    assert not tamper.passed and not report.passed
 
 
 def test_c10_query_profiles():

@@ -294,6 +294,31 @@ def test_verify_refuses_a_public_key_with_a_float_shape(tmp_path, world, capsys)
     assert "n must be an integer, got 8.0" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_document_whose_version_is_not_the_integer_1_exits_64(tmp_path, world, capsys, version):
+    doc = json.loads(world.read_text())
+    doc["v"] = version  # True == 1.0 == 1 in Python
+    world.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("world", "show", "--world", str(world)) == 64
+    err = capsys.readouterr().err
+    assert f"unsupported format version {version!r}" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("width", [True, 8.0, "8"])
+def test_verify_refuses_a_signature_whose_width_is_not_an_integer(tmp_path, world, capsys, width):
+    pk, sk = keypair(tmp_path, world)
+    sig = tmp_path / "sig.json"
+    assert run("sign", "--sk", str(sk), "--msg", "10", "--out", str(sig), "--unsafe-test-io") == 0
+    doc = json.loads(sig.read_text())
+    doc["n"] = width  # True would pass for a 1-bit width
+    sig.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--pk", str(pk), "--msg", "10", "--sig", str(sig)) == 64
+    err = capsys.readouterr().err
+    assert f"bad signature (n must be an integer, got {width!r})" in err and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_64():
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")

@@ -601,3 +601,52 @@ def test_report_json_and_render():
     assert not rep.passed
     text = rep.render()
     assert "FAIL" in text and "thing" in text
+
+
+def test_exact_compares_before_rounding():
+    # 2^-1100 rounds to 0.0 but is not 0
+    metric = Metric.exact("x", Fraction(1, 2**1100), 0)
+    assert (metric.estimate, metric.expected, metric.passed) == (0.0, 0.0, False)
+    assert Metric.exact("x", Fraction(0), 0).passed
+
+
+@pytest.mark.parametrize(
+    "got, want, passed", [(99 / 100, 1, False), (100 / 100, 1, True), (3, 4, False), (4, 4, True)]
+)
+def test_exact_passes_a_rate_or_a_count_only_when_equal(got, want, passed):
+    metric = Metric.exact("x", got, want)
+    assert (metric.estimate, metric.expected, metric.passed) == (float(got), float(want), passed)
+
+
+def test_residual_fails_at_its_bound():
+    assert Metric.residual("x", 0.5e-10, 1e-10, "d").passed
+    assert not Metric.residual("x", 1e-10, 1e-10, "d").passed
+    assert not Metric.residual("x", float("nan"), 1e-10, "d").passed
+
+
+@pytest.mark.parametrize(
+    "built, by_hand",
+    [
+        (
+            Metric.exact("census_deviations", 0, 0, "levels"),
+            Metric(id="census_deviations", estimate=0.0, expected=0.0, source="theory", passed=True, detail="levels"),
+        ),
+        (
+            Metric.exact("accept_rate", 100 / 100, 1),
+            Metric(id="accept_rate", estimate=1.0, expected=1.0, source="theory", passed=True),
+        ),
+        (
+            Metric.exact("profile", False, True, "spent", source="oracle"),
+            Metric(id="profile", estimate=0.0, expected=1.0, source="oracle", passed=False, detail="spent"),
+        ),
+        (
+            Metric.residual("bridge_error", 3e-16, 1e-10, "dense"),
+            Metric(id="bridge_error", estimate=3e-16, expected=0.0, source="theory", passed=True, detail="dense"),
+        ),
+    ],
+)
+def test_constructed_metrics_serialize_as_the_hand_written_ones(built, by_hand):
+    doc = built.to_json()
+    assert list(doc.items()) == list(by_hand.to_json().items())  # key order too
+    assert not any(key.startswith("ci_") for key in doc)
+    assert ("detail" in doc) == bool(built.detail)
